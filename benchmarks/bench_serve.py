@@ -26,15 +26,14 @@ default (full)
     * ``read_heavy`` — 95% reads / 5% writes, the standing-query
       serving regime the snapshot store is built for;
     * ``write_heavy`` — 50% reads / 50% writes, stressing the writer
-      window batching and the cross-shard boundary-delta fixpoint;
+      window batching and, sharded, the per-window replication scatter;
     * ``delete_heavy`` — 50% reads / 50% writes with writers biased to
-      0.75 deletions, the raise-protocol regime whose scatter counts
-      the batched invalidate/settle/reconcile exchange is built to cut.
+      0.75 deletions, the regime where ``A_Δ`` raises values.
 
     Each records throughput (ops/s) and read/write latency percentiles
     (p50/p99) plus the service's own window counters — and, for sharded
-    runs, the ``ProtocolStats`` block (scatters per deletion window,
-    skipped exchanges, dup-suppressed resets, bytes shipped).  Every mix
+    runs, the ``ProtocolStats`` block (scatters, scatters per deletion
+    window, bytes shipped).  Every mix
     is gated on zero isolation violations, and a ``split_micro`` row
     times the router's memoized ownership lookup against raw
     ``stable_assign``.  Results are appended as one tagged run to the
@@ -44,9 +43,9 @@ default (full)
 
     Caveat for reading the shard sweep: sharding buys wall-clock
     throughput only when worker processes run on distinct cores.  On a
-    single-core host the sweep instead measures pure protocol overhead
-    (every superstep serialized), so the recorded numbers there are an
-    upper bound on coordination cost, not a scaling curve.
+    single-core host the sweep instead measures pure replication
+    overhead (every scatter serialized), so the recorded numbers there
+    are an upper bound on coordination cost, not a scaling curve.
 """
 
 from __future__ import annotations
@@ -146,12 +145,6 @@ def run_mix(
                 "scatters": proto["scatters"],
                 "deletion_windows": proto["deletion_windows"],
                 "scatters_per_deletion_window": proto["scatters_per_deletion_window"],
-                "skipped_exchanges": proto["skipped_exchanges"],
-                "suspect_resets": proto["suspect_resets"],
-                "central_resets": proto["central_resets"],
-                "dup_suppressed": proto["dup_suppressed"],
-                "settle_changes": proto["settle_changes"],
-                "full_resyncs": proto["full_resyncs"],
                 "bytes_shipped": proto["bytes_shipped"],
             }
         )
@@ -164,7 +157,7 @@ def run_mix(
     if protocol is not None:
         line += (
             f"  scatters/del-window {entry['scatters_per_deletion_window']:.2f} "
-            f"(skipped={entry['skipped_exchanges']}, dups={entry['dup_suppressed']})"
+            f"({entry['bytes_shipped']} B shipped)"
         )
     print(line)
     return entry, violations
@@ -185,13 +178,10 @@ def _check_entry(name: str, entry, violations) -> bool:
     return True
 
 
-#: CI regression ceiling on mean scatter round-trips per deletion window
-#: in the sharded smoke mix.  The batched protocol budgets apply (1) +
-#: invalidation wave (~1) + reconcile (1) ≈ 3, and interior deletion
-#: windows skip the exchange at 1; PR 7's wave-per-superstep protocol
-#: measured ~10, so a regression back to per-round scattering trips this
-#: immediately.
-SMOKE_SCATTER_CEILING = 3.5
+#: CI ceiling on mean scatter round-trips per deletion window in the
+#: sharded smoke mix: every window costs exactly one ``apply`` scatter,
+#: so any extra coordination round trips this immediately.
+SMOKE_SCATTER_CEILING = 1.0
 
 
 def smoke(duration: float = 2.0, collect=None) -> int:
@@ -242,8 +232,8 @@ def smoke(duration: float = 2.0, collect=None) -> int:
                 if per_window > SMOKE_SCATTER_CEILING:
                     print(
                         f"FAIL: {per_window:.2f} scatters per deletion window "
-                        f"(ceiling {SMOKE_SCATTER_CEILING}): the batched "
-                        "deletion protocol has regressed",
+                        f"(ceiling {SMOKE_SCATTER_CEILING}): a window now "
+                        "costs more than its one apply scatter",
                         file=sys.stderr,
                     )
                     return 1

@@ -223,8 +223,8 @@ def _recover_sharded(args) -> int:
 
     if args.audit:
         raise ReproError(
-            "--audit is not supported for sharded directories; the recovery "
-            "full-resync already re-derives every value from the fragments"
+            "--audit is not supported for sharded directories; recovery "
+            "already re-runs every query on the reassembled graph"
         )
     session = ShardedSession.recover(args.directory)
     document = {
@@ -553,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard the session across N worker processes with boundary-delta "
-        "exchange (1 = the plain single-writer session)",
+        help="replicate the session onto N durable shard worker processes "
+        "(1 = the plain single-writer session)",
     )
     p_serve.add_argument(
         "--shard-seed",

@@ -25,14 +25,6 @@ The implementation follows Figure 4 line by line:
 Because contributors precede their dependents in ``<_C``, pops are
 monotone in the order and each variable needs processing at most once.
 
-The queue-driven repair (steps 2–4) also serves a second consumer: the
-boundary-delta absorption of the sharded tier
-(:mod:`repro.parallel.boundary`), where the "update" is not ``ΔG`` but an
-authoritative owner value raising a replica variable.  :func:`repair_pass`
-packages the loop for both callers; the replica case passes the pinned
-variables as *trusted* so their externally-imposed values are read as
-feasible and never locally re-evaluated.
-
 Boundedness: every repaired variable either changes value on ``G ⊕ ΔG``
 or has an evolved input set, so ``H⁰ ⊆ AFF`` (Section 4); this is checked
 empirically by :mod:`repro.core.boundedness`.
@@ -41,7 +33,7 @@ empirically by :mod:`repro.core.boundedness`.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Hashable, Iterable, Optional, Set
+from typing import Any, Dict, Hashable, Iterable, Set
 
 from ..graph.graph import Graph
 from ..graph.updates import Batch
@@ -57,22 +49,11 @@ def repair_pass(
     state: FixpointState,
     seeds: Iterable[Hashable],
     h_scope: Set[Hashable],
-    trusted: Iterable[Hashable] = (),
-    old_values: Optional[Dict[Hashable, Any]] = None,
-    old_ts: Optional[Dict[Hashable, int]] = None,
 ) -> Set[Hashable]:
     """Run the Figure-4 repair queue (lines 2–9) over ``seeds``.
 
     Repairs ``state`` in place toward a feasible ``D⁰`` and adds every
     repaired variable to ``h_scope`` (mutated in place, also returned).
-
-    ``trusted`` variables are treated as already repaired: their current
-    values are read as feasible (line 5's "earlier in the order" branch)
-    and they are never popped for re-evaluation themselves — this is how
-    boundary absorption pins authoritative owner values.  ``old_values``
-    / ``old_ts`` seed the pre-repair overlay the order ``<_C`` is
-    computed from; callers that changed values *before* invoking the
-    pass (again: boundary pins) record the pre-change values there.
     """
     counter = state.counter
     counting = not isinstance(counter, NullCounter)
@@ -80,10 +61,8 @@ def repair_pass(
     # The order <_C is fixed by the *old* run.  Repairs overwrite values
     # and timestamps in `state`, so keep a lazy overlay of pre-repair
     # values/timestamps for order and anchor computations.
-    if old_values is None:
-        old_values = {}
-    if old_ts is None:
-        old_ts = {}
+    old_values: Dict[Hashable, Any] = {}
+    old_ts: Dict[Hashable, int] = {}
     okey_cache: Dict[Hashable, Any] = {}
 
     def old_value_of(key: Hashable) -> Any:
@@ -103,13 +82,11 @@ def repair_pass(
             okey_cache[key] = cached
         return cached
 
-    processed: Set[Hashable] = set(trusted)
+    processed: Set[Hashable] = set()
     tick = 0
     que: list = []
     queued: Set[Hashable] = set()
     for key in seeds:
-        if key in processed:
-            continue
         tick += 1
         heapq.heappush(que, (okey(key), tick, key))
         queued.add(key)

@@ -120,13 +120,6 @@ class ShardRecoveryError(RecoveryError):
     shards — see docs/serving.md, "Failure semantics per shard")."""
 
 
-class ShardExchangeError(ShardingError):
-    """A cross-shard boundary exchange failed to reach quiescence within
-    its superstep cap.  The router falls back to a full resync (fragment
-    re-evaluation + monotone exchange), which always converges; seeing
-    this error means even the fallback failed."""
-
-
 class ServeError(SessionError):
     """A concurrent query-service failure (:mod:`repro.serve`)."""
 

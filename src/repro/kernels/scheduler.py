@@ -32,7 +32,7 @@ dropped), so a stream's :class:`StreamResult` satisfies the same
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..core.engine import estimate_affected
 from ..graph.graph import Graph
@@ -50,11 +50,6 @@ class StreamResult:
     """Outcome of one scheduled stream: composed ΔO plus routing stats."""
 
     changes: Dict[Hashable, Tuple[Any, Any]] = field(default_factory=dict)
-    #: Union of every apply's repair scope ``H⁰`` — all variables the
-    #: stream's repairs touched, *including* ones whose value round-tripped.
-    #: The sharded tier treats these as staleness suspects after deletion
-    #: windows (see :mod:`repro.parallel.router`).
-    scope: Set[Hashable] = field(default_factory=set)
     ops: int = 0                 #: raw updates consumed from the stream
     applies: int = 0             #: coalesced applies actually executed
     kernel_applies: int = 0
@@ -162,7 +157,6 @@ def schedule_stream(
         realized = r.affected_size
         inc._aff_ewma += EWMA_ALPHA * (realized - inc._aff_ewma)
         _compose(result.changes, r.changes)
-        result.scope.update(r.scope)
         result.applies += 1
         used_kernel = r.kernel_stats is not None
         if used_kernel:

@@ -1,19 +1,14 @@
-"""Fragment-parallel evaluation: mini-GRAPE runner + the sharded tier.
+"""The sharded serving tier.
 
-Two layers share the edge-cut partitioning model of
-:mod:`~repro.parallel.partition`:
-
-* :class:`GrapeRunner` — the in-process PIE (PEval/IncEval) simulator
-  used by the analysis benchmarks.
-* :class:`ShardedSession` / :class:`ShardWorker` — the multi-process
-  serving tier: one full :class:`~repro.session.DynamicGraphSession`
-  per shard, cross-shard incremental fixpoints by boundary-delta
-  exchange (:func:`absorb_values` / :func:`invalidate_values`), served
-  through :mod:`repro.serve` via ``repro serve --shards N``.
+:class:`ShardedSession` runs one single-writer
+:class:`~repro.session.DynamicGraphSession` over the global graph and
+keeps ``N`` edge-cut fragments (:mod:`~repro.parallel.partition`) as
+durable replicas: each :class:`ShardWorker` applies its fragment's share
+of every committed window through its own session (per-shard WAL and
+checkpoints), then pins the writer's values.  Served through
+:mod:`repro.serve` via ``repro serve --shards N``.
 """
 
-from .boundary import absorb_values, invalidate_values
-from .grape import GrapeRunner, GrapeStats
 from .partition import (
     Partitioning,
     build_partitioning,
@@ -25,16 +20,12 @@ from .router import SHARDABLE_ALGORITHMS, ShardedSession
 from .worker import ShardWorker, shard_main
 
 __all__ = [
-    "GrapeRunner",
-    "GrapeStats",
     "Partitioning",
     "SHARDABLE_ALGORITHMS",
     "ShardedSession",
     "ShardWorker",
-    "absorb_values",
     "build_partitioning",
     "hash_partition",
-    "invalidate_values",
     "shard_main",
     "stable_assign",
     "stable_partition",

@@ -1,11 +1,9 @@
-"""Edge-cut graph partitioning for fragment-parallel evaluation.
+"""Edge-cut graph partitioning for the sharded tier.
 
-GRAPE-style systems split ``G`` into fragments: each worker owns a set
-of nodes, keeps every edge incident to them, and holds read-only
-*replicas* of the remote endpoints of cut edges.  This module builds
-such a partitioning (hash-based by default) and reports its quality
-(edge cut, balance) — the knobs that drive message volume in
-:mod:`repro.parallel.grape`.
+``G`` is split into fragments: each shard owns a set of nodes, keeps
+every edge incident to them, and holds *replicas* of the remote
+endpoints of cut edges.  This module builds such a partitioning
+(hash-based by default) and reports its quality (edge cut, balance).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ class Partitioning:
         Per-fragment node sets.
     replica_locations:
         For every node, the fragments holding a replica of it — the
-        message fan-out when its value changes.
+        shards a changed value is pinned on.
     """
 
     num_fragments: int
@@ -83,10 +81,9 @@ def stable_assign(node: Node, num_fragments: int, seed: int = 0) -> int:
     :func:`hash_partition` assignments cannot be recomputed inside a
     worker process.  The sharded tier (:mod:`repro.parallel.router`)
     instead derives ownership from this pure function of
-    ``(node, num_fragments, seed)`` — router and every worker agree on
-    it without ever shipping an assignment table.  Memoized: ownership
-    is consulted for every changed key of every exchange round, and the
-    md5 would otherwise dominate gather costs.
+    ``(node, num_fragments, seed)``, so a recovered router reassembles
+    the fragments without a stored assignment table.  Memoized: the
+    split path consults it for both endpoints of every routed edge.
     """
     if num_fragments < 1:
         raise GraphError("need at least one fragment")

@@ -1,67 +1,46 @@
 """The shard router: a sharded, multi-process drop-in for the session.
 
-:class:`ShardedSession` partitions the graph by
-:func:`~repro.parallel.partition.stable_assign` (edge-cut: every edge
-lives on its endpoints' owner shards, remote endpoints become replicas),
-runs one :class:`~repro.parallel.worker.ShardWorker` per fragment —
-each a full :class:`~repro.session.DynamicGraphSession` with its own
-WAL/checkpoint directory — and presents the *session surface* the
-serving tier consumes (``register`` / ``update`` / ``update_stream`` /
-``answer`` / ``seq`` / ``incidents`` / ``close``), so
-:class:`repro.serve.QueryService` runs unchanged on top of it
+:class:`ShardedSession` is one single-writer
+:class:`~repro.session.DynamicGraphSession` over the global graph (the
+*writer*) plus ``N`` partitioned, durable replicas of its state.  By
+Theorems 1 and 3, one ``A_Δ`` run on the global graph already yields the
+batch fixpoint, so the writer does all the query work and the shards
+divide none of it; they exist to keep per-fragment WALs and checkpoints.
+
+The graph is partitioned by :func:`~repro.parallel.partition.stable_assign`
+(edge-cut: every edge lives on its endpoints' owner shards, remote
+endpoints become replicas).  Each shard runs a
+:class:`~repro.parallel.worker.ShardWorker` — a full session with its
+own WAL/checkpoint directory over its fragment.  The router presents the
+*session surface* the serving tier consumes (``register`` / ``update``
+/ ``update_stream`` / ``answer`` / ``seq`` / ``incidents`` / ``close``),
+so :class:`repro.serve.QueryService` runs unchanged on top of it
 (``repro serve --shards N``).
 
-Execution model (the paper's Section 6, PEval/IncEval):
+One write window:
 
-* **Writes.**  The router validates each window against a persistent
-  scratch overlay (O(|ΔG|), no per-window graph copy), splits every
-  batch by edge ownership — inserting ``VertexInsertion`` preludes so
-  each sub-batch is valid on its fragment in isolation — and scatters
-  one (possibly empty) sub-batch per global batch to *every* shard, so
-  shard WAL sequence numbers advance in lockstep with the global
-  sequence number.  Each worker applies its sub-batches through its own
-  incremental session (PEval already ran at registration; this is the
-  per-fragment ``A_Δ``).
-* **Boundary exchange.**  Workers reply with their *owned* changed
-  values, their *dirty replicas* (replica variables that drifted from
-  the last pinned value), and a ``boundary_dirty`` digest counting the
-  boundary-relevant changes.  When every digest is zero and nothing
-  needs a pin, the window terminates after the apply scatter alone (the
-  *boundary-change skip rule* — no confirming empty scatter).  Otherwise
-  the batched exchange runs: a deduped **invalidation wave** (deletion
-  windows only; each worker walks the full transitive suspect closure
-  locally, a window-scoped seen-set on the router mirrored per worker
-  caps every (shard, key) at one reset per window), a **router-side
-  reset closure + settle** — the dependents closure of every raised key
-  is reset to x^⊥ on the merged assignment (stale values can support
-  each other in cycles, so cross-fragment residue is closed by closure,
-  not by support checks), then the contracting step function resumes on
-  the global graph over the changed/reset/dirty scope, re-deriving the
-  exact global fixpoint in zero scatters — and a single non-monotone
-  **reconcile** scatter shipping every touched key to its owner and
-  holders; raised pins trigger each worker's local reset-then-resume
-  repair, so the exchange quiesces in that one round.  A deletion
-  window therefore costs exactly 3 scatters (apply + wave + reconcile)
-  instead of O(waves × refine rounds);
-  :class:`~repro.parallel.stats.ProtocolStats` measures it.  A
-  blown round cap falls back to a **full resync**: every shard re-runs
-  the batch algorithm on its fragment (feasible, stale-high) and a
-  monotone improvement-only exchange — the GRAPE convergence argument —
-  rebuilds the exact global fixpoint.
-* **Reads.**  ``answer()`` extracts from the merged authoritative
-  assignment, which is only updated between fully-quiesced windows — a
-  cross-shard-consistent snapshot tagged by the global sequence number.
+1. ``writer.update_stream(stream)`` validates the window, runs it under
+   the writer's transaction and computes ``A_Δ`` and ``ΔO``.  A failure
+   rolls the writer back and nothing is scattered.
+2. The router splits every batch by ownership, adding
+   ``VertexInsertion`` preludes so each sub-batch is valid on its
+   fragment alone.
+3. One ``apply`` scatter sends each shard its sub-batches (one per
+   global batch, possibly empty, so shard WAL seqs stay in lockstep with
+   the global seq) plus *pins*: the writer's post-window value of every
+   key present on that shard that is in ``ΔO`` or newly materialized
+   there.  The worker applies its sub-batches through its own session,
+   then lands exactly on the writer's values
+   (:meth:`~repro.parallel.worker.ShardWorker.handle`, ``apply``).
 
-Failure semantics: per-shard transactions are forced **off** — a
-rollback on one shard cannot undo the sub-batches its siblings already
-committed, so shard-level atomicity would only feign a guarantee the
-tier cannot keep.  The actual mechanisms are (a) per-shard quarantine +
-router-driven full resync for torn queries, and (b) typed recovery:
-:meth:`ShardedSession.recover` reassembles all shards from their WALs
-and refuses divergent ones with
-:class:`~repro.errors.ShardRecoveryError`.  Boundary absorbs are not
-WAL-logged (they carry no ``ΔG``), so recovery always ends in a full
-resync.  See ``docs/serving.md`` ("Sharded deployment").
+Reads (``answer``) go to the writer.  Failure semantics: the writer
+commits or rolls back before anything is scattered; a failed scatter
+raises :class:`~repro.errors.ShardingError` and records an incident.
+:meth:`ShardedSession.recover` reassembles the graph from the shard
+fragments, refuses divergent shard seqs with
+:class:`~repro.errors.ShardRecoveryError`, re-runs the queries on the
+writer and re-pins every shard.  See ``docs/serving.md`` ("Sharded
+deployment").
 """
 
 from __future__ import annotations
@@ -70,64 +49,33 @@ import json
 import multiprocessing
 import pickle
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Union
 
-from ..core.engine import run_fixpoint
+# The e2e benchmark's tracer patches these three names on this module.
+from ..core.engine import run_fixpoint  # noqa: F401
+from ..graph.updates import apply_updates  # noqa: F401
+from ..resilience.validate import validate_batch  # noqa: F401
+
 from ..core.incremental import IncrementalResult
-from ..core.state import FixpointState
-from ..errors import (
-    NodeNotFoundError,
-    ReproError,
-    ShardExchangeError,
-    ShardingError,
-    ShardRecoveryError,
-)
+from ..errors import NodeNotFoundError, ReproError, ShardingError, ShardRecoveryError
 from ..graph.graph import Graph
-from ..graph.updates import (
-    Batch,
-    EdgeDeletion,
-    EdgeInsertion,
-    VertexDeletion,
-    VertexInsertion,
-    apply_updates,
-)
+from ..graph.updates import Batch, EdgeDeletion, EdgeInsertion, VertexDeletion, VertexInsertion
 from ..resilience import SessionConfig
 from ..resilience.checkpoint import CHECKPOINT_FILE, SHARDING_FILE
-from ..resilience.incidents import IncidentLog
-from ..resilience.validate import session_weight_requirements, validate_batch
-from ..session import ALGORITHM_PAIRS, Listener
+from ..session import ALGORITHM_PAIRS, DynamicGraphSession, Listener, RegisteredQuery
 from .partition import stable_assign, stable_partition
 from .stats import ProtocolStats
 from .worker import ShardWorker, shard_main
 
-#: Algorithms the sharded tier can host: node-keyed contracting specs,
-#: whose boundary deltas the absorb/repair machinery understands.
+#: Algorithms the sharded tier can host: node-keyed specs, whose values
+#: split cleanly over fragment nodes.
 SHARDABLE_ALGORITHMS = frozenset({"SSSP", "SSWP", "CC", "Reach"})
 _SOURCE_ALGORITHMS = frozenset({"SSSP", "SSWP", "Reach"})
 
-#: Superstep cap for the incremental exchange; blowing it triggers a
-#: full resync (which provably converges), never a wrong answer.
-MAX_EXCHANGE_ROUNDS = 50
-#: Superstep cap for the monotone (resync / registration) exchange.
-RESYNC_ROUNDS = 500
-
 SHARD_DIR = "shard-{:02d}"
 _MANIFEST_VERSION = 1
-
-
-@dataclass
-class _ShardedQuery:
-    """Router-side record of one registered query (the facade's analogue
-    of :class:`~repro.session.RegisteredQuery` — same duck-typed surface
-    the serving tier reads: ``.algorithm``, ``.query``, ``.listeners``)."""
-
-    name: str
-    algorithm: str
-    query: Any
-    batch: Any  # the BatchAlgorithm, for spec access + answer extraction
-    listeners: List[Listener] = field(default_factory=list)
 
 
 class _InProcessShard:
@@ -158,13 +106,13 @@ class _InProcessShard:
 class _ProcessShard:
     """Transport over a child process and a pickle pipe."""
 
-    def __init__(self, index: int, num_shards: int, seed: int, payload: Dict[str, Any]) -> None:
+    def __init__(self, index: int, payload: Dict[str, Any]) -> None:
         self.index = index
         ctx = multiprocessing.get_context()
         parent, child = ctx.Pipe()
         self.process = ctx.Process(
             target=shard_main,
-            args=(child, index, num_shards, seed, payload),
+            args=(child, index, payload),
             daemon=True,
             name=f"repro-shard-{index}",
         )
@@ -206,14 +154,12 @@ class _ProcessShard:
 
 
 class ShardedSession:
-    """Session facade over ``N`` shard workers with boundary exchange.
+    """A single-writer session replicated onto ``N`` durable shards.
 
     Parameters
     ----------
     graph:
-        The initial reference graph; the router keeps (and owns) it,
-        applying every committed window so splits and answers always see
-        the global state.
+        The initial reference graph; the writer session owns it.
     shards:
         Number of fragments/workers.  ``shards=1`` is the degenerate
         case used by equivalence tests; the CLI routes ``--shards 1`` to
@@ -223,8 +169,10 @@ class ShardedSession:
         the *base* directory — the router writes a ``sharding.json``
         manifest there and gives shard ``i`` the subdirectory
         ``shard-00``, ``shard-01``, ... so per-shard WALs and
-        checkpoints never collide.  Worker sessions always run with
-        ``transactional=False`` (see the module docstring).
+        checkpoints never collide.  The writer runs in memory
+        (``directory=None``): durability lives in the shards.  Worker
+        sessions always run with ``transactional=False``; the writer's
+        transaction already decided the window before it is scattered.
     processes:
         True (default) forks one worker process per shard;
         False runs workers in-process (deterministic, for tests).
@@ -242,31 +190,18 @@ class ShardedSession:
             raise ShardingError("need at least one shard")
         self.num_shards = shards
         self.seed = seed
-        self.graph = graph
         self.config = config or SessionConfig()
-        self.incidents = IncidentLog(self.config.max_incidents)
-        self._queries: Dict[str, _ShardedQuery] = {}
-        #: Per query, the merged authoritative assignment (owner values).
-        self._values: Dict[str, Dict[Hashable, Any]] = {}
-        self._seq = -1
-        self._batches = 0
+        self._init_writer(DynamicGraphSession(graph, replace(self.config, directory=None)))
         self._closed = False
-        #: Protocol telemetry, surfaced through ``repro serve`` stats.
+        #: Scatter telemetry, surfaced through ``repro serve`` stats.
         self.protocol_stats = ProtocolStats()
         #: Session-level ownership memo: ``stable_assign`` is an md5 hash
         #: per miss, and the split path asks per endpoint per op — a plain
         #: dict hit is ~5x cheaper than even the lru_cache lookup.
         self._owner_cache: Dict[Hashable, int] = {}
-        # Persistent validation overlay: kept ⊕-consistent with `graph`
-        # so window validation is O(|ΔG|), not O(|G|) (re-cloned only on
-        # a failed validation, which leaves it part-applied).
-        self._scratch = graph.copy()
 
         partitioning = stable_partition(graph, shards, seed)
         self._present: List[Set[Hashable]] = [set(f.nodes()) for f in partitioning.fragments]
-        self._holders: Dict[Hashable, Set[int]] = {
-            v: set(locs) for v, locs in partitioning.replica_locations.items()
-        }
 
         base = Path(self.config.directory) if self.config.directory is not None else None
         if base is not None:
@@ -281,27 +216,37 @@ class ShardedSession:
             cfg = self._shard_config(base, i)
             if processes:
                 self._shards.append(
-                    _ProcessShard(i, shards, seed, {"fragment": fragment, "config": cfg})
+                    _ProcessShard(i, {"fragment": fragment, "config": cfg})
                 )
             else:
                 self._shards.append(
-                    _InProcessShard(ShardWorker(i, shards, seed, fragment, cfg))
+                    _InProcessShard(ShardWorker(i, fragment, cfg))
                 )
+
+    def _init_writer(self, writer: DynamicGraphSession) -> None:
+        self.writer = writer
+        # Shared with the writer, not copied: the serving tier reads
+        # ``_queries`` for algorithm names and scrapes ``incidents``.
+        self._queries = writer._queries
+        self.incidents = writer.incidents
 
     def _shard_config(self, base: Optional[Path], index: int) -> SessionConfig:
         directory = str(base / SHARD_DIR.format(index)) if base is not None else None
-        # Shard-level transactions cannot provide cross-shard atomicity
-        # (siblings may already have committed); quarantine + full resync
-        # is the tier's repair mechanism, so skip the per-window O(|F|)
-        # snapshot copies outright.
-        return replace(self.config, directory=directory, transactional=False)
+        # A replica's values are the global fixpoint, not its fragment's,
+        # so a σ_A audit on the fragment would flag (and "heal") them;
+        # the writer audits the global state instead.
+        return replace(self.config, directory=directory, transactional=False, audit_every=0)
+
+    @property
+    def graph(self) -> Graph:
+        """The global graph (the writer's)."""
+        return self.writer.graph
 
     # ------------------------------------------------------------------
     # Scatter/gather plumbing
     # ------------------------------------------------------------------
-    def _scatter(self, requests: Dict[int, Dict[str, Any]]) -> Dict[int, Any]:
-        """Send every request, then collect every response (in shard
-        order, so pipes never hold more than one in-flight reply)."""
+    def _send(self, requests: Dict[int, Dict[str, Any]]) -> List[int]:
+        """Send every request; returns the shard order to collect in."""
         order = sorted(requests)
         payload_bytes = 0
         for i in order:
@@ -310,9 +255,15 @@ class ShardedSession:
             self.protocol_stats.scatter(
                 requests[order[0]].get("cmd", "?"), len(order), payload_bytes
             )
+        return order
+
+    def _collect(self, order: List[int]) -> Dict[int, Any]:
+        """Collect every response (in shard order, so pipes never hold
+        more than one in-flight reply), draining every pipe even when
+        one shard failed."""
         results: Dict[int, Any] = {}
         failure = None
-        for i in order:  # drain every pipe even when one shard failed
+        for i in order:
             response = self._shards[i].recv()
             if response.get("ok"):
                 results[i] = response["result"]
@@ -321,12 +272,16 @@ class ShardedSession:
         if failure is not None:
             i, error = failure
             self.incidents.record(
-                "shard-error", detail=f"shard {i}: {error!r}", seq=self._seq
+                "shard-error", detail=f"shard {i}: {error!r}", seq=self.seq
             )
             raise ShardingError(f"shard {i} command failed: {error}", shard=i) from (
                 error if isinstance(error, BaseException) else None
             )
         return results
+
+    def _scatter(self, requests: Dict[int, Dict[str, Any]]) -> Dict[int, Any]:
+        """One round-trip: send every request, then collect every reply."""
+        return self._collect(self._send(requests))
 
     def _owner(self, node: Hashable) -> int:
         cache = self._owner_cache
@@ -338,6 +293,23 @@ class ShardedSession:
             cache[node] = owner
         return owner
 
+    def _pins(self, shard: int, keys: Dict[str, Iterable[Hashable]]) -> Dict[str, Dict]:
+        """The writer's values of ``keys[name]`` on ``shard``'s nodes."""
+        present = self._present[shard]
+        pins = {}
+        for name, wanted in keys.items():
+            values = self._queries[name].state.values
+            pins[name] = {k: values[k] for k in wanted if k in present and k in values}
+        return pins
+
+    def _pin_everywhere(self, names: List[str]) -> None:
+        self._scatter(
+            {
+                i: {"cmd": "pin", "pins": self._pins(i, dict.fromkeys(names, self._present[i]))}
+                for i in range(self.num_shards)
+            }
+        )
+
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
@@ -347,9 +319,12 @@ class ShardedSession:
         algorithm: str,
         query: Any = None,
         listener: Optional[Listener] = None,
-    ) -> _ShardedQuery:
-        """Register a standing query on every shard (the paper's PEval)
-        and exchange boundary values to global quiescence (IncEval)."""
+    ) -> RegisteredQuery:
+        """Register a standing query on the writer and every shard.
+
+        The shards' fragment runs overlap the writer's central batch
+        run; one pin scatter then lands every shard on the writer's
+        values."""
         if name in self._queries:
             raise ReproError(f"query {name!r} is already registered")
         if algorithm not in ALGORITHM_PAIRS:
@@ -361,254 +336,145 @@ class ShardedSession:
                 f"algorithm {algorithm!r} cannot be sharded; shardable algorithms: "
                 f"{', '.join(sorted(SHARDABLE_ALGORITHMS))}"
             )
+        preludes: List[List[Batch]] = [[] for _ in range(self.num_shards)]
         if algorithm in _SOURCE_ALGORITHMS and query is not None:
             if not self.graph.has_node(query):
                 raise NodeNotFoundError(query)
-            # Fragments not containing the source could not even seed the
-            # spec; materialize it everywhere as an (isolated) replica.
-            self._align_source(query)
-
-        batch_factory, _ = ALGORITHM_PAIRS[algorithm]
-        gathers = self._scatter(
+            preludes = self._align_source(query)
+        order = self._send(
             {
-                i: {"cmd": "register", "name": name, "algorithm": algorithm, "query": query}
+                i: {
+                    "cmd": "register",
+                    "name": name,
+                    "algorithm": algorithm,
+                    "query": query,
+                    "prelude": preludes[i],
+                }
                 for i in range(self.num_shards)
             }
         )
-        merged: Dict[Hashable, Any] = {}
-        for gather in gathers.values():
-            merged.update(gather["owned"])
-        registered = _ShardedQuery(
-            name=name, algorithm=algorithm, query=query, batch=batch_factory()
-        )
-        if listener is not None:
-            registered.listeners.append(listener)
-        self._queries[name] = registered
-        self._values[name] = merged
-
-        # IncEval to quiescence from the per-fragment PEval fixpoints:
-        # every fragment-local value is feasible (stale-high), so the
-        # exchange is improvement-only — the GRAPE convergence argument.
-        pending = self._pin_all_replicas([name])
-        changes: Dict[str, Dict] = {name: {}}
-        if not self._exchange(pending, changes, set(), cap=RESYNC_ROUNDS):
-            raise ShardExchangeError(
-                f"registration of {name!r} did not quiesce within {RESYNC_ROUNDS} supersteps"
-            )
+        try:
+            registered = self.writer.register(name, algorithm, query=query, listener=listener)
+        finally:
+            self._collect(order)
+        self._pin_everywhere([name])
         return registered
+
+    def _align_source(self, source: Hashable) -> List[List[Batch]]:
+        """Per-shard preludes materializing ``source`` on every shard
+        lacking it (a fragment without the source cannot even seed the
+        spec).  The prelude is one seq-consuming batch on every shard
+        (empty where the source is already present), matched by an empty
+        writer batch, so seqs stay in lockstep."""
+        missing = [i for i in range(self.num_shards) if source not in self._present[i]]
+        if not missing:
+            return [[] for _ in range(self.num_shards)]
+        self.writer.update_stream([Batch([])])
+        insert = Batch([VertexInsertion(source, self.graph.node_label(source))])
+        for i in missing:
+            self._present[i].add(source)
+        return [[insert if i in missing else Batch([])] for i in range(self.num_shards)]
 
     def unregister(self, name: str) -> None:
         if name not in self._queries:
             raise ReproError(f"query {name!r} is not registered")
         self._scatter({i: {"cmd": "unregister", "name": name} for i in range(self.num_shards)})
-        del self._queries[name]
-        del self._values[name]
+        self.writer.unregister(name)
 
     def subscribe(self, name: str, listener: Listener) -> None:
-        self._query(name).listeners.append(listener)
+        self.writer.subscribe(name, listener)
 
     def queries(self) -> List[str]:
-        return list(self._queries)
-
-    def _query(self, name: str) -> _ShardedQuery:
-        try:
-            return self._queries[name]
-        except KeyError:
-            raise ReproError(f"query {name!r} is not registered") from None
-
-    def _align_source(self, source: Hashable) -> None:
-        """Materialize ``source`` as a replica on every shard lacking it,
-        through a (seq-consuming) global window so shard WALs stay in
-        lockstep."""
-        missing = [i for i in range(self.num_shards) if source not in self._present[i]]
-        if not missing:
-            return
-        label = self.graph.node_label(source)
-        insert = Batch([VertexInsertion(source, label)])
-        empty = Batch([])
-        requests = {
-            i: {"cmd": "apply", "batches": [insert if i in missing else empty]}
-            for i in range(self.num_shards)
-        }
-        for i in missing:
-            self._present[i].add(source)
-            self._holders.setdefault(source, set()).add(i)
-        gathers = self._scatter(requests)
-        self._seq += 1
-        self._batches += 1
-        changes = {qname: {} for qname in self._queries}
-        pending = [dict() for _ in range(self.num_shards)]
-        resync: Set[str] = set()
-        self._integrate_gathers(gathers, pending, changes, resync)
-        for i in missing:  # pin the fresh replica for existing queries
-            for qname, merged in self._values.items():
-                if source in merged:
-                    pending[i].setdefault(qname, {})[source] = merged[source]
-        if not self._exchange(pending, changes, resync, cap=MAX_EXCHANGE_ROUNDS):
-            resync.update(self._queries)
-        self._full_resync(sorted(resync), changes)
+        return self.writer.queries()
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def update(self, delta) -> Dict[str, IncrementalResult]:
-        """Apply one ``ΔG`` globally; returns ``{query: ΔO}`` over the
-        merged assignments and notifies listeners (session semantics)."""
+        """Apply one ``ΔG`` on the writer (which notifies listeners),
+        then replicate it to the shards."""
         if not isinstance(delta, Batch):
             delta = Batch(list(delta))
-        results = self._apply_window([delta])
-        self._notify(results)
+        self._check_open()
+        results = self.writer.update(delta)
+        self._replicate([delta], results)
         return results
 
-    def update_stream(self, stream, notify: bool = False) -> Dict[str, IncrementalResult]:
-        """Apply a whole update stream as one window (session semantics:
-        validated up front, one seq per batch, listeners once at the end
-        when ``notify`` is set)."""
+    def update_stream(self, stream, notify: bool = False) -> Dict[str, Any]:
+        """Apply a whole update stream as one window on the writer
+        (session semantics), then replicate it to the shards."""
         stream = [item if isinstance(item, Batch) else Batch([item]) for item in stream]
         if not stream:
             return {}
-        results = self._apply_window(stream)
-        if notify:
-            self._notify(results)
+        self._check_open()
+        results = self.writer.update_stream(stream, notify=notify)
+        self._replicate(stream, results)
         return results
 
-    def _apply_window(self, stream: List[Batch]) -> Dict[str, IncrementalResult]:
+    def _check_open(self) -> None:
         if self._closed:
             raise ShardingError("sharded session is closed")
-        self._validate_stream(stream)
-        raising = any(
-            isinstance(op, (EdgeDeletion, VertexDeletion))
-            for batch in stream
-            for op in batch
+
+    def _replicate(self, stream: List[Batch], results: Dict[str, Any]) -> None:
+        """Split the committed window by ownership and ship it, with the
+        writer's new values as pins, in one ``apply`` scatter."""
+        deletions = any(
+            isinstance(op, (EdgeDeletion, VertexDeletion)) for batch in stream for op in batch
         )
-        self.protocol_stats.begin_window(deletions=raising)
+        self.protocol_stats.begin_window(deletions=deletions)
         try:
-            return self._routed_window(stream)
+            per_shard: List[List[Batch]] = [[] for _ in range(self.num_shards)]
+            fresh: List[Set[Hashable]] = [set() for _ in range(self.num_shards)]
+            for batch in stream:
+                for i, sub in enumerate(self._split_batch(batch, fresh)):
+                    per_shard[i].append(sub)
+            changed = {
+                name: getattr(results.get(name), "changes", {}) for name in self._queries
+            }
+            pins = [
+                self._pins(i, {name: fresh[i].union(keys) for name, keys in changed.items()})
+                for i in range(self.num_shards)
+            ]
+            gathers = self._scatter(
+                {
+                    i: {"cmd": "apply", "batches": per_shard[i], "pins": pins[i]}
+                    for i in range(self.num_shards)
+                }
+            )
         finally:
             self.protocol_stats.end_window()
-
-    def _routed_window(self, stream: List[Batch]) -> Dict[str, IncrementalResult]:
-        per_shard: List[List[Batch]] = [[] for _ in range(self.num_shards)]
-        new_replicas: List = []
-        new_owned: List[Hashable] = []
-        for batch in stream:
-            subs = self._split_batch(batch, new_replicas, new_owned)
-            for i in range(self.num_shards):
-                per_shard[i].append(subs[i])
-            apply_updates(self.graph, batch)
-
-        gathers = self._scatter(
-            {i: {"cmd": "apply", "batches": per_shard[i]} for i in range(self.num_shards)}
-        )
-        self._seq += len(stream)
-        self._batches += len(stream)
         for i, gather in gathers.items():
-            if gather["seq"] != self._seq:
+            if gather["seq"] != self.seq:
                 raise ShardingError(
                     f"shard {i} is at seq {gather['seq']} but the global seq is "
-                    f"{self._seq}: the shards have diverged",
+                    f"{self.seq}: the shards have diverged",
                     shard=i,
                 )
 
-        changes: Dict[str, Dict] = {qname: {} for qname in self._queries}
-        pending = [dict() for _ in range(self.num_shards)]
-        invalidations = [dict() for _ in range(self.num_shards)]
-        dirty_seen: Dict[str, Set[Hashable]] = {}
-        resync: Set[str] = set()
-        self._integrate_gathers(
-            gathers, pending, changes, resync, invalidations, dirty_seen
-        )
-
-        # A fresh variable that never left its initial value emits no
-        # change record, so no shard ever reported it — backfill owned
-        # newcomers at x^⊥ *before* the settle, which needs the merged
-        # assignment total to resume the step function on the global graph.
-        for node in new_owned:
-            if not self.graph.has_node(node):
-                continue  # inserted then deleted within the window
-            for qname, registered in self._queries.items():
-                merged = self._values[qname]
-                if node in merged:
-                    continue
-                value = registered.batch.spec.initial_value(
-                    node, self.graph, registered.query
-                )
-                merged[node] = value
-                self._record(changes[qname], node, None, value)
-
-        # The boundary_dirty termination rule: when no shard changed a
-        # boundary-relevant variable, reported a suspect repair scope, or
-        # needs a pin (fresh replicas included), the window is interior to
-        # every fragment and the exchange is skipped outright — no
-        # confirming empty scatter.
-        if (
-            not any(invalidations)
-            and not any(pending)
-            and not new_replicas
-            and not resync
-            and all(
-                delta.get("boundary_dirty", 1) == 0 and not delta.get("suspect")
-                for gather in gathers.values()
-                for delta in gather["queries"].values()
-            )
-        ):
-            self.protocol_stats.add("skipped_exchanges")
-            quiesced = True
-        else:
-            quiesced = self._batched_exchange(
-                pending, invalidations, changes, resync, dirty_seen, new_replicas
-            )
-        if not quiesced:
-            resync.update(self._queries)
-        self._full_resync(sorted(resync), changes)
-
-        return {
-            qname: IncrementalResult(
-                changes={k: (o, n) for k, (o, n) in ch.items() if o != n}
-            )
-            for qname, ch in changes.items()
-        }
-
-    def _validate_stream(self, stream: List[Batch]) -> None:
-        policy = self.config.weight_policy
-        forbid = policy == "spec" and session_weight_requirements(
-            q.algorithm for q in self._queries.values()
-        )
-        try:
-            for batch in stream:
-                validate_batch(self._scratch, batch, weight_policy=policy, forbid_negative=forbid)
-                apply_updates(self._scratch, batch)
-        except ReproError as exc:
-            self.incidents.record("validation-error", detail=str(exc), error=exc)
-            # The scratch overlay is part-applied; rebuild it from the
-            # (untouched) reference graph.
-            self._scratch = self.graph.copy()
-            raise
-
-    def _split_batch(
-        self, batch: Batch, new_replicas: List, new_owned: List[Hashable]
-    ) -> List[Batch]:
-        """Split one validated batch into per-shard sub-batches, adding
+    def _split_batch(self, batch: Batch, fresh: List[Set[Hashable]]) -> List[Batch]:
+        """Split one committed batch into per-shard sub-batches, adding
         ``VertexInsertion`` preludes so each sub-batch is valid on its
-        fragment alone.  Updates presence/holder bookkeeping in place."""
+        fragment alone.  Updates presence bookkeeping in place and adds
+        every node newly materialized on shard ``i`` to ``fresh[i]``.
+
+        Labels of nodes not inserted by ``batch`` are read from the
+        post-window graph; they only reach replicas, and recovery takes
+        every node's label from its owner."""
         subs: List[List] = [[] for _ in range(self.num_shards)]
         batch_labels: Dict[Hashable, Any] = {}
+        graph = self.graph
 
         def node_label(node: Hashable) -> Any:
             if node in batch_labels:
                 return batch_labels[node]
-            return self.graph.node_label(node) if self.graph.has_node(node) else None
+            return graph.node_label(node) if graph.has_node(node) else None
 
         def ensure_present(shard: int, node: Hashable) -> None:
             if node in self._present[shard]:
                 return
             subs[shard].append(VertexInsertion(node, node_label(node)))
             self._present[shard].add(node)
-            if self._owner(node) != shard:
-                self._holders.setdefault(node, set()).add(shard)
-                new_replicas.append((shard, node))
-            else:
-                new_owned.append(node)
+            fresh[shard].add(node)
 
         def route_edge(op: EdgeInsertion) -> None:
             for shard in {self._owner(op.u), self._owner(op.v)}:
@@ -629,7 +495,7 @@ class ShardedSession:
                 if op.v not in self._present[owner]:
                     subs[owner].append(VertexInsertion(op.v, op.label))
                     self._present[owner].add(op.v)
-                    new_owned.append(op.v)
+                    fresh[owner].add(op.v)
                 for edge in op.edges:  # carried edges route independently
                     route_edge(edge)
             elif isinstance(op, VertexDeletion):
@@ -637,524 +503,25 @@ class ShardedSession:
                     if op.v in self._present[shard]:
                         subs[shard].append(op)
                         self._present[shard].discard(op.v)
-                self._holders.pop(op.v, None)
             else:  # pragma: no cover - exhaustive over the update model
                 raise ShardingError(f"unroutable update {op!r}")
         return [Batch(ops) for ops in subs]
 
     # ------------------------------------------------------------------
-    # Boundary exchange
-    # ------------------------------------------------------------------
-    def _integrate_gathers(
-        self,
-        gathers: Dict[int, Any],
-        pending: List[Dict],
-        changes: Dict[str, Dict],
-        resync: Set[str],
-        invalidations: Optional[List[Dict]] = None,
-        dirty_seen: Optional[Dict[str, Set[Hashable]]] = None,
-    ) -> None:
-        for shard, gather in gathers.items():
-            for qname, delta in gather["queries"].items():
-                if qname not in self._values:
-                    continue
-                if dirty_seen is not None and delta["dirty"]:
-                    # Remember every key whose replica drifted this window:
-                    # the router-side settle must re-derive from them even
-                    # when the drift was an improvement (no pin created).
-                    dirty_seen.setdefault(qname, set()).update(delta["dirty"])
-                if delta.get("quarantined") and qname not in resync:
-                    resync.add(qname)
-                    self.incidents.record(
-                        "shard-quarantine",
-                        query=qname,
-                        detail=f"shard {shard} quarantined the query; scheduling a full resync",
-                        seq=self._seq,
-                    )
-                self._integrate(
-                    qname,
-                    shard,
-                    delta["owned"],
-                    delta["dirty"],
-                    pending,
-                    changes.get(qname),
-                    invalidations,
-                )
-                if invalidations is not None and delta.get("suspect"):
-                    # Everything the shard's local repair touched during a
-                    # raising window may have silently re-derived a stale
-                    # value from a replica (fragment-local clocks cannot
-                    # contradict a cross-fragment stale-support cycle).
-                    # Reset each suspect on *every* shard holding it — the
-                    # owner included — and let refine re-derive from
-                    # surviving support only.
-                    for key in delta["suspect"]:
-                        targets = set(self._holders.get(key, ()))
-                        targets.add(self._owner(key))
-                        for target in targets:
-                            invalidations[target].setdefault(qname, set()).add(key)
-
-    def _integrate(
-        self,
-        qname: str,
-        shard: int,
-        owned: Dict[Hashable, Any],
-        dirty: Dict[Hashable, Any],
-        pending: List[Dict],
-        changes: Optional[Dict],
-        invalidations: Optional[List[Dict]] = None,
-    ) -> None:
-        """Fold one shard's reply into the merged assignment.
-
-        Owned changes become authoritative: improvements fan to replica
-        holders as monotone pins; raises fan into ``invalidations`` (the
-        two-phase raise protocol) when given.  Dirty replicas re-pin to
-        the authoritative value only when it is *better* than the
-        replica's local one — a replica that locally knows better than
-        the owner is never pinned upward (the owner's own support is in
-        flight through its replicas of the same fragment).
-        """
-        merged = self._values[qname]
-        order = None
-        for key, value in owned.items():
-            if value is None:  # variable retired (vertex deletion)
-                if key in merged:
-                    self._record(changes, key, merged.pop(key), None)
-                continue
-            if key in merged:
-                old = merged[key]
-                if old == value:
-                    continue
-            else:
-                old = None
-            self._record(changes, key, old, value)
-            merged[key] = value
-            if invalidations is not None and old is not None:
-                if order is None:
-                    order = self._queries[qname].batch.spec.order
-                if order.lt(old, value):  # owner retracted support
-                    for holder in self._holders.get(key, ()):
-                        if holder != shard:
-                            invalidations[holder].setdefault(qname, set()).add(key)
-                    continue
-            for holder in self._holders.get(key, ()):
-                if holder != shard:
-                    pending[holder].setdefault(qname, {})[key] = value
-        if dirty:
-            if order is None:
-                order = self._queries[qname].batch.spec.order
-            for key, value in dirty.items():
-                target = merged.get(key)
-                if target is None or target == value:
-                    continue
-                if not order.lt(target, value):
-                    continue
-                pending[shard].setdefault(qname, {})[key] = target
-
-    @staticmethod
-    def _record(changes: Optional[Dict], key: Hashable, old: Any, new: Any) -> None:
-        if changes is None:
-            return
-        if key in changes:
-            changes[key] = (changes[key][0], new)
-        else:
-            changes[key] = (old, new)
-
-    def _exchange(
-        self,
-        pending: List[Dict],
-        changes: Dict[str, Dict],
-        resync: Set[str],
-        cap: int,
-    ) -> bool:
-        """Run monotone absorb supersteps until no boundary deltas remain.
-
-        Returns False when ``cap`` rounds pass without quiescence (the
-        caller falls back to a full resync)."""
-        rounds = 0
-        while True:
-            requests = {
-                i: {"cmd": "absorb", "assignments": assignments, "monotone": True}
-                for i, assignments in enumerate(pending)
-                if assignments
-            }
-            if not requests:
-                return True
-            rounds += 1
-            if rounds > cap:
-                self.incidents.record(
-                    "exchange-cap",
-                    detail=f"boundary exchange still busy after {cap} supersteps",
-                    seq=self._seq,
-                )
-                return False
-            gathers = self._scatter(requests)
-            pending = [dict() for _ in range(self.num_shards)]
-            for shard, gather in gathers.items():
-                for qname, delta in gather["queries"].items():
-                    if qname not in self._values:
-                        continue
-                    if delta.get("quarantined"):
-                        resync.add(qname)
-                    self._integrate(
-                        qname,
-                        shard,
-                        delta["owned"],
-                        delta["dirty"],
-                        pending,
-                        changes.get(qname),
-                    )
-
-    def _batched_exchange(
-        self,
-        pending: List[Dict],
-        invalidations: List[Dict],
-        changes: Dict[str, Dict],
-        resync: Set[str],
-        dirty_seen: Dict[str, Set[Hashable]],
-        new_replicas: List,
-    ) -> bool:
-        """Wave → central reset extension → settle → one reconcile.
-
-        Per-key pin/repair is not self-stabilizing across fragments — two
-        shards can keep re-deriving each other's retracted values from
-        stale replicas (a period-2 livelock).  **Phase 1** (deletion
-        windows only) is a *single* batched invalidation scatter: every
-        suspect fans to its owner and every replica holder at once, and
-        each worker walks the full transitive reset closure it can
-        compute locally (anchor-exact, deduped against its window
-        seen-set).  **Phase 2** closes the residue centrally: a reset
-        chain that crosses fragments repeatedly would need one scatter
-        per crossing, but the router can finish it on the *merged*
-        assignment — walk the dependents closure of every raised key and
-        reset the region to ``x^⊥`` (:meth:`_extend_resets`, zero
-        scatters; over-resets settle back for free).  **Phase 3**
-        settles: the merged assignment is now feasible (stale-high) and
-        total, so resuming the contracting step function on the global
-        graph over the changed/reset/dirty scope re-derives the exact
-        global fixpoint (:meth:`_settle`, zero scatters).  **Phase 4**
-        ships every touched key to its owner and every holder — plus
-        re-pins for worker-side resets and fresh replicas — in a single
-        ``reconcile`` scatter absorbed with ``monotone=False``: a raised
-        pin triggers the worker's *local* Figure-4 repair (reset anchored
-        dependents, re-derive from pinned support), which lands exactly
-        on the shipped global fixpoint because every value it can read
-        across the boundary is pinned exact.  The trailing absorb loop is
-        a safety net, not a protocol phase — a deletion window is
-        apply + wave + reconcile = 3 scatters by construction.
-        """
-        reset_by_shard: List[Dict[str, Set[Hashable]]] = [
-            dict() for _ in range(self.num_shards)
-        ]
-        if any(invalidations):
-            self._invalidation_wave(invalidations, changes, resync, reset_by_shard)
-        self._extend_resets(changes, resync)
-        self._settle(changes, dirty_seen, resync)
-
-        # Assemble the single reconcile payload.  Every key *touched*
-        # this window — changed on any shard, reported dirty, or reset —
-        # goes to its owner and every holder, even when its merged value
-        # net-changed by nothing: a shard that reset the key at apply
-        # time may sit at x^⊥ while the settle proved the global value
-        # unchanged (the supporting path runs through other fragments),
-        # and only a pin can tell it so.  The monotone=False absorb
-        # repairs raises locally.
-        touched: Dict[str, Set[Hashable]] = {}
-        for qname, ch in changes.items():
-            touched.setdefault(qname, set()).update(ch.keys())
-        for qname, keys in dirty_seen.items():
-            touched.setdefault(qname, set()).update(keys)
-        for qname, keys in touched.items():
-            merged = self._values[qname]
-            for key in keys:
-                if key not in merged:
-                    continue
-                targets = set(self._holders.get(key, ()))
-                targets.add(self._owner(key))
-                for target in targets:
-                    pending[target].setdefault(qname, {})[key] = merged[key]
-        # Worker-side resets whose merged value round-tripped (net change
-        # zero) still left the worker at x^⊥ — re-pin them regardless.
-        for shard, per_query in enumerate(reset_by_shard):
-            for qname, keys in per_query.items():
-                merged = self._values[qname]
-                for key in keys:
-                    if key in merged:
-                        pending[shard].setdefault(qname, {})[key] = merged[key]
-        for shard, node in new_replicas:
-            # A replica materialized this window starts at x^⊥ locally;
-            # pin it to the authoritative value outright.
-            for qname, merged in self._values.items():
-                if node in merged:
-                    pending[shard].setdefault(qname, {})[node] = merged[node]
-        # Pins queued before the wave/settle captured pre-exchange values;
-        # re-read every pin from the merged assignment so reconcile never
-        # resurrects a value the wave reset or the settle changed.
-        for assignments in pending:
-            for qname, pins in assignments.items():
-                merged = self._values[qname]
-                for key in list(pins):
-                    if key in merged:
-                        pins[key] = merged[key]
-                    else:
-                        del pins[key]
-        requests = {
-            i: {"cmd": "reconcile", "assignments": assignments}
-            for i, assignments in enumerate(pending)
-            if assignments
-        }
-        if not requests:
-            return True
-        gathers = self._scatter(requests)
-        pending = [dict() for _ in range(self.num_shards)]
-        self._integrate_gathers(gathers, pending, changes, resync)
-        return self._exchange(pending, changes, resync, cap=MAX_EXCHANGE_ROUNDS)
-
-    def _invalidation_wave(
-        self,
-        invalidations: List[Dict],
-        changes: Dict[str, Dict],
-        resync: Set[str],
-        reset_by_shard: List[Dict[str, Set[Hashable]]],
-    ) -> None:
-        """Phase 1: one batched reset scatter, deduped per window.
-
-        The scatter carries every suspect to its owner and all replica
-        holders; workers reset the local transitive closure anchored on
-        them (their mirrored seen-set suppresses keys another batch this
-        window already walked).  Resets discovered *during* the walks are
-        not scattered again — cross-fragment residue is cheaper to close
-        centrally (:meth:`_extend_resets`) than with another round-trip
-        per boundary crossing."""
-        stats = self.protocol_stats
-        requests = {}
-        for i, assignments in enumerate(invalidations):
-            payload = {
-                qname: sorted(keys, key=repr)
-                for qname, keys in assignments.items()
-                if keys
-            }
-            if payload:
-                requests[i] = {"cmd": "invalidate", "assignments": payload}
-        if not requests:
-            return
-        gathers = self._scatter(requests)
-        for shard, gather in gathers.items():
-            stats.add("dup_suppressed", gather.get("dup_suppressed", 0))
-            for qname, delta in gather["queries"].items():
-                if qname not in self._values:
-                    continue
-                if delta.get("quarantined"):
-                    resync.add(qname)
-                stats.add("suspect_resets", len(delta["owned"]) + len(delta["dirty"]))
-                merged = self._values[qname]
-                per_query = reset_by_shard[shard].setdefault(qname, set())
-                for key, value in delta["owned"].items():
-                    # An owned key transitively reset to x^⊥.
-                    per_query.add(key)
-                    if key in merged and merged[key] != value:
-                        self._record(changes.get(qname), key, merged[key], value)
-                        merged[key] = value
-                for key in delta["dirty"]:
-                    # A replica reset on `shard`: re-pin it to the settled
-                    # value in the reconcile scatter.
-                    per_query.add(key)
-
-    def _extend_resets(self, changes: Dict[str, Dict], resync: Set[str]) -> None:
-        """Phase 2: close the reset closure centrally on the merged state.
-
-        The single invalidation scatter only resets what each fragment
-        can anchor locally on the suspects it was handed; a reset chain
-        that re-crosses a fragment boundary leaves stale residue.  The
-        residue cannot be found by recompute-and-compare — stale values
-        can support each other in a cycle, each looking derivable from
-        the other — so the only sound value-based rule is the paper's
-        reset-then-resume applied here, centrally: walk the dependents
-        closure of every *raised* key (a value that got worse this
-        window, including every wave reset) and reset the whole region
-        to ``x^⊥``, recorded as changes so the settle re-derives it.  A
-        key whose value was genuinely supported settles straight back —
-        over-resetting costs router CPU, never a scatter and never a
-        pin (its net change is zero).  Improvements seed nothing:
-        monotone refinement needs no resets.
-        """
-        graph = self.graph
-        for qname, registered in self._queries.items():
-            if qname in resync:
-                continue
-            ch = changes.get(qname)
-            if not ch:
-                continue
-            merged = self._values[qname]
-            spec = registered.batch.spec
-            order = spec.order
-            query = registered.query
-            raised = [
-                key
-                for key, (old, new) in ch.items()
-                if old is not None and new is not None and order.lt(old, new)
-            ]
-            if not raised:
-                continue
-            seen: Set[Hashable] = set(raised)
-            work = deque(raised)
-            resets = 0
-            while work:
-                key = work.popleft()
-                if not graph.has_node(key):
-                    continue
-                if key in merged:
-                    old = merged[key]
-                    initial = spec.initial_value(key, graph, query)
-                    if old != initial:
-                        merged[key] = initial
-                        self._record(ch, key, old, initial)
-                        resets += 1
-                for dep in spec.dependents(key, graph, query):
-                    if dep not in seen and dep in merged:
-                        seen.add(dep)
-                        work.append(dep)
-            if resets:
-                self.protocol_stats.add("central_resets", resets)
-
-    def _settle(
-        self,
-        changes: Dict[str, Dict],
-        dirty_seen: Dict[str, Set[Hashable]],
-        resync: Set[str],
-    ) -> Dict[str, Set[Hashable]]:
-        """Phase 2: re-derive the global fixpoint centrally.
-
-        The merged assignment after apply + wave is feasible (stale-high)
-        and total, so resuming the contracting step function on the
-        *global* graph over scope = changed ∪ reset ∪ dirty keys ∪ their
-        dependents yields the exact global fixpoint — the same
-        convergence argument the monotone exchange uses, collapsed into
-        zero scatters.  Returns the keys the settle changed per query.
-        """
-        settle_changed: Dict[str, Set[Hashable]] = {}
-        graph = self.graph
-        for qname, registered in self._queries.items():
-            if qname in resync:
-                continue  # being rebuilt wholesale anyway
-            seeds = set(changes.get(qname, ()))
-            seeds.update(dirty_seen.get(qname, ()))
-            if not seeds:
-                continue
-            spec = registered.batch.spec
-            query = registered.query
-            merged = self._values[qname]
-            scope: Set[Hashable] = set()
-            for key in seeds:
-                if key not in merged or not graph.has_node(key):
-                    continue
-                scope.add(key)
-                for dep in spec.dependents(key, graph, query):
-                    if dep in merged:
-                        scope.add(dep)
-            if not scope:
-                continue
-            state = FixpointState()
-            state.values = merged  # settle in place; changelog records ΔO
-            changelog = state.start_changelog()
-            try:
-                run_fixpoint(spec, graph, query, state=state, scope=scope)
-            finally:
-                state.stop_changelog()
-            changed: Set[Hashable] = set()
-            ch = changes.get(qname)
-            for key, old in changelog.items():
-                new = merged.get(key)
-                if old != new:
-                    changed.add(key)
-                    self._record(ch, key, old, new)
-            if changed:
-                settle_changed[qname] = changed
-                self.protocol_stats.add("settle_changes", len(changed))
-        return settle_changed
-
-    def _pin_all_replicas(self, names: List[str]) -> List[Dict]:
-        pending: List[Dict] = [dict() for _ in range(self.num_shards)]
-        for shard in range(self.num_shards):
-            for node in self._present[shard]:
-                if self._owner(node) == shard:
-                    continue
-                for qname in names:
-                    value = self._values[qname].get(node)
-                    if value is not None:
-                        pending[shard].setdefault(qname, {})[node] = value
-        return pending
-
-    def _full_resync(self, names: List[str], changes: Dict[str, Dict]) -> None:
-        """Rebuild the named queries from per-fragment re-evaluation plus
-        a monotone exchange — the guaranteed-convergent fallback."""
-        names = [qname for qname in names if qname in self._values]
-        if not names:
-            return
-        self.protocol_stats.add("full_resyncs")
-        self.incidents.record(
-            "full-resync",
-            detail=f"re-evaluating {', '.join(names)} per fragment",
-            seq=self._seq,
-        )
-        gathers = self._scatter(
-            {i: {"cmd": "peval", "names": names} for i in range(self.num_shards)}
-        )
-        for qname in names:
-            old = self._values[qname]
-            fresh: Dict[Hashable, Any] = {}
-            for gather in gathers.values():
-                fresh.update(gather[qname])
-            ch = changes.get(qname)
-            for key in old.keys() - fresh.keys():
-                self._record(ch, key, old[key], None)
-            for key, value in fresh.items():
-                previous = old.get(key)
-                if key not in old or previous != value:
-                    self._record(ch, key, previous if key in old else None, value)
-            self._values[qname] = fresh
-        pending = self._pin_all_replicas(names)
-        if not self._exchange(pending, changes, set(), cap=RESYNC_ROUNDS):
-            raise ShardExchangeError(
-                f"full resync of {', '.join(names)} did not quiesce within "
-                f"{RESYNC_ROUNDS} supersteps"
-            )
-
-    def _notify(self, results: Dict[str, IncrementalResult]) -> None:
-        for registered in self._queries.values():
-            result = results.get(registered.name)
-            for listener in registered.listeners:
-                try:
-                    listener(registered.name, result)
-                except Exception as exc:
-                    self.incidents.record(
-                        "listener-error",
-                        query=registered.name,
-                        detail=f"listener {getattr(listener, '__name__', listener)!r} raised",
-                        error=exc,
-                        seq=self._seq,
-                    )
-
-    # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def answer(self, name: str) -> Any:
-        """The query's current global answer, extracted from the merged
-        authoritative assignment (identical to the single-session answer
-        by the differential-equivalence gate)."""
-        registered = self._query(name)
-        snapshot = FixpointState()
-        snapshot.values = dict(self._values[name])
-        return registered.batch.answer(snapshot, self.graph, registered.query)
+        """The query's current global answer (the writer's)."""
+        return self.writer.answer(name)
 
     @property
     def seq(self) -> int:
         """Global sequence number — every shard's WAL seq equals it."""
-        return self._seq
+        return self.writer.seq
 
     @property
     def batches_applied(self) -> int:
-        return self._batches
+        return self.writer.batches_applied
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1170,6 +537,7 @@ class ShardedSession:
         finally:
             for shard in self._shards:
                 shard.join()
+            self.writer.close()
 
     @classmethod
     def recover(
@@ -1182,12 +550,12 @@ class ShardedSession:
 
         Every shard recovers its own session (checkpoint + WAL tail);
         the router then verifies the shards agree on their sequence
-        number and registered queries, reassembles the reference graph
-        from the fragments, and rebuilds the merged assignments by a
-        full resync (boundary absorbs are not WAL-logged, so the
-        replayed per-shard states may hold stale boundary values).
-        Missing shards, failed shard recoveries, and divergent sequence
-        numbers raise :class:`~repro.errors.ShardRecoveryError`.
+        number and registered queries, reassembles the global graph
+        from the fragments, re-runs every query on a fresh writer, and
+        re-pins every shard to the writer's values (pins are not
+        WAL-logged).  Missing shards, failed shard recoveries, and
+        divergent sequence numbers raise
+        :class:`~repro.errors.ShardRecoveryError`.
         """
         base = Path(directory)
         manifest_path = base / SHARDING_FILE
@@ -1211,9 +579,6 @@ class ShardedSession:
         session.num_shards = shards
         session.seed = seed
         session.config = config
-        session.incidents = IncidentLog(config.max_incidents)
-        session._queries = {}
-        session._values = {}
         session._closed = False
         session.protocol_stats = ProtocolStats()
         session._owner_cache = {}
@@ -1224,15 +589,15 @@ class ShardedSession:
                 raise ShardRecoveryError(
                     f"shard {i} cannot be reassembled: no checkpoint in {shard_dir}"
                 )
-            cfg = replace(config, directory=str(shard_dir), transactional=False)
+            cfg = session._shard_config(base, i)
             try:
                 if processes:
                     session._shards.append(
-                        _ProcessShard(i, shards, seed, {"directory": shard_dir, "config": cfg})
+                        _ProcessShard(i, {"directory": shard_dir, "config": cfg})
                     )
                 else:
                     session._shards.append(
-                        _InProcessShard(ShardWorker.recover(i, shards, seed, shard_dir, cfg))
+                        _InProcessShard(ShardWorker.recover(i, shard_dir, cfg))
                     )
             except ReproError as exc:
                 raise ShardRecoveryError(f"shard {i} failed to recover: {exc}") from exc
@@ -1254,8 +619,6 @@ class ShardedSession:
                     f"shard {i} registers {sorted(info['queries'])} but shard 0 "
                     f"registers {sorted(reference)}"
                 )
-        session._seq = seqs[0]
-        session._batches = infos[0]["batches_applied"]
 
         fragments = session._scatter({i: {"cmd": "export_fragment"} for i in range(shards)})
         graph = Graph(directed=fragments[0].directed)
@@ -1272,32 +635,20 @@ class ShardedSession:
                         weight=fragments[i].weight(u, v),
                         label=fragments[i].edge_label(u, v),
                     )
-        session.graph = graph
-        session._scratch = graph.copy()
         session._present = [set(fragments[i].nodes()) for i in range(shards)]
-        holders: Dict[Hashable, Set[int]] = {}
-        for i in range(shards):
-            for node in fragments[i].nodes():
-                if stable_assign(node, shards, seed) != i:
-                    holders.setdefault(node, set()).add(i)
-        session._holders = holders
 
+        writer = DynamicGraphSession(graph, replace(config, directory=None))
+        writer._seq = seqs[0]
+        writer._batches_applied = infos[0]["batches_applied"]
+        session._init_writer(writer)
         for qname, qinfo in reference.items():
-            batch_factory, _ = ALGORITHM_PAIRS[qinfo["algorithm"]]
-            session._queries[qname] = _ShardedQuery(
-                name=qname,
-                algorithm=qinfo["algorithm"],
-                query=qinfo["query"],
-                batch=batch_factory(),
-            )
-            session._values[qname] = {}
-        if session._queries:
-            changes = {qname: {} for qname in session._queries}
-            session._full_resync(sorted(session._queries), changes)
+            writer.register(qname, qinfo["algorithm"], query=qinfo["query"])
+        if reference:
+            session._pin_everywhere(list(reference))
         return session
 
     def __repr__(self) -> str:
         return (
             f"ShardedSession(shards={self.num_shards}, |V|={self.graph.num_nodes}, "
-            f"queries={list(self._queries)}, seq={self._seq})"
+            f"queries={self.queries()}, seq={self.seq})"
         )

@@ -1,15 +1,12 @@
-"""Protocol telemetry for the sharded tier's scatter/gather rounds.
+"""Scatter accounting for the sharded tier.
 
-PR 7's deletion path was measured, not guessed, at ~10 scatter
-round-trips per deletion window — but only by ad-hoc profiling.
-:class:`ProtocolStats` makes the coordination cost a first-class,
-always-on measurement: the router records every scatter (kind, fan-out,
-payload bytes), every suspect reset, every reset suppressed by the
-window-scoped dedup, and every exchange skipped outright by the
-``boundary_dirty`` termination rule.  The block is surfaced through
-``repro serve`` stats (``"protocol"``) and recorded per mix by
-``benchmarks/bench_serve.py``, whose ``--smoke`` mode gates
-scatters-per-deletion-window against a fixed ceiling in CI.
+:class:`ProtocolStats` records every scatter the router sends (kind,
+fan-out, payload bytes) and which write windows contained a deletion.
+Every window costs exactly one ``apply`` scatter, so
+``scatters_per_deletion_window`` is 1.0 by construction; the block is
+surfaced through ``repro serve`` stats (``"protocol"``) and recorded by
+``benchmarks/bench_serve.py``, whose smoke gate holds the window cost at
+that figure.
 
 Counters follow the serving tier's scrape-and-reset discipline: a
 ``window`` block zeroed by ``snapshot(reset=True)`` plus a ``lifetime``
@@ -23,30 +20,20 @@ exists so reader threads scraping ``stats`` see consistent snapshots.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 #: Counter keys, in display order.
 FIELDS = (
     "windows",              # write windows routed
     "deletion_windows",     # windows whose stream contained a deletion
-    "scatters",             # scatter round-trips (supersteps), all kinds
+    "scatters",             # scatter round-trips, all kinds
     "deletion_scatters",    # scatters spent inside deletion windows
-    "apply_scatters",
-    "invalidate_scatters",
-    "reconcile_scatters",
-    "absorb_scatters",      # safety-net / registration / resync absorbs
+    "apply_scatters",       # one per write window
+    "register_scatters",
+    "pin_scatters",         # registration and recovery
     "messages",             # per-shard requests across all scatters
     "bytes_shipped",        # router→worker payload bytes (exact: the pickle)
-    "suspect_resets",       # variables actually reset by invalidation waves
-    "central_resets",       # merged-state resets by the router's recompute pass
-    "dup_suppressed",       # resets suppressed by the window seen-set
-    "skipped_exchanges",    # windows terminated after the apply scatter alone
-    "settle_changes",       # values the router-side settle re-derived
-    "full_resyncs",         # windows that fell back to a full resync
 )
-
-#: Per-round detail entries kept for the most recent window.
-_MAX_ROUNDS = 64
 
 
 def _zero() -> Dict[str, int]:
@@ -54,14 +41,12 @@ def _zero() -> Dict[str, int]:
 
 
 class ProtocolStats:
-    """Scatter/reset accounting for one :class:`ShardedSession`."""
+    """Scatter accounting for one :class:`ShardedSession`."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._window = _zero()
         self._lifetime = _zero()
-        #: ``[{"cmd", "shards", "bytes"}, ...]`` for the current window.
-        self._rounds: List[Dict[str, Any]] = []
         self._in_deletion_window = False
 
     # ------------------------------------------------------------------
@@ -69,7 +54,6 @@ class ProtocolStats:
     # ------------------------------------------------------------------
     def begin_window(self, deletions: bool) -> None:
         with self._lock:
-            self._rounds = []
             self._in_deletion_window = deletions
             for counters in (self._window, self._lifetime):
                 counters["windows"] += 1
@@ -92,15 +76,6 @@ class ProtocolStats:
                     counters[kind] += 1
                 if self._in_deletion_window:
                     counters["deletion_scatters"] += 1
-            if len(self._rounds) < _MAX_ROUNDS:
-                self._rounds.append({"cmd": cmd, "shards": shards, "bytes": payload_bytes})
-
-    def add(self, field: str, count: int = 1) -> None:
-        if not count:
-            return
-        with self._lock:
-            self._window[field] += count
-            self._lifetime[field] += count
 
     # ------------------------------------------------------------------
     # Scraping (any thread)
@@ -118,15 +93,11 @@ class ProtocolStats:
         with self._lock:
             window = self._derive(self._window)
             lifetime = self._derive(self._lifetime)
-            rounds = list(self._rounds)
             if reset:
                 self._window = _zero()
-        return {"window": window, "lifetime": lifetime, "last_window_rounds": rounds}
+        return {"window": window, "lifetime": lifetime}
 
     def __repr__(self) -> str:
         with self._lock:
             life = self._lifetime
-            return (
-                f"ProtocolStats(windows={life['windows']}, scatters={life['scatters']}, "
-                f"skipped={life['skipped_exchanges']})"
-            )
+            return f"ProtocolStats(windows={life['windows']}, scatters={life['scatters']})"

@@ -1,50 +1,32 @@
 """The shard worker: one fragment, one session, one command loop.
 
 A :class:`ShardWorker` wraps a full
-:class:`~repro.session.DynamicGraphSession` over its fragment — WAL,
-checkpoints, transactions, quarantine and all of the PR-4 resilience
-machinery apply *per shard* — and answers the small command vocabulary
-the router (:mod:`repro.parallel.router`) speaks:
+:class:`~repro.session.DynamicGraphSession` over its fragment — WAL and
+checkpoints apply *per shard* — and keeps it a replica of the router's
+writer session on the fragment's nodes.  It answers the small command
+vocabulary the router (:mod:`repro.parallel.router`) speaks:
 
 ========================  ============================================
-``register``              register a query; reply with owned values
+``register``              apply the optional seq-consuming prelude
+                          (materializes a query source), then register
+                          a query on the fragment
 ``apply``                 apply a window of sub-batches (one per global
                           batch, possibly empty, so every shard's WAL
-                          seq advances in lockstep with the global seq);
-                          opens a new protocol window (resets the
-                          window-scoped invalidation seen-sets)
-``absorb``                fold authoritative boundary values in
-                          (:meth:`DynamicGraphSession.absorb`)
-``invalidate``            transitively reset values anchored on raised
-                          keys (phase 1 of the raise protocol), deduped
-                          against the window's seen-set so each variable
-                          resets at most once per window on this shard
-``reconcile``             absorb the router-settled exact fixpoint
-                          values non-monotonically — raised pins trigger
-                          the local Figure-4 repair — and re-derive every
-                          key reset this window (``refine`` is the
-                          backward-compatible alias)
-``export_owned``          owned slice of a query's fixpoint values
+                          seq advances in lockstep with the global seq),
+                          then pin the writer's values
+``pin``                   pin the writer's values (registration and
+                          recovery)
 ``export_fragment``       the fragment graph (recovery reassembly)
-``peval``                 re-run the batch algorithm on the fragment
-                          (the full-resync / recovery restart)
 ``unregister`` ``close``  bookkeeping
 ``info``                  seq + registered queries (recovery handshake)
 ========================  ============================================
 
-``apply`` and ``absorb`` replies carry, per query, the *owned* changed
-values (fanned by the router to replica holders), the *dirty replicas* —
-replica variables whose local value diverged from what the router last
-pinned — and a compact ``boundary_dirty`` digest: how many of those
-changed variables are *boundary-relevant* (the variable is a replica, or
-an owned variable with a non-owned neighbor, i.e. an endpoint of a cut
-edge).  When every shard reports ``boundary_dirty == 0`` and no suspects,
-no change this window can affect (or have been affected by) another
-fragment, and the router terminates the exchange without a confirming
-empty scatter.  Ownership is re-derived inside the worker from
-:func:`~repro.parallel.partition.stable_assign`, a pure function of
-``(node, num_shards, seed)``, so router and workers always agree without
-shipping assignment tables.
+The pin step keeps the replica contract: after every command, each
+query's value on every fragment node equals the writer's.  ``apply``
+ships pins for the keys the writer's ``ΔO`` touched and the nodes newly
+materialized on this fragment; any other key the local ``A_Δ`` changed
+is reset to its pre-window value, which by the contract is the writer's
+unchanged value.
 
 The worker runs either in-process (tests, recovery, ``shards=1``
 plumbing checks) or as a child process speaking pickled request/response
@@ -54,94 +36,33 @@ dicts over a :mod:`multiprocessing` pipe (:func:`shard_main`).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, Optional
 
 from ..errors import ReproError
 from ..graph.graph import Graph
-from ..graph.updates import Batch, EdgeDeletion, VertexDeletion
 from ..resilience import SessionConfig
 from ..resilience.faults import inject
 from ..session import DynamicGraphSession
-from .partition import stable_assign
 
 
 class ShardWorker:
     """Command executor for one shard (usable in- or out-of-process)."""
 
     def __init__(
-        self,
-        index: int,
-        num_shards: int,
-        seed: int,
-        fragment: Graph,
-        config: Optional[SessionConfig] = None,
+        self, index: int, fragment: Graph, config: Optional[SessionConfig] = None
     ) -> None:
         self.index = index
-        self.num_shards = num_shards
-        self.seed = seed
         self.session = DynamicGraphSession(fragment, config)
-        self._reset_window_state()
-        #: Lifetime invariant counter: a variable whose value was reset by
-        #: two different invalidation rounds of the *same* window.  The
-        #: dedup seen-sets make this structurally impossible; tests assert
-        #: it stays zero (the dup-suppression property).
-        self.double_resets = 0
-        #: Lifetime count of resets the window seen-set suppressed.
-        self.dup_suppressed = 0
-
-    def _reset_window_state(self) -> None:
-        #: Per-query keys reset by ``invalidate`` since the window opened —
-        #: the reconcile step's extra fixpoint scope.
-        self._scopes: Dict[str, set] = {}
-        #: Per-query window-scoped seen-set mirroring the router's send-side
-        #: dedup: keys already walked by an invalidation round this window.
-        self._window_seen: Dict[str, set] = {}
-        #: Per-query keys whose *value* actually reset this window (for the
-        #: double-reset invariant; a subset of ``_window_seen``).
-        self._window_reset: Dict[str, set] = {}
 
     @classmethod
     def recover(
-        cls,
-        index: int,
-        num_shards: int,
-        seed: int,
-        directory: Path,
-        config: Optional[SessionConfig] = None,
+        cls, index: int, directory: Path, config: Optional[SessionConfig] = None
     ) -> "ShardWorker":
         """Rebuild a shard worker from its durable per-shard directory."""
         worker = cls.__new__(cls)
         worker.index = index
-        worker.num_shards = num_shards
-        worker.seed = seed
         worker.session = DynamicGraphSession.recover(directory, config)
-        worker._reset_window_state()
-        worker.double_resets = 0
-        worker.dup_suppressed = 0
         return worker
-
-    # ------------------------------------------------------------------
-    def owns(self, key: Hashable) -> bool:
-        return stable_assign(key, self.num_shards, self.seed) == self.index
-
-    def _boundary_relevant(self, key: Hashable) -> bool:
-        """Whether ``key``'s value can flow across a fragment boundary.
-
-        A replica always can (its owner lives elsewhere).  An owned
-        variable can exactly when it is the endpoint of a cut edge — the
-        fragment holds *every* edge incident to an owned node, so "has a
-        non-owned neighbor" is a complete local test for "has (or reads)
-        a remote counterpart".
-        """
-        if not self.owns(key):
-            return True
-        graph = self.session.graph
-        if not graph.has_node(key):
-            return False
-        for neighbor in graph.neighbors(key):
-            if not self.owns(neighbor):
-                return True
-        return False
 
     def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Dispatch one command; never raises (errors travel in-band)."""
@@ -155,162 +76,42 @@ class ShardWorker:
             return {"ok": False, "error": exc}
 
     # ------------------------------------------------------------------
-    def _gather(
-        self,
-        results: Dict[str, Any],
-        suspects: bool = False,
-        digest: bool = False,
-    ) -> Dict[str, Any]:
-        """Split each query's ΔO into owned changes and dirty replicas.
-
-        ``suspects=True`` (raising windows: the sub-batches contained
-        deletions) additionally reports each query's repair scope — every
-        variable the local repair *touched*, even when its value
-        round-tripped.  A repaired value re-derived from a replica may be
-        silently stale (the replica's owner is retracting it in another
-        fragment right now, and fragment-local clocks cannot contradict
-        it), so the router treats the whole scope as suspect and runs the
-        invalidate/reconcile protocol over it.  The scope is reported
-        *only* when it touches the fragment boundary: staleness can only
-        enter through a replica read, and any scope key that read a
-        replica has it as a neighbor, so a scope with no boundary-relevant
-        key repaired from purely-local, trustworthy support.
-
-        ``digest=True`` adds the per-query ``boundary_dirty`` count — how
-        many changed variables are boundary-relevant — the router's
-        exchange-skipping termination signal.
-        """
-        queries: Dict[str, Any] = {}
-        session = self.session
+    def _pin(
+        self, pins: Dict[str, Dict[Hashable, Any]], results: Dict[str, Any]
+    ) -> None:
+        """Land every query exactly on the writer's values: ``pins`` plus
+        the pre-window value of every other key ``results`` changed."""
+        inject("shard.reconcile")
         for name, result in results.items():
-            owned: Dict[Hashable, Any] = {}
-            dirty: Dict[Hashable, Any] = {}
-            changes = getattr(result, "changes", {})
-            for key, (_, new_value) in changes.items():
-                if self.owns(key):
-                    owned[key] = new_value  # None = variable retired
-                elif new_value is not None:
-                    dirty[key] = new_value
-            registered = session._queries.get(name)
-            queries[name] = {
-                "owned": owned,
-                "dirty": dirty,
-                "quarantined": bool(registered is not None and registered.quarantined),
-            }
-            if digest:
-                boundary_dirty = len(dirty)  # replicas are always boundary
-                for key in owned:
-                    if self._boundary_relevant(key):
-                        boundary_dirty += 1
-                queries[name]["boundary_dirty"] = boundary_dirty
-            if suspects:
-                scope = getattr(result, "scope", ())
-                if any(self._boundary_relevant(key) for key in scope):
-                    queries[name]["suspect"] = list(scope)
-        return {"seq": session.seq, "queries": queries}
+            values = pins.setdefault(name, {})
+            for key, (old, new) in result.changes.items():
+                if key not in values and old is not None and new is not None:
+                    values[key] = old
+        for name, values in pins.items():
+            if values:
+                self.session.pin(name, values)
 
-    def _owned_values(self, name: str) -> Dict[Hashable, Any]:
-        registered = self.session._query(name)
-        return {
-            key: value
-            for key, value in registered.state.values.items()
-            if self.owns(key)
-        }
-
-    # ------------------------------------------------------------------
     def _cmd_register(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        if request["prelude"]:
+            self.session.update_stream(request["prelude"])
         self.session.register(request["name"], request["algorithm"], query=request["query"])
-        return {"seq": self.session.seq, "owned": self._owned_values(request["name"])}
+        return {"seq": self.session.seq}
 
     def _cmd_unregister(self, request: Dict[str, Any]) -> Dict[str, Any]:
         self.session.unregister(request["name"])
         return {"seq": self.session.seq}
 
     def _cmd_apply(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        batches: List[Batch] = request["batches"]
-        raising = any(
-            isinstance(op, (EdgeDeletion, VertexDeletion))
-            for batch in batches
-            for op in batch
-        )
-        # A new apply opens a new protocol window: the invalidation
-        # seen-sets (and any reconcile scope a skipped exchange left
-        # behind) belong to the previous window.
-        self._reset_window_state()
-        results = self.session.update_stream(batches)
-        return self._gather(results, suspects=raising, digest=True)
+        results = self.session.update_stream(request["batches"])
+        self._pin(request["pins"], results)
+        return {"seq": self.session.seq}
 
-    def _cmd_absorb(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        results = self.session.absorb(
-            request["assignments"], monotone=request.get("monotone", False)
-        )
-        return self._gather(results)
-
-    def _cmd_invalidate(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Phase 1 of the raise protocol: transitive reset, no re-derive.
-
-        Resets are deduped against the window's seen-set (a key is walked
-        at most once per window on this shard); the reply carries the
-        suppressed count so the router's telemetry can prove the dedup is
-        doing work.
-        """
-        for name in request["assignments"]:
-            self._window_seen.setdefault(name, set())
-        results = self.session.invalidate(
-            request["assignments"], already=self._window_seen
-        )
-        dups = 0
-        for name, result in results.items():
-            self._scopes.setdefault(name, set()).update(result.scope)
-            dups += getattr(result, "dup_suppressed", 0)
-            reset = self._window_reset.setdefault(name, set())
-            for key in result.changes:
-                if key in reset:  # pragma: no cover - guarded by the dedup
-                    self.double_resets += 1
-                reset.add(key)
-        self.dup_suppressed += dups
-        reply = self._gather(results)
-        reply["dup_suppressed"] = dups
-        return reply
-
-    def _cmd_reconcile(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Final phase: absorb the router-settled exact fixpoint values.
-
-        Non-monotone on purpose: a pin that *raises* a local value means
-        this fragment never saw that retraction (the single invalidation
-        scatter only carries suspects known at apply time), so the local
-        Figure-4 repair runs — reset everything anchored on the raised
-        keys, then re-derive with the pins trusted.  Every value the
-        repair can read across the boundary is pinned exact, so the
-        fragment lands exactly on the shipped global fixpoint."""
-        inject("shard.reconcile")
-        scopes, self._scopes = self._scopes, {}
-        results = self.session.absorb(
-            request["assignments"], monotone=False, scopes=scopes
-        )
-        return self._gather(results)
-
-    #: Backward-compatible alias: PR 7's refine verb is the same absorb.
-    _cmd_refine = _cmd_reconcile
-
-    def _cmd_export_owned(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {name: self._owned_values(name) for name in request["names"]}
+    def _cmd_pin(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        self._pin(request["pins"], {})
+        return {"seq": self.session.seq}
 
     def _cmd_export_fragment(self, request: Dict[str, Any]) -> Graph:
         return self.session.graph
-
-    def _cmd_peval(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Re-run the batch algorithm on the fragment (full resync)."""
-        session = self.session
-        exported: Dict[str, Dict[Hashable, Any]] = {}
-        for name in request["names"]:
-            registered = session._query(name)
-            session._recompute(registered, None, session.seq)
-            registered.quarantined = False
-            registered.faults = 0
-            self._scopes.pop(name, None)
-            exported[name] = self._owned_values(name)
-        return exported
 
     def _cmd_info(self, request: Dict[str, Any]) -> Dict[str, Any]:
         session = self.session
@@ -328,7 +129,7 @@ class ShardWorker:
         self.session.close()
 
 
-def shard_main(conn, index: int, num_shards: int, seed: int, payload: Dict[str, Any]) -> None:
+def shard_main(conn, index: int, payload: Dict[str, Any]) -> None:
     """Child-process entry: build (or recover) the worker, serve the pipe.
 
     ``payload`` carries either ``fragment`` + ``config`` (fresh start) or
@@ -340,13 +141,9 @@ def shard_main(conn, index: int, num_shards: int, seed: int, payload: Dict[str, 
     boot_error: Optional[BaseException] = None
     try:
         if "directory" in payload:
-            worker = ShardWorker.recover(
-                index, num_shards, seed, payload["directory"], payload.get("config")
-            )
+            worker = ShardWorker.recover(index, payload["directory"], payload.get("config"))
         else:
-            worker = ShardWorker(
-                index, num_shards, seed, payload["fragment"], payload.get("config")
-            )
+            worker = ShardWorker(index, payload["fragment"], payload.get("config"))
     except BaseException as exc:
         boot_error = exc
     try:

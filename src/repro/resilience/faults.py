@@ -24,8 +24,9 @@ Site                         Fires
 ``engine.fixpoint``          on entry to :func:`~repro.core.engine.run_fixpoint`
 ``wal.mid-append``           between the two halves of a WAL record (torn write)
 ``checkpoint.mid-write``     after the temp file is written, before the rename
-``shard.reconcile``          inside the sharded tier's batched exchange: on a
-                             worker, before absorbing the router-settled values
+``shard.reconcile``          on a sharded-tier worker, in its pin step: after
+                             its sub-batches applied, before the writer's values
+                             land
 ===========================  ====================================================
 
 Plans can also be armed process-wide through the ``REPRO_FAULTS``

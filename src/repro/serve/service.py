@@ -352,8 +352,8 @@ class QueryService:
             "queries": self.store.as_dict(),
             "incidents": len(self.session.incidents),
         }
-        # The sharded tier's scatter/reset telemetry, when the session is
-        # a router (single-writer sessions have no exchange protocol).
+        # The sharded tier's scatter telemetry, when the session is a
+        # router (single-writer sessions scatter nothing).
         protocol = getattr(self.session, "protocol_stats", None)
         if protocol is not None:
             report["protocol"] = protocol.snapshot(reset=reset_window)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from .algorithms import (
     CCfp,
@@ -71,7 +71,6 @@ from .errors import (
     ReproError,
     SessionError,
     ShardedDirectoryError,
-    ShardingError,
     TransactionError,
 )
 from .graph.graph import Graph
@@ -367,102 +366,21 @@ class DynamicGraphSession:
         self._run_cadences()
         return results
 
-    @guarded_mutation("session.absorb")
-    def absorb(
-        self,
-        assignments: Dict[str, Dict[Hashable, Any]],
-        monotone: bool = False,
-        scopes: Optional[Dict[str, Iterable[Hashable]]] = None,
-    ) -> Dict[str, IncrementalResult]:
-        """Absorb authoritative external values into named queries' states.
+    @guarded_mutation("session.pin")
+    def pin(self, name: str, values: Dict[Hashable, Any]) -> None:
+        """Overwrite some of ``name``'s values with externally derived ones.
 
-        ``assignments`` maps query name → ``{variable: value}``.  This is
-        the worker half of the sharded tier's boundary-delta exchange
-        (:mod:`repro.parallel`): the router sends each shard the merged
-        owner values for its replicas, and the shard folds them in via
-        :func:`repro.parallel.boundary.absorb_values` — repair for raised
-        values, plain propagation for improvements — then resumes its
-        local fixpoint.  Only spec-backed queries can absorb (a typed
-        :class:`~repro.errors.ShardingError` otherwise).  Absorbs are
-        *not* WAL-logged: they carry no graph delta, and recovery
-        re-derives them by a full re-exchange across shards.
-
-        ``scopes`` optionally adds per-query key sets to the resumed
-        fixpoint's scope (the refine half of the router's invalidation
-        protocol: previously-reset keys re-derive even if no pin landed
-        on them this round).
+        The replica step of the sharded tier (:mod:`repro.parallel`): a
+        shard lands on the router's global values after applying its
+        sub-batches.  Pins carry no ``ΔG``, so they are not WAL-logged;
+        sharded recovery re-pins every shard.
         """
-        from .parallel.boundary import absorb_values
-
-        results: Dict[str, IncrementalResult] = {}
-        names = set(assignments)
-        if scopes:
-            names.update(scopes)
-        for name in names:
-            registered, spec = self._sharded_query(name)
-            results[name] = absorb_values(
-                spec,
-                registered.graph,
-                registered.state,
-                assignments.get(name, {}),
-                registered.query,
-                monotone=monotone,
-                extra_scope=scopes.get(name) if scopes else None,
-            )
-            if hasattr(registered.incremental, "_kernel_ctx"):
-                # Absorbed values bypass the dense mirror; never trust it
-                # afterwards (same rule as _recompute).
-                registered.incremental._kernel_ctx = None
-        return results
-
-    @guarded_mutation("session.invalidate")
-    def invalidate(
-        self,
-        assignments: Dict[str, Iterable[Hashable]],
-        already: Optional[Dict[str, set]] = None,
-    ) -> Dict[str, IncrementalResult]:
-        """Transitively reset values anchored on retracted boundary keys.
-
-        ``assignments`` maps query name → keys whose authoritative values
-        were *raised* by their owner shard.  Each named key and everything
-        locally anchored on it resets to its initial value with no
-        re-derivation (:func:`repro.parallel.boundary.invalidate_values`)
-        — the first phase of the router's raise protocol; the matching
-        refine phase is :meth:`absorb` with ``scopes``.
-
-        ``already`` optionally maps query name → the window-scoped set of
-        keys previous invalidation rounds already reset; those are skipped
-        (and counted) rather than re-walked, and newly reset keys are
-        added to the set in place — see
-        :func:`~repro.parallel.boundary.invalidate_values`.
-        """
-        from .parallel.boundary import invalidate_values
-
-        results: Dict[str, IncrementalResult] = {}
-        for name, keys in assignments.items():
-            registered, spec = self._sharded_query(name)
-            results[name] = invalidate_values(
-                spec,
-                registered.graph,
-                registered.state,
-                keys,
-                registered.query,
-                already=already.get(name) if already is not None else None,
-            )
-            if hasattr(registered.incremental, "_kernel_ctx"):
-                registered.incremental._kernel_ctx = None
-        return results
-
-    def _sharded_query(self, name: str):
-        """The registered query and its spec, or a typed sharding error."""
         registered = self._query(name)
-        spec = getattr(registered.incremental, "spec", None)
-        if spec is None:
-            raise ShardingError(
-                f"query {name!r} ({registered.algorithm}) has no fixpoint "
-                "spec; boundary absorption requires a deduced A_Δ"
-            )
-        return registered, spec
+        registered.state.values.update(values)
+        if hasattr(registered.incremental, "_kernel_ctx"):
+            # Pinned values bypass the dense mirror; never trust it
+            # afterwards (same rule as _recompute).
+            registered.incremental._kernel_ctx = None
 
     # ------------------------------------------------------------------
     def _validate(self, delta: Batch, graph: Optional[Graph] = None) -> None:

@@ -279,7 +279,7 @@ class TestGates:
         assert root is not None
         gates = load_gates(root / "benchmarks" / "gates.toml")
         assert any(
-            g.suite == "serve" and g.metric == "scatters_per_deletion_window" and g.max == 3.5
+            g.suite == "serve" and g.metric == "scatters_per_deletion_window" and g.max == 1.0
             for g in gates
         )
 

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from oracles import oracle_cc, oracle_sssp
-from repro import CCfp, Dijkstra, IncSSSP
+from repro import Dijkstra, IncSSSP
 from repro.bench.runners import undirected_view
 from repro.core.invariants import check_fixpoint_invariant
 from repro.core.persistence import dump_state, load_state
@@ -72,18 +72,6 @@ class TestPersistenceMidStream:
         revived_state = load_state(tmp_path / "checkpoint.json")
         inc.apply(revived_graph, revived_state, random_updates(revived_graph, 20, seed=302), source)
         assert dict(revived_state.values) == oracle_sssp(revived_graph, source)
-
-
-@pytest.mark.slow
-class TestParallelOnDatasets:
-    def test_grape_matches_sequential_on_proxy(self):
-        from repro.algorithms.cc import CCSpec
-        from repro.parallel import GrapeRunner
-
-        graph = undirected_view(load_dataset("OKT", scale=0.15))
-        values, stats = GrapeRunner(CCSpec(), num_fragments=4, seed=1).run(graph, None)
-        assert values == dict(CCfp().run(graph).values)
-        assert stats.supersteps >= 1
 
 
 @pytest.mark.slow

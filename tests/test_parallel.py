@@ -1,20 +1,11 @@
-"""Tests for the mini-GRAPE fragment-parallel substrate."""
-
-import random
+"""Tests for edge-cut partitioning."""
 
 import pytest
 
-from oracles import random_graph
-from repro.algorithms.cc import CCSpec
-from repro.algorithms.lcc import LCCSpec
-from repro.algorithms.reach import ReachSpec
-from repro.algorithms.sssp import SSSPSpec
-from repro.algorithms.sswp import SSWPSpec
-from repro.core import run_batch
-from repro.errors import FixpointError, GraphError
-from repro.generators import assign_weights, barabasi_albert, erdos_renyi
+from repro.errors import GraphError
+from repro.generators import erdos_renyi
 from repro.graph import from_edges
-from repro.parallel import GrapeRunner, Partitioning, build_partitioning, hash_partition
+from repro.parallel import build_partitioning, hash_partition
 
 
 class TestPartitioning:
@@ -55,44 +46,3 @@ class TestPartitioning:
     def test_no_cut_for_single_fragment(self):
         g = erdos_renyi(20, 40, seed=3)
         assert hash_partition(g, 1).edge_cut == 0
-
-
-class TestGrapeRunner:
-    @pytest.mark.parametrize("spec_cls,query", [(SSSPSpec, 0), (SSWPSpec, 0), (ReachSpec, 0)])
-    def test_matches_sequential_batch(self, spec_cls, query):
-        rng = random.Random(5)
-        for trial in range(10):
-            g = random_graph(rng, rng.randint(5, 40), rng.randint(4, 90), True, weighted=True)
-            values, _stats = GrapeRunner(spec_cls(), num_fragments=rng.randint(1, 5), seed=trial).run(g, query)
-            assert values == dict(run_batch(spec_cls(), g, query).values), f"{spec_cls.__name__} trial {trial}"
-
-    def test_cc_on_undirected(self):
-        rng = random.Random(7)
-        for trial in range(10):
-            g = random_graph(rng, rng.randint(5, 40), rng.randint(4, 80), False)
-            values, _stats = GrapeRunner(CCSpec(), num_fragments=3, seed=trial).run(g, None)
-            assert values == dict(run_batch(CCSpec(), g, None).values)
-
-    def test_single_fragment_is_trivially_sequential(self):
-        g = assign_weights(barabasi_albert(50, 3, seed=9), seed=9)
-        values, stats = GrapeRunner(SSSPSpec(), num_fragments=1).run(g, 0)
-        assert stats.messages == 0
-        assert values == dict(run_batch(SSSPSpec(), g, 0).values)
-
-    def test_stats_are_recorded(self):
-        g = assign_weights(barabasi_albert(80, 4, seed=11), seed=11)
-        _values, stats = GrapeRunner(SSSPSpec(), num_fragments=4).run(g, 0)
-        assert stats.supersteps >= 1
-        assert stats.messages == sum(stats.messages_per_step)
-
-    def test_orderless_spec_rejected(self):
-        g = from_edges([(0, 1)])
-        with pytest.raises(FixpointError):
-            GrapeRunner(LCCSpec(), num_fragments=2).run(g, None)
-
-    def test_explicit_partitioning(self):
-        g = from_edges([(0, 1), (1, 2)], directed=True, weights=[1.0, 1.0])
-        p = build_partitioning(g, {0: 0, 1: 1, 2: 0}, 2)
-        values, stats = GrapeRunner(SSSPSpec()).run(g, 0, partitioning=p)
-        assert values == {0: 0.0, 1: 1.0, 2: 2.0}
-        assert stats.messages >= 2  # both cut edges carry a value
