@@ -28,7 +28,8 @@ Package map
 * :mod:`repro.graph` — graphs, updates ΔG, temporal streams, CSR, I/O.
 * :mod:`repro.generators` — synthetic graphs, update streams, patterns.
 * :mod:`repro.datasets` — laptop-scale proxies of the paper's datasets.
-* :mod:`repro.bench` — the experiment harness behind ``benchmarks/``.
+* :mod:`repro.bench` — the paper's experiments, run and recorded by the
+  ``repro bench`` suites of :mod:`repro.evalhub`.
 """
 
 from .algorithms import (

@@ -1,17 +1,15 @@
-"""Experiment harness: regenerate every table and figure of Section 6.
+"""Experiment harness: the measurements behind every table and figure of
+Section 6, each returning flat registry records.
 
-Usage::
+Run them through the evaluation hub, which records the rows in the run
+registry and renders them::
 
-    python -m repro.bench            # all experiments, default scale
-    python -m repro.bench --scale 1  # bigger proxies, slower
-
-Programmatic use::
-
-    from repro.bench import table1, exp2_vary_delta
-    table1(scale=0.5).show()
+    python -m repro bench run fig6 fig7 fig8 table1 ablation --scale small
+    python -m repro bench report
 """
 
 from .experiments import (
+    ablation_push,
     ablation_scope,
     exp1_aff,
     exp1_unit_updates,
@@ -19,28 +17,21 @@ from .experiments import (
     exp2_vary_delta,
     exp3_scalability,
     exp4_memory,
-    run_all,
     table1,
 )
-from .plots import ascii_chart, chart_from_result
 from .runners import ALL_SETUPS, QueryClassSetup, undirected_view
-from .tables import ExperimentResult, format_table
 
 __all__ = [
     "ALL_SETUPS",
-    "ExperimentResult",
     "QueryClassSetup",
+    "ablation_push",
     "ablation_scope",
-    "ascii_chart",
-    "chart_from_result",
     "exp1_aff",
     "exp1_unit_updates",
     "exp2_temporal",
     "exp2_vary_delta",
     "exp3_scalability",
     "exp4_memory",
-    "format_table",
-    "run_all",
     "table1",
     "undirected_view",
 ]

@@ -1,12 +1,13 @@
 """The paper's evaluation, experiment by experiment.
 
-Each function regenerates the rows of one table or figure of Section 6
-and returns an :class:`~repro.bench.tables.ExperimentResult`.  Absolute
-numbers differ from the paper (pure Python on laptop-scale proxies — see
-DESIGN.md §2); the *shape* — who wins, by what factor, where crossovers
-fall — is the reproduction target recorded in EXPERIMENTS.md.
-
-Run everything with ``python -m repro.bench``.
+Each function regenerates one table or figure of Section 6 and returns
+its registry records: flat rows that carry |CHANGED| (``changed``) and,
+where the experiment knows it, |AFF|.  The suites of
+:mod:`repro.evalhub.suites` run them at named scales and append the rows
+to the run registry; EXPERIMENTS.md holds the paper's reference numbers.
+Absolute numbers differ from the paper (pure Python on laptop-scale
+proxies — see DESIGN.md §2); the *shape* — who wins, by what factor,
+where crossovers fall — is the reproduction target.
 """
 
 from __future__ import annotations
@@ -14,19 +15,29 @@ from __future__ import annotations
 import statistics
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..algorithms.cc import CCSpec, NaiveIncCC
+from ..algorithms import CCfp, IncCC
+from ..algorithms.cc import NaiveIncCC
+from ..algorithms.sssp import SSSPSpec
 from ..baselines import UnitLoop
+from ..core import run_batch
 from ..core.boundedness import verify_relative_boundedness
+from ..core.incremental import IncrementalAlgorithm
 from ..datasets import load as load_dataset
-from ..generators.random_graphs import assign_labels, assign_weights, barabasi_albert
+from ..generators.random_graphs import (
+    assign_labels,
+    assign_weights,
+    barabasi_albert,
+    largest_component_root,
+)
 from ..generators.updates import random_updates
 from ..graph.graph import Graph
 from ..graph.temporal import TemporalGraph
 from ..graph.updates import Batch, updated_copy
 from ..metrics.memory import deep_size_bytes
-from ..metrics.timers import time_call
+from ..metrics.timers import best_of, time_call
 from .runners import ALL_SETUPS, QueryClassSetup, time_batch, undirected_view
-from .tables import ExperimentResult
+
+Record = Dict[str, Any]
 
 PAPER_DATASETS = ("WD", "LJ", "DP", "OKT", "TW", "FS")
 
@@ -46,53 +57,83 @@ def _graph_for(setup: QueryClassSetup, name: str, scale: float) -> Graph:
     return graph
 
 
+def _ms(seconds: float) -> float:
+    return round(seconds * 1e3, 3)
+
+
+def _ratio(num: float, den: float) -> Optional[float]:
+    return round(num / den, 3) if den else None
+
+
+def _time_updates(
+    setup: QueryClassSetup,
+    graph: Graph,
+    query: Any,
+    deltas: Sequence[Batch],
+    batch_graphs: Sequence[Graph],
+    repeats: int,
+    loop: bool = True,
+    measure: bool = False,
+) -> Record:
+    """Min-of-``repeats`` times of every contender applying ``deltas`` in turn.
+
+    Batch recomputes each of ``batch_graphs`` from scratch.  A_Δ, the
+    unit loop A_Δn and the competitor each start from fresh copies of
+    ``graph`` and its batch fixpoint, built outside the timed region.
+    ``measure`` turns on the access counters, for the scope share of h.
+    """
+    base_state = setup.batch_factory().run(graph.copy(), query)
+
+    def replay(algo, g, s):
+        return [algo.apply(g, s, d, query, measure=measure) for d in deltas]
+
+    def fresh(factory):
+        return lambda: (factory(), graph.copy(), base_state.copy())
+
+    def built_competitor():
+        comp = setup.competitor_factory()
+        comp.build(graph.copy(), query)
+        return (comp,)
+
+    batch_seconds = sum(time_batch(setup, g, query, repeats) for g in batch_graphs)
+    inc = best_of(replay, repeats, fresh(setup.inc_factory))
+    comp = best_of(lambda c: [c.apply(d) for d in deltas], repeats, built_competitor)
+    affected = [getattr(r, "affected_size", None) for r in inc.result]
+    row = {
+        "changed": sum(d.size for d in deltas),
+        "aff": None if None in affected else sum(affected),
+        "repeats": repeats,
+        "batch_ms": _ms(batch_seconds),
+        "inc_ms": _ms(inc.seconds),
+        "inc_spread": round(inc.spread, 3),
+        "competitor_ms": _ms(comp.seconds),
+        "speedup_vs_batch": _ratio(batch_seconds, inc.seconds),
+    }
+    if loop:
+        unit = best_of(replay, repeats, fresh(lambda: UnitLoop(setup.inc_factory())))
+        row["loop_ms"] = _ms(unit.seconds)
+        row["speedup_vs_loop"] = _ratio(unit.seconds, inc.seconds)
+    if measure:
+        row["h_share_pct"] = round(100 * statistics.mean(r.scope_share for r in inc.result), 1)
+    return row
+
+
 # ----------------------------------------------------------------------
 # Table 1 — headline comparison at |ΔG| = 4%
 # ----------------------------------------------------------------------
-def table1(scale: float = 0.5) -> ExperimentResult:
+def table1(scale: float = 0.5, repeats: int = 3) -> List[Record]:
     """Table 1: batch vs fine-tuned competitor vs deduced A_Δ, 4% updates."""
-    result = ExperimentResult(
-        title="Table 1: performance of incrementalized algorithms (FS proxy, |ΔG|=4%)",
-        headers=["Problem", "Batch A (s)", "Competitor (s)", "Deduced A_Δ (s)"],
-    )
+    records = []
     for name in ("SSSP", "Sim", "LCC"):
         setup = ALL_SETUPS[name]
         graph = _graph_for(setup, "FS", scale)
         query = setup.make_query(graph)
         delta = random_updates(graph, max(1, int(0.04 * graph.size)), seed=11)
-
-        batch = setup.batch_factory()
-        state = batch.run(graph.copy(), query)
-
-        new_graph = updated_copy(graph, delta)
-        _, batch_seconds = time_call(setup.batch_factory().run, new_graph, query)
-
-        competitor = setup.competitor_factory()
-        competitor.build(graph.copy(), query)
-        _, competitor_seconds = time_call(competitor.apply, delta)
-
-        inc = setup.inc_factory()
-        inc_graph = graph.copy()
-        inc_result, inc_seconds = time_call(inc.apply, inc_graph, state, delta, query)
-
-        result.rows.append([name, batch_seconds, competitor_seconds, inc_seconds])
-        result.records.append(
-            {
-                "name": f"table1_{name}",
-                "query_class": name,
-                "dataset": "FS",
-                "changed": delta.size,
-                "aff": getattr(inc_result, "affected_size", None),
-                "batch_ms": round(batch_seconds * 1e3, 3),
-                "competitor_ms": round(competitor_seconds * 1e3, 3),
-                "inc_ms": round(inc_seconds * 1e3, 3),
-                "speedup_vs_batch": round(batch_seconds / inc_seconds, 3)
-                if inc_seconds
-                else None,
-            }
+        timed = _time_updates(
+            setup, graph, query, [delta], [updated_copy(graph, delta)], repeats, loop=False
         )
-    result.notes.append("paper: SSSP 4.57/1.56/0.88s; Sim 4.86/1.03/0.98s; LCC 78.1/18.6/12.0s")
-    return result
+        records.append({"name": f"table1_{name}", "query_class": name, "dataset": "FS", **timed})
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -103,13 +144,10 @@ def exp1_unit_updates(
     scale: float = 0.3,
     n_updates: int = 30,
     datasets: Sequence[str] = PAPER_DATASETS,
-) -> ExperimentResult:
+) -> List[Record]:
     """Figure 6: average per-unit-update time, deduced vs competitor."""
     setup = ALL_SETUPS[query_class]
-    result = ExperimentResult(
-        title=f"Figure 6 ({query_class}): unit updates, avg ms per update",
-        headers=["Dataset", f"Inc{query_class} ins", "Comp ins", f"Inc{query_class} del", "Comp del"],
-    )
+    records = []
     for name in datasets:
         graph = _graph_for(setup, name, scale)
         query = setup.make_query(graph)
@@ -117,38 +155,29 @@ def exp1_unit_updates(
         # Deletions sampled against the post-insertion graph for consistency.
         after_ins = updated_copy(graph, insertions)
         deletions = random_updates(after_ins, n_updates, insert_fraction=0.0, seed=22)
+        units = list(insertions.unit_batches()) + list(deletions.unit_batches())
 
         aff_sizes: List[int] = []
+        work = graph.copy()
+        inc = setup.inc_factory()
+        state = setup.batch_factory().run(work, query)
+        inc_times = []
+        for batch in units:
+            res, seconds = time_call(inc.apply, work, state, batch, query)
+            inc_times.append(seconds)
+            aff = getattr(res, "affected_size", None)
+            if aff is not None:
+                aff_sizes.append(aff)
 
-        def measure(algo_kind: str) -> List[float]:
-            work = graph.copy()
-            times: List[float] = []
-            if algo_kind == "inc":
-                inc = setup.inc_factory()
-                state = setup.batch_factory().run(work, query)
-                for batch in list(insertions.unit_batches()) + list(deletions.unit_batches()):
-                    res, seconds = time_call(inc.apply, work, state, batch, query)
-                    times.append(seconds)
-                    aff = getattr(res, "affected_size", None)
-                    if aff is not None:
-                        aff_sizes.append(aff)
-            else:
-                comp = setup.competitor_for_unit_updates()
-                comp.build(work, query)
-                for batch in list(insertions.unit_batches()) + list(deletions.unit_batches()):
-                    _, seconds = time_call(comp.apply, batch)
-                    times.append(seconds)
-            return times
+        comp = setup.competitor_for_unit_updates()
+        comp.build(graph.copy(), query)
+        comp_times = [time_call(comp.apply, batch)[1] for batch in units]
 
-        inc_times = measure("inc")
-        comp_times = measure("comp")
-        half = n_updates
-        inc_ins_ms = 1e3 * statistics.mean(inc_times[:half])
-        comp_ins_ms = 1e3 * statistics.mean(comp_times[:half])
-        inc_del_ms = 1e3 * statistics.mean(inc_times[half:])
-        comp_del_ms = 1e3 * statistics.mean(comp_times[half:])
-        result.rows.append([name, inc_ins_ms, comp_ins_ms, inc_del_ms, comp_del_ms])
-        result.records.append(
+        inc_ins_ms = 1e3 * statistics.mean(inc_times[:n_updates])
+        comp_ins_ms = 1e3 * statistics.mean(comp_times[:n_updates])
+        inc_del_ms = 1e3 * statistics.mean(inc_times[n_updates:])
+        comp_del_ms = 1e3 * statistics.mean(comp_times[n_updates:])
+        records.append(
             {
                 "name": f"fig6_{query_class}_{name}",
                 "query_class": query_class,
@@ -161,47 +190,44 @@ def exp1_unit_updates(
                 "comp_ins_ms": round(comp_ins_ms, 4),
                 "inc_del_ms": round(inc_del_ms, 4),
                 "comp_del_ms": round(comp_del_ms, 4),
-                "ins_speedup": round(comp_ins_ms / inc_ins_ms, 3) if inc_ins_ms else None,
-                "del_speedup": round(comp_del_ms / inc_del_ms, 3) if inc_del_ms else None,
+                "ins_speedup": _ratio(comp_ins_ms, inc_ins_ms),
+                "del_speedup": _ratio(comp_del_ms, inc_del_ms),
             }
         )
-    return result
+    return records
 
 
-def exp1_aff(scale: float = 0.3, samples: int = 8) -> ExperimentResult:
+def exp1_aff(scale: float = 0.3, samples: int = 8) -> List[Record]:
     """Exp-1(c): |AFF| as a share of all status variables (OKT proxy)."""
-    result = ExperimentResult(
-        title="Exp-1(c): affected area for unit updates on OKT proxy",
-        headers=["Algorithm", "|AFF|/|Ψ| ins (%)", "|AFF|/|Ψ| del (%)", "H⁰⊆AFF"],
-    )
-    for name, setup in ALL_SETUPS.items():
-        if name == "DFS":
-            continue  # DFS is incrementalized outside the generic spec machinery
-        spec = {
-            "SSSP": lambda: __import__("repro.algorithms.sssp", fromlist=["SSSPSpec"]).SSSPSpec(),
-            "CC": lambda: CCSpec(),
-            "Sim": lambda: __import__("repro.algorithms.sim", fromlist=["SimSpec"]).SimSpec(),
-            "LCC": lambda: __import__("repro.algorithms.lcc", fromlist=["LCCSpec"]).LCCSpec(),
-        }[name]()
+    records = []
+    for name in ("SSSP", "CC", "Sim", "LCC"):  # DFS has no generic FixpointSpec
+        setup = ALL_SETUPS[name]
+        spec = setup.inc_factory().spec
         graph = _graph_for(setup, "OKT", scale)
         query = setup.make_query(graph)
-        ins_shares, del_shares, bounded = [], [], True
+        shares: Dict[bool, List[float]] = {True: [], False: []}
+        aff_sizes, bounded = [], True
         for i in range(samples):
-            fraction = 1.0 if i % 2 == 0 else 0.0
-            delta = random_updates(graph, 1, insert_fraction=fraction, seed=31 + i)
+            insert = i % 2 == 0
+            delta = random_updates(graph, 1, insert_fraction=float(insert), seed=31 + i)
             report = verify_relative_boundedness(spec, graph, delta, query)
-            (ins_shares if fraction == 1.0 else del_shares).append(100.0 * report.aff_share)
+            shares[insert].append(100.0 * report.aff_share)
+            aff_sizes.append(report.aff_size)
             bounded = bounded and report.scope_bounded
-        result.rows.append(
-            [
-                f"Inc{name}",
-                statistics.mean(ins_shares) if ins_shares else float("nan"),
-                statistics.mean(del_shares) if del_shares else float("nan"),
-                "yes" if bounded else "NO",
-            ]
+        records.append(
+            {
+                "name": f"fig6_aff_{name}",
+                "query_class": name,
+                "dataset": "OKT",
+                "samples": samples,
+                "changed": 1,
+                "aff_mean": round(statistics.mean(aff_sizes), 1),
+                "aff_ins_pct": round(statistics.mean(shares[True]), 6) if shares[True] else None,
+                "aff_del_pct": round(statistics.mean(shares[False]), 6) if shares[False] else None,
+                "scope_bounded": bounded,
+            }
         )
-    result.notes.append("paper reports AFF shares of 1e-6% .. 1e-3% at 117M-edge scale")
-    return result
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -212,120 +238,61 @@ def exp2_vary_delta(
     dataset: str,
     percentages: Sequence[float],
     scale: float = 0.5,
-) -> ExperimentResult:
+    repeats: int = 3,
+) -> List[Record]:
     """Figure 7(a)-(f): batch updates of growing |ΔG|."""
     setup = ALL_SETUPS[query_class]
-    batch_name = setup.batch_factory().name if hasattr(setup.batch_factory(), "name") else "batch"
-    comp_name = setup.competitor_factory().name
-    result = ExperimentResult(
-        title=f"Figure 7 ({query_class} on {dataset} proxy): batch updates, seconds",
-        headers=[
-            "|ΔG|/|G| (%)",
-            f"batch {batch_name}",
-            f"Inc{query_class}",
-            f"Inc{query_class}_n",
-            comp_name,
-        ],
-    )
     graph = _graph_for(setup, dataset, scale)
     query = setup.make_query(graph)
-    base_state = setup.batch_factory().run(graph.copy(), query)
-
+    records = []
     for i, pct in enumerate(percentages):
         delta = random_updates(graph, max(1, int(pct * graph.size)), seed=41 + i)
-
-        batch_seconds = time_batch(setup, updated_copy(graph, delta), query)
-
-        inc = setup.inc_factory()
-        g1, s1 = graph.copy(), base_state.copy()
-        inc_result, inc_seconds = time_call(inc.apply, g1, s1, delta, query)
-
-        loop = UnitLoop(setup.inc_factory())
-        g2, s2 = graph.copy(), base_state.copy()
-        _, loop_seconds = time_call(loop.apply, g2, s2, delta, query)
-
-        comp = setup.competitor_factory()
-        comp.build(graph.copy(), query)
-        _, comp_seconds = time_call(comp.apply, delta)
-
-        result.rows.append([100 * pct, batch_seconds, inc_seconds, loop_seconds, comp_seconds])
-        result.records.append(
+        timed = _time_updates(setup, graph, query, [delta], [updated_copy(graph, delta)], repeats)
+        records.append(
             {
                 "name": f"fig7_{query_class}_{dataset}",
                 "query_class": query_class,
                 "dataset": dataset,
                 "delta_pct": 100 * pct,
-                "changed": delta.size,
-                "aff": getattr(inc_result, "affected_size", None),
-                "batch_ms": round(batch_seconds * 1e3, 3),
-                "inc_ms": round(inc_seconds * 1e3, 3),
-                "loop_ms": round(loop_seconds * 1e3, 3),
-                "competitor_ms": round(comp_seconds * 1e3, 3),
-                "speedup_vs_batch": round(batch_seconds / inc_seconds, 3)
-                if inc_seconds
-                else None,
-                "speedup_vs_loop": round(loop_seconds / inc_seconds, 3)
-                if inc_seconds
-                else None,
+                **timed,
             }
         )
-    return result
+    return records
 
 
 # ----------------------------------------------------------------------
 # Exp-2(2) — real-life temporal updates (Figure 7 g–i)
 # ----------------------------------------------------------------------
-def exp2_temporal(scale: float = 0.5, months: int = 5) -> ExperimentResult:
-    """Figure 7(g)-(i): monthly Wiki-DE-style update batches."""
-    result = ExperimentResult(
-        title="Figure 7(g)-(i): temporal WD proxy, total seconds over months",
-        headers=["Algorithm", "batch A", "Inc", "Inc_n", "Competitor", "h share (%)"],
-    )
-    temporal = load_dataset("WD", scale)
-    slices = temporal.monthly_batches(months)
-
-    for name in ("SSSP", "CC", "Sim"):
+def exp2_temporal(
+    scale: float = 0.5,
+    months: int = 5,
+    classes: Sequence[str] = ("SSSP", "CC", "Sim"),
+    repeats: int = 3,
+) -> List[Record]:
+    """Figure 7(g)-(i) and Exp-2(2d): monthly Wiki-DE-style update batches,
+    total time over all months plus the scope function's share of A_Δ."""
+    slices = load_dataset("WD", scale).monthly_batches(months)
+    records = []
+    for name in classes:
         setup = ALL_SETUPS[name]
-        first_graph = slices[0][0]
-        if setup.undirected_only:
-            first_graph = undirected_view(first_graph)
+        view = undirected_view if setup.undirected_only else (lambda g: g)
+        first_graph = view(slices[0][0])
+        deltas = [delta for _snapshot, delta in slices]
+        month_graphs = [updated_copy(view(snapshot), delta) for snapshot, delta in slices]
         query = setup.make_query(first_graph)
-
-        batch_total = 0.0
-        for snapshot, delta in slices:
-            g = undirected_view(snapshot) if setup.undirected_only else snapshot
-            _, seconds = time_call(setup.batch_factory().run, updated_copy(g, delta), query)
-            batch_total += seconds
-
-        inc = setup.inc_factory()
-        work = first_graph.copy()
-        state = setup.batch_factory().run(work, query)
-        inc_total, h_shares = 0.0, []
-        for _snapshot, delta in slices:
-            res, seconds = time_call(inc.apply, work, state, delta, query, False, True)
-            inc_total += seconds
-            h_shares.append(res.scope_share)
-
-        loop = UnitLoop(setup.inc_factory())
-        work2 = first_graph.copy()
-        state2 = setup.batch_factory().run(work2, query)
-        loop_total = 0.0
-        for _snapshot, delta in slices:
-            _, seconds = time_call(loop.apply, work2, state2, delta, query)
-            loop_total += seconds
-
-        comp = setup.competitor_factory()
-        comp.build(first_graph.copy(), query)
-        comp_total = 0.0
-        for _snapshot, delta in slices:
-            _, seconds = time_call(comp.apply, delta)
-            comp_total += seconds
-
-        result.rows.append(
-            [name, batch_total, inc_total, loop_total, comp_total, 100 * statistics.mean(h_shares)]
+        timed = _time_updates(
+            setup, first_graph, query, deltas, month_graphs, repeats, measure=True
         )
-    result.notes.append("paper: h takes 47% (SSSP), 92% (CC), 83% (Sim) of Inc cost on WD")
-    return result
+        records.append(
+            {
+                "name": f"fig7_temporal_{name}",
+                "query_class": name,
+                "dataset": "WD",
+                "months": months,
+                **timed,
+            }
+        )
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -335,47 +302,39 @@ def exp3_scalability(
     query_class: str,
     node_counts: Sequence[int] = (500, 1000, 2000, 4000),
     delta_fraction: float = 0.01,
-) -> ExperimentResult:
+    repeats: int = 3,
+) -> List[Record]:
     """Figure 7(j)-(l): |G| sweep at |ΔG| = 1%·|G| on synthetic graphs."""
     setup = ALL_SETUPS[query_class]
-    comp_name = setup.competitor_factory().name
-    result = ExperimentResult(
-        title=f"Figure 7 scalability ({query_class}): synthetic |G| sweep, |ΔG|=1%",
-        headers=["|G|=|V|+|E|", "batch A", f"Inc{query_class}", comp_name],
-    )
+    records = []
     for i, n in enumerate(node_counts):
         graph = barabasi_albert(n, 5, seed=51 + i)
         assign_labels(graph, seed=52 + i)
         assign_weights(graph, seed=53 + i)
-        if not setup.undirected_only and query_class in ("Sim",):
-            pass  # Sim runs fine on undirected graphs (out == neighbors)
         query = setup.make_query(graph)
         delta = random_updates(graph, max(1, int(delta_fraction * graph.size)), seed=54 + i)
-
-        batch_seconds = time_batch(setup, updated_copy(graph, delta), query)
-
-        state = setup.batch_factory().run(graph.copy(), query)
-        inc = setup.inc_factory()
-        g1 = graph.copy()
-        _, inc_seconds = time_call(inc.apply, g1, state, delta, query)
-
-        comp = setup.competitor_factory()
-        comp.build(graph.copy(), query)
-        _, comp_seconds = time_call(comp.apply, delta)
-
-        result.rows.append([graph.size, batch_seconds, inc_seconds, comp_seconds])
-    return result
+        timed = _time_updates(
+            setup, graph, query, [delta], [updated_copy(graph, delta)], repeats, loop=False
+        )
+        records.append(
+            {
+                "name": f"fig7_scale_{query_class}_{n}",
+                "query_class": query_class,
+                "graph_size": graph.size,
+                "delta_pct": 100 * delta_fraction,
+                **timed,
+            }
+        )
+    return records
 
 
 # ----------------------------------------------------------------------
 # Exp-4 — memory (Figure 8)
 # ----------------------------------------------------------------------
-def exp4_memory(scale: float = 0.3) -> ExperimentResult:
+def exp4_memory(scale: float = 0.3) -> List[Record]:
     """Figure 8: memory footprint after processing |ΔG| = 1% on OKT."""
-    result = ExperimentResult(
-        title="Figure 8: memory usage on OKT proxy (MB), |ΔG|=1%",
-        headers=["Algorithm", "batch A", "Inc (state)", "Competitor (structures)"],
-    )
+    records = []
+    mb = 1.0 / (1024 * 1024)
     for name, setup in ALL_SETUPS.items():
         graph = _graph_for(setup, "OKT", scale)
         query = setup.make_query(graph)
@@ -394,9 +353,7 @@ def exp4_memory(scale: float = 0.3) -> ExperimentResult:
         comp.apply(delta)
         comp_bytes = deep_size_bytes(comp) - deep_size_bytes(comp.graph)
 
-        mb = 1.0 / (1024 * 1024)
-        result.rows.append([name, batch_bytes * mb, inc_bytes * mb, max(0.0, comp_bytes * mb)])
-        result.records.append(
+        records.append(
             {
                 "name": f"fig8_{name}",
                 "query_class": name,
@@ -405,25 +362,19 @@ def exp4_memory(scale: float = 0.3) -> ExperimentResult:
                 "batch_mb": round(batch_bytes * mb, 4),
                 "inc_mb": round(inc_bytes * mb, 4),
                 "competitor_mb": round(max(0.0, comp_bytes * mb), 4),
-                "inc_over_batch": round(inc_bytes / batch_bytes, 3) if batch_bytes else None,
+                "inc_over_batch": _ratio(inc_bytes, batch_bytes),
             }
         )
-    result.notes.append("deducible IncSSSP/IncDFS/IncLCC ≈ batch; weakly deducible add timestamps")
-    return result
+    return records
 
 
 # ----------------------------------------------------------------------
-# Ablation — scope function h vs brute-force PE reset (DESIGN.md §5)
+# Ablations (DESIGN.md §5)
 # ----------------------------------------------------------------------
-def ablation_scope(scale: float = 0.3, samples: int = 6) -> ExperimentResult:
+def ablation_scope(scale: float = 0.3, samples: int = 6) -> List[Record]:
     """Figure-4 h vs Example-2 PE reset on CC edge deletions."""
-    result = ExperimentResult(
-        title="Ablation: bounded scope function h vs brute-force PE reset (CC, OKT proxy)",
-        headers=["Update", "IncCC accesses", "NaiveIncCC accesses", "ratio"],
-    )
-    from ..algorithms import CCfp, IncCC
-
     graph = undirected_view(_dataset_graph("OKT", scale))
+    records = []
     for i in range(samples):
         delta = random_updates(graph, 1, insert_fraction=0.0, seed=71 + i)
         g1, s1 = graph.copy(), CCfp().run(graph.copy())
@@ -431,42 +382,71 @@ def ablation_scope(scale: float = 0.3, samples: int = 6) -> ExperimentResult:
         g2, s2 = graph.copy(), CCfp().run(graph.copy())
         naive = NaiveIncCC().apply(g2, s2, delta)
         assert dict(s1.values) == dict(s2.values)
-        ratio = naive.total_accesses / max(1, smart.total_accesses)
-        kind = type(delta[0]).__name__
-        result.rows.append([f"{kind} #{i}", smart.total_accesses, naive.total_accesses, ratio])
-        result.records.append(
+        records.append(
             {
                 "name": f"ablation_scope_{i}",
                 "dataset": "OKT",
-                "update": kind,
+                "update": type(delta[0]).__name__,
                 "changed": 1,
                 "aff": smart.affected_size,
                 "smart_accesses": smart.total_accesses,
                 "naive_accesses": naive.total_accesses,
-                "access_ratio": round(ratio, 2),
+                "access_ratio": round(naive.total_accesses / max(1, smart.total_accesses), 2),
             }
         )
-    result.notes.append("Example-2 reset floods whole components; Figure-4 h stays in AFF")
-    return result
+    return records
 
 
-# ----------------------------------------------------------------------
-def run_all(scale: float = 0.3) -> List[ExperimentResult]:
-    """Every experiment at a common scale (used by ``python -m repro.bench``)."""
-    results = [table1(scale)]
-    for name in ("SSSP", "CC", "Sim", "DFS", "LCC"):
-        results.append(exp1_unit_updates(name, scale=scale, n_updates=15))
-    results.append(exp1_aff(scale=min(scale, 0.2)))
-    results.append(exp2_vary_delta("SSSP", "FS", (0.02, 0.04, 0.08, 0.16, 0.32), scale))
-    results.append(exp2_vary_delta("SSSP", "TW", (0.02, 0.04, 0.08, 0.16, 0.32), scale))
-    results.append(exp2_vary_delta("CC", "OKT", (0.04, 0.08, 0.16, 0.32, 0.64), scale))
-    results.append(exp2_vary_delta("Sim", "DP", (0.02, 0.04, 0.16, 0.64), scale))
-    results.append(exp2_vary_delta("Sim", "FS", (0.02, 0.04, 0.16, 0.64), scale))
-    results.append(exp2_vary_delta("LCC", "LJ", (0.02, 0.04, 0.08, 0.16, 0.32), scale))
-    results.append(exp2_vary_delta("DFS", "OKT", (0.005, 0.01, 0.02, 0.04, 0.08), scale))
-    results.append(exp2_temporal(scale))
-    for name in ("SSSP", "CC", "Sim"):
-        results.append(exp3_scalability(name))
-    results.append(exp4_memory(min(scale, 0.3)))
-    results.append(ablation_scope(min(scale, 0.3)))
-    return results
+class PullSSSPSpec(SSSPSpec):
+    """SSSP with push propagation disabled (pure pull re-evaluation)."""
+
+    supports_push = False
+
+    def relaxation_pairs(self, delta, graph_new, query):
+        return None  # full seed evaluation as well
+
+
+def ablation_push(scale: float = 0.3, repeats: int = 3) -> List[Record]:
+    """Push vs pull step-function propagation in the generic engine.
+
+    The engine's push mode relaxes one dependent per edge instead of
+    re-pulling whole input sets — the schedule real Dijkstra/min-label
+    implementations use.  Measured on the batch run over G ⊕ ΔG and on
+    incremental maintenance (hub re-evaluation is the pull engine's weak
+    spot on power-law proxies), FS proxy, |ΔG| = 4%.
+    """
+    graph = _dataset_graph("FS", scale)
+    query = largest_component_root(graph)
+    delta = random_updates(graph, max(1, graph.size // 25), seed=7)
+    new_graph = updated_copy(graph, delta)
+    specs = {"push": SSSPSpec(), "pull": PullSSSPSpec()}
+
+    batch = {
+        mode: best_of(lambda: run_batch(spec, new_graph, query, engine="generic"), repeats)
+        for mode, spec in specs.items()
+    }
+    inc = {}
+    for mode, spec in specs.items():
+        state = run_batch(spec, graph.copy(), query, engine="generic")
+        inc[mode] = best_of(
+            lambda algo, g, s: algo.apply(g, s, delta, query),
+            repeats,
+            lambda: (IncrementalAlgorithm(spec, engine="generic"), graph.copy(), state.copy()),
+        )
+    aff = inc["push"].result.affected_size
+    records = []
+    for kind, timings, row_aff in (("batch", batch, None), ("inc", inc, aff)):
+        push, pull = timings["push"], timings["pull"]
+        records.append(
+            {
+                "name": f"ablation_push_{kind}",
+                "dataset": "FS",
+                "changed": delta.size,
+                "aff": row_aff,
+                "repeats": repeats,
+                "push_ms": _ms(push.seconds),
+                "pull_ms": _ms(pull.seconds),
+                "pull_over_push": _ratio(pull.seconds, push.seconds),
+            }
+        )
+    return records

@@ -16,7 +16,7 @@ from ..baselines import DynCC, DynDFS, DynDij, DynLCC, IncMatch, RRSSSP
 from ..generators.patterns import random_pattern
 from ..generators.random_graphs import largest_component_root
 from ..graph.graph import Graph
-from ..metrics.timers import time_call
+from ..metrics.timers import best_of
 from .tables import geometric_mean  # noqa: F401  (canonical home; re-exported)
 
 
@@ -110,8 +110,7 @@ def undirected_view(graph: Graph) -> Graph:
     return out
 
 
-def time_batch(setup: QueryClassSetup, graph: Graph, query: Any) -> float:
-    """Seconds for a from-scratch batch run (what recomputation costs)."""
-    algo = setup.batch_factory()
-    _state, seconds = time_call(algo.run, graph, query)
-    return seconds
+def time_batch(setup: QueryClassSetup, graph: Graph, query: Any, repeats: int = 1) -> float:
+    """Best-of-``repeats`` seconds for a from-scratch batch run (what
+    recomputation costs)."""
+    return best_of(lambda: setup.batch_factory().run(graph, query), repeats).seconds

@@ -1,16 +1,10 @@
-"""Table rendering and summary-statistic helpers.
-
-One code path formats every table in the project: the terminal tables
-of ``python -m repro.bench``, the markdown of ``reproduction_run.md``,
-and the registry trend reports of ``repro bench report``
-(:mod:`repro.evalhub.report`).
-"""
+"""Summary-statistic and markdown-table helpers for the registry trend
+reports of ``repro bench report`` (:mod:`repro.evalhub.report`)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, List, Sequence
+from typing import Any, Sequence
 
 
 def geometric_mean(values) -> float:
@@ -35,26 +29,6 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = "") -> str:
-    """Render a fixed-width table (markdown-ish pipes)."""
-    grid = [[_cell(x) for x in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in grid:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-
-    def line(cells: Sequence[str]) -> str:
-        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-
-    parts: List[str] = []
-    if title:
-        parts.append(title)
-    parts.append(line(list(headers)))
-    parts.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    parts.extend(line(row) for row in grid)
-    return "\n".join(parts)
-
-
 def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     """Render a GitHub-flavoured markdown table (cells via :func:`_cell`)."""
     lines = [
@@ -64,30 +38,3 @@ def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str
     for row in rows:
         lines.append("| " + " | ".join(_cell(x) for x in row) + " |")
     return "\n".join(lines)
-
-
-@dataclass
-class ExperimentResult:
-    """A rendered experiment: title, table, and free-form notes.
-
-    ``records`` carries the same measurements as flat registry rows
-    (metric fields plus |CHANGED|/|AFF| counter blocks where the
-    experiment knows them) so the evaluation hub can append an
-    experiment run to ``benchmarks/results/`` without re-parsing the
-    human-facing table.
-    """
-
-    title: str
-    headers: Sequence[str]
-    rows: List[Sequence[Any]] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-    records: List[dict] = field(default_factory=list)
-
-    def format(self) -> str:
-        text = format_table(self.headers, self.rows, title=f"== {self.title} ==")
-        if self.notes:
-            text += "\n" + "\n".join(f"  note: {n}" for n in self.notes)
-        return text
-
-    def show(self) -> None:
-        print(self.format())

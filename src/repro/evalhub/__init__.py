@@ -14,7 +14,9 @@ package is where those numbers live:
     The suite catalog — kernels, serve, fig6/fig7/fig8, table1,
     ablation — each runnable at a named scale (``smoke``/``small``/
     ``full``) and returning registry rows with counter blocks
-    (|CHANGED|, |AFF|, kernel_stats, ProtocolStats).
+    (|CHANGED|, |AFF|, kernel_stats, ProtocolStats).  It is the only
+    producer of benchmark numbers; ``kernels`` and ``serving`` hold the
+    engine suites' measurement code.
 
 ``report``
     Paper-style markdown trend tables (the rtl-repair
@@ -26,7 +28,7 @@ package is where those numbers live:
     CI regression gates: compare the latest run against the last
     comparable recorded run under per-metric tolerances declared in
     ``benchmarks/gates.toml``, and enforce absolute ceilings (e.g. the
-    3.5-scatter deletion-window budget).
+    one-scatter deletion-window budget).
 
 Everything is surfaced through ``repro bench run|report|gate``.
 """

@@ -2,7 +2,7 @@
 
 ``repro bench gate`` evaluates the declarations in
 ``benchmarks/gates.toml`` against the latest recorded run of each
-suite: absolute ceilings/floors (e.g. the 3.5-scatter deletion-window
+suite: absolute ceilings/floors (e.g. the one-scatter deletion-window
 budget, zero isolation violations) always apply; relative tolerances
 compare against the newest earlier run from the *same comparability
 group* (host key + scale) with a **clean** git tree — dirty-tree runs
@@ -16,10 +16,10 @@ Gate entry schema (TOML)::
     [[gate]]
     suite = "serve"                        # registry suite
     metric = "scatters_per_deletion_window"
-    rows = ["smoke_delete*", "delete_heavy"]   # fnmatch on row name
+    rows = ["smoke_delete*", "delete_heavy*"]  # fnmatch on row name
     direction = "lower"                    # which way is better
     aggregate = "mean"                     # mean | geomean | max | min
-    max = 3.5                              # absolute ceiling (optional)
+    max = 1.0                              # absolute ceiling (optional)
     tolerance = 0.15                       # relative drift allowed vs baseline
 """
 

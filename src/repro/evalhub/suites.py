@@ -1,31 +1,32 @@
 """The benchmark suite catalog: every suite the registry can record.
 
 Each :class:`Suite` knows how to execute itself at a named scale
-(``smoke``/``small``/``full``) and return flat registry rows.  The
-paper-reproduction suites (fig6/fig7/fig8/table1/ablation) run through
-:mod:`repro.bench.experiments` and use the ``records`` the experiments
-emit; the engine suites (kernels/serve) drive the measurement code in
-``benchmarks/bench_kernels.py`` / ``benchmarks/bench_serve.py`` — one
-code path whether invoked standalone or via ``repro bench run``.
+(``smoke``/``small``/``full``) and return flat registry rows.  This is
+the only producer of benchmark numbers: the paper-reproduction suites
+(fig6/fig7/fig8/table1/ablation) run :mod:`repro.bench.experiments`, and
+the engine suites (kernels/serve) run :mod:`repro.evalhub.kernels` and
+:mod:`repro.evalhub.serving`.  The scales below are the only settings.
 
 At ``smoke`` scale the kernels and serve suites *first* run their hard
 correctness gates (kernel == generic, zero torn reads, scatter budget)
 and only then record the timed rows, so a CI smoke run is both a
-correctness check and a gated data point.
+correctness check and a gated data point.  The paper suites time every
+A_Δ / batch / loop / competitor point as the best of :data:`REPEATS`
+calls after a warmup.
 """
 
 from __future__ import annotations
 
-import importlib
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from .registry import repo_root
 
 #: The named scales every suite understands.
 SCALES = ("smoke", "small", "full")
+
+#: Timed calls per measured point (after one warmup), per scale.
+REPEATS = {"smoke": 2, "small": 3, "full": 5}
 
 
 class SuiteError(ReproError):
@@ -62,96 +63,84 @@ class Suite:
 
 
 # ----------------------------------------------------------------------
-# Engine suites: drive benchmarks/bench_kernels.py / bench_serve.py
+# Engine suites: repro.evalhub.kernels / repro.evalhub.serving
 # ----------------------------------------------------------------------
-def _load_bench_module(name: str):
-    """Import a ``benchmarks/*.py`` measurement module by location.
-
-    ``benchmarks/`` is deliberately not a package (its files double as
-    pytest-benchmark suites); the registry runner borrows them through a
-    path import so there is exactly one measurement code path.
-    """
-    root = repo_root()
-    bench_dir = root / "benchmarks" if root is not None else None
-    if bench_dir is None or not bench_dir.is_dir():
-        raise SuiteError(
-            f"cannot locate benchmarks/ (not running from a checkout); "
-            f"suite {name!r} needs the measurement scripts"
-        )
-    if str(bench_dir) not in sys.path:
-        sys.path.insert(0, str(bench_dir))
-    return importlib.import_module(name)
-
-
 def _kernels_runner(scale: str) -> List[Dict[str, Any]]:
-    mod = _load_bench_module("bench_kernels")
+    from . import kernels
+
     if scale == "smoke":
-        if mod.smoke() != 0:
-            raise SuiteError("kernels smoke checks failed (kernel != generic)")
-        return mod.run_full(edges_sweep=(2_000,), ops=60, repeats=1)
+        kernels.smoke()
+        return kernels.run(edges_sweep=(2_000,), ops=60, repeats=1)
     if scale == "small":
-        return mod.run_full(edges_sweep=(10_000,), ops=150, repeats=2)
-    return mod.run_full(edges_sweep=(10_000, 100_000), ops=300, repeats=5)
+        return kernels.run(edges_sweep=(10_000,), ops=150, repeats=2)
+    return kernels.run(edges_sweep=(10_000, 100_000), ops=300, repeats=5)
 
 
 def _serve_runner(scale: str) -> List[Dict[str, Any]]:
-    mod = _load_bench_module("bench_serve")
+    from . import serving
+
     if scale == "smoke":
-        rows: List[Dict[str, Any]] = []
-        if mod.smoke(duration=1.5, collect=rows) != 0:
-            raise SuiteError("serve smoke checks failed (isolation/scatter gate)")
-        return rows
-    try:
-        if scale == "small":
-            return mod.run_full((1, 2), duration=2.0, threads=8, edges=1_000)
-        return mod.run_full((1, 2, 4, 8), duration=4.0, threads=8, edges=2_000)
-    except RuntimeError as exc:
-        raise SuiteError(str(exc)) from None
+        return serving.smoke(duration=1.5)
+    if scale == "small":
+        return serving.run((1, 2), duration=2.0, threads=8, edges=1_000)
+    return serving.run((1, 2, 4, 8), duration=4.0, threads=8, edges=2_000)
 
 
 # ----------------------------------------------------------------------
-# Paper-reproduction suites: run repro.bench experiments, keep records
+# Paper-reproduction suites: repro.bench experiments
 # ----------------------------------------------------------------------
-def _records(*results) -> List[Dict[str, Any]]:
+def _records(*experiments: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     rows: List[Dict[str, Any]] = []
-    for result in results:
-        if not result.records:
-            raise SuiteError(f"experiment {result.title!r} produced no registry records")
-        rows.extend(result.records)
+    for records in experiments:
+        if not records:
+            raise SuiteError("an experiment produced no registry records")
+        rows.extend(records)
     return rows
 
 
 def _fig6_runner(scale: str) -> List[Dict[str, Any]]:
-    from ..bench.experiments import exp1_unit_updates
+    from ..bench.experiments import exp1_aff, exp1_unit_updates
 
     params = {
-        "smoke": (("SSSP", "CC"), ("LJ",), 0.06, 4),
-        "small": (("SSSP", "CC", "Sim", "DFS", "LCC"), ("LJ", "TW"), 0.2, 10),
+        "smoke": (("SSSP", "CC"), ("LJ",), 0.06, 4, 2),
+        "small": (("SSSP", "CC", "Sim", "DFS", "LCC"), ("LJ", "TW"), 0.2, 10, 4),
         "full": (
             ("SSSP", "CC", "Sim", "DFS", "LCC"),
             ("WD", "LJ", "DP", "OKT", "TW", "FS"),
             0.3,
             15,
+            8,
         ),
     }[scale]
-    classes, datasets, data_scale, n_updates = params
+    classes, datasets, data_scale, n_updates, aff_samples = params
     return _records(
         *(
             exp1_unit_updates(qc, scale=data_scale, n_updates=n_updates, datasets=datasets)
             for qc in classes
-        )
+        ),
+        exp1_aff(scale=data_scale, samples=aff_samples),
     )
 
 
-#: The Figure-7 (query class, dataset, |ΔG| percentages) sweep per scale.
-_FIG7_COMBOS = {
-    "smoke": ((("SSSP", "FS", (0.02, 0.08)),), 0.06),
+#: The Figure-7 sweep per scale: (query class, dataset, |ΔG| fractions)
+#: combos for Fig. 7(a-f) at a dataset scale; the temporal replay of
+#: Fig. 7(g-i) at the same scale as (months, classes); the |G| sweep of
+#: Fig. 7(j-l) as (classes, node counts).
+_FIG7 = {
+    "smoke": (
+        (("SSSP", "FS", (0.02, 0.08)),),
+        0.06,
+        (2, ("SSSP",)),
+        (("SSSP",), (60, 120)),
+    ),
     "small": (
         (
             ("SSSP", "FS", (0.02, 0.08, 0.32)),
             ("CC", "OKT", (0.04, 0.16, 0.64)),
         ),
         0.3,
+        (3, ("SSSP", "CC", "Sim")),
+        (("SSSP", "CC", "Sim"), (250, 500, 1000)),
     ),
     "full": (
         (
@@ -159,20 +148,29 @@ _FIG7_COMBOS = {
             ("SSSP", "TW", (0.02, 0.04, 0.08, 0.16, 0.32)),
             ("CC", "OKT", (0.04, 0.08, 0.16, 0.32, 0.64)),
             ("Sim", "DP", (0.02, 0.04, 0.16, 0.64)),
+            ("Sim", "FS", (0.02, 0.04, 0.16, 0.64)),
             ("LCC", "LJ", (0.02, 0.04, 0.08, 0.16, 0.32)),
             ("DFS", "OKT", (0.005, 0.01, 0.02, 0.04, 0.08)),
         ),
         0.5,
+        (5, ("SSSP", "CC", "Sim")),
+        (("SSSP", "CC", "Sim"), (500, 1000, 2000, 4000)),
     ),
 }
 
 
 def _fig7_runner(scale: str) -> List[Dict[str, Any]]:
-    from ..bench.experiments import exp2_vary_delta
+    from ..bench.experiments import exp2_temporal, exp2_vary_delta, exp3_scalability
 
-    combos, data_scale = _FIG7_COMBOS[scale]
+    combos, data_scale, (months, wd_classes), (sweep, nodes) = _FIG7[scale]
+    repeats = REPEATS[scale]
     return _records(
-        *(exp2_vary_delta(qc, ds, pcts, scale=data_scale) for qc, ds, pcts in combos)
+        *(
+            exp2_vary_delta(qc, ds, pcts, scale=data_scale, repeats=repeats)
+            for qc, ds, pcts in combos
+        ),
+        exp2_temporal(scale=data_scale, months=months, classes=wd_classes, repeats=repeats),
+        *(exp3_scalability(qc, node_counts=nodes, repeats=repeats) for qc in sweep),
     )
 
 
@@ -185,14 +183,18 @@ def _fig8_runner(scale: str) -> List[Dict[str, Any]]:
 def _table1_runner(scale: str) -> List[Dict[str, Any]]:
     from ..bench.experiments import table1
 
-    return _records(table1(scale={"smoke": 0.06, "small": 0.3, "full": 0.5}[scale]))
+    data_scale = {"smoke": 0.06, "small": 0.3, "full": 0.5}[scale]
+    return _records(table1(scale=data_scale, repeats=REPEATS[scale]))
 
 
 def _ablation_runner(scale: str) -> List[Dict[str, Any]]:
-    from ..bench.experiments import ablation_scope
+    from ..bench.experiments import ablation_push, ablation_scope
 
     data_scale, samples = {"smoke": (0.06, 2), "small": (0.2, 4), "full": (0.3, 6)}[scale]
-    return _records(ablation_scope(scale=data_scale, samples=samples))
+    return _records(
+        ablation_scope(scale=data_scale, samples=samples),
+        ablation_push(scale=data_scale, repeats=REPEATS[scale]),
+    )
 
 
 SUITES: Dict[str, Suite] = {
@@ -221,16 +223,19 @@ SUITES: Dict[str, Suite] = {
         ),
         Suite(
             "fig6",
-            "Figure 6: per-unit-update latency, deduced IncX vs fine-tuned competitor",
+            "Figure 6: per-unit-update latency, deduced IncX vs fine-tuned competitor;"
+            " Exp-1(c) |AFF| share",
             _fig6_runner,
             trends=(
                 TrendSpec("inc_ins_ms", ("name",), direction="lower"),
                 TrendSpec("inc_del_ms", ("name",), direction="lower"),
+                TrendSpec("aff_del_pct", ("name",), direction="lower"),
             ),
         ),
         Suite(
             "fig7",
-            "Figure 7: batch updates of growing |ΔG| — Inc vs batch vs unit loop",
+            "Figure 7: batch updates of growing |ΔG|, temporal months, |G| sweep"
+            " — Inc vs batch vs unit loop",
             _fig7_runner,
             trends=(TrendSpec("speedup_vs_batch", ("name", "delta_pct")),),
         ),
@@ -248,9 +253,13 @@ SUITES: Dict[str, Suite] = {
         ),
         Suite(
             "ablation",
-            "scope-function h vs brute-force PE reset (data accesses)",
+            "scope-function h vs brute-force PE reset (data accesses);"
+            " push vs pull propagation",
             _ablation_runner,
-            trends=(TrendSpec("access_ratio", ("name",)),),
+            trends=(
+                TrendSpec("access_ratio", ("name",)),
+                TrendSpec("pull_over_push", ("name",)),
+            ),
         ),
     )
 }

@@ -5,7 +5,7 @@ and the thread-safe latency/queue-depth recorders the serving layer
 from .counters import AccessCounter, NullCounter
 from .latency import DepthGauge, LatencyRecorder, percentiles
 from .memory import deep_size_bytes, state_size_bytes
-from .timers import Stopwatch, time_call
+from .timers import Stopwatch, Timing, best_of, time_call
 
 __all__ = [
     "AccessCounter",
@@ -13,6 +13,8 @@ __all__ = [
     "LatencyRecorder",
     "NullCounter",
     "Stopwatch",
+    "Timing",
+    "best_of",
     "deep_size_bytes",
     "percentiles",
     "state_size_bytes",

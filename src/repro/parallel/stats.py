@@ -5,8 +5,8 @@ fan-out, payload bytes) and which write windows contained a deletion.
 Every window costs exactly one ``apply`` scatter, so
 ``scatters_per_deletion_window`` is 1.0 by construction; the block is
 surfaced through ``repro serve`` stats (``"protocol"``) and recorded by
-``benchmarks/bench_serve.py``, whose smoke gate holds the window cost at
-that figure.
+the ``serve`` benchmark suite (:mod:`repro.evalhub.serving`), whose smoke
+gate holds the window cost at that figure.
 
 Counters follow the serving tier's scrape-and-reset discipline: a
 ``window`` block zeroed by ``snapshot(reset=True)`` plus a ``lifetime``

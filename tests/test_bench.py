@@ -1,9 +1,10 @@
-"""Smoke tests for the experiment harness (tiny scales, shape checks)."""
+"""Smoke tests for the experiment harness (tiny scales, record checks)."""
 
 import pytest
 
 from repro.bench import (
     ALL_SETUPS,
+    ablation_push,
     ablation_scope,
     exp1_aff,
     exp1_unit_updates,
@@ -11,28 +12,21 @@ from repro.bench import (
     exp2_vary_delta,
     exp3_scalability,
     exp4_memory,
-    format_table,
     table1,
     undirected_view,
 )
-from repro.bench.tables import ExperimentResult
+from repro.bench.tables import markdown_table
 from repro.graph import from_edges
 
 TINY = 0.06
 
 
 class TestTables:
-    def test_format_table_alignment(self):
-        text = format_table(["a", "bb"], [[1, 2.5], ["xxx", 0.0001]], title="T")
+    def test_markdown_table_formats_cells(self):
+        text = markdown_table(["a", "bb"], [[1, 2.5], ["xxx", 0.0001], ["n", float("nan")]])
         lines = text.splitlines()
-        assert lines[0] == "T"
-        assert all(line.startswith("|") for line in lines[1:])
-        assert "0.0001" in text
-
-    def test_experiment_result_format(self):
-        result = ExperimentResult(title="X", headers=["h"], rows=[[1]], notes=["n"])
-        out = result.format()
-        assert "== X ==" in out and "note: n" in out
+        assert lines[:2] == ["| a | bb |", "|---|---|"]
+        assert lines[2:] == ["| 1 | 2.50 |", "| xxx | 0.0001 |", "| n | - |"]
 
 
 class TestHelpers:
@@ -50,50 +44,48 @@ class TestHelpers:
 
 @pytest.mark.slow
 class TestExperimentsSmoke:
-    """Each experiment runs at miniature scale and yields plausible rows."""
+    """Each experiment runs at miniature scale and yields plausible records."""
 
     def test_table1(self):
-        result = table1(scale=TINY)
-        assert [row[0] for row in result.rows] == ["SSSP", "Sim", "LCC"]
-        assert all(row[1] > 0 for row in result.rows)
+        records = table1(scale=TINY, repeats=2)
+        assert [r["query_class"] for r in records] == ["SSSP", "Sim", "LCC"]
+        for r in records:
+            assert r["batch_ms"] > 0 and r["repeats"] == 2 and r["inc_spread"] >= 1.0
 
     def test_exp1_unit_updates(self):
-        result = exp1_unit_updates("SSSP", scale=TINY, n_updates=4, datasets=("LJ", "DP"))
-        assert len(result.rows) == 2
-        assert all(len(row) == 5 for row in result.rows)
+        records = exp1_unit_updates("SSSP", scale=TINY, n_updates=4, datasets=("LJ", "DP"))
+        assert [r["dataset"] for r in records] == ["LJ", "DP"]
+        assert all(r["changed"] == 1 and r["inc_ins_ms"] > 0 for r in records)
 
     def test_exp1_aff_reports_boundedness(self):
-        result = exp1_aff(scale=TINY, samples=2)
-        assert {row[0] for row in result.rows} == {"IncSSSP", "IncCC", "IncSim", "IncLCC"}
-        assert all(row[3] == "yes" for row in result.rows)
+        records = exp1_aff(scale=TINY, samples=2)
+        assert {r["query_class"] for r in records} == {"SSSP", "CC", "Sim", "LCC"}
+        assert all(r["scope_bounded"] for r in records)
 
     def test_exp2_vary_delta(self):
-        result = exp2_vary_delta("CC", "OKT", (0.02, 0.08), scale=TINY)
-        assert [row[0] for row in result.rows] == [2.0, 8.0]
+        records = exp2_vary_delta("CC", "OKT", (0.02, 0.08), scale=TINY, repeats=1)
+        assert [r["delta_pct"] for r in records] == [2.0, 8.0]
+        assert records[0]["changed"] < records[1]["changed"]
 
     def test_exp2_temporal(self):
-        result = exp2_temporal(scale=TINY, months=2)
-        assert [row[0] for row in result.rows] == ["SSSP", "CC", "Sim"]
-        assert all(0.0 <= row[5] <= 100.0 for row in result.rows)
+        records = exp2_temporal(scale=TINY, months=2, repeats=1)
+        assert [r["query_class"] for r in records] == ["SSSP", "CC", "Sim"]
+        assert all(0.0 <= r["h_share_pct"] <= 100.0 for r in records)
 
     def test_exp3_scalability_rows_grow(self):
-        result = exp3_scalability("SSSP", node_counts=(60, 120))
-        assert result.rows[1][0] > result.rows[0][0]
+        records = exp3_scalability("SSSP", node_counts=(60, 120), repeats=1)
+        assert records[1]["graph_size"] > records[0]["graph_size"]
 
     def test_exp4_memory(self):
-        result = exp4_memory(scale=TINY)
-        assert len(result.rows) == 5
-        assert all(row[1] > 0 for row in result.rows)
+        records = exp4_memory(scale=TINY)
+        assert len(records) == 5
+        assert all(r["batch_mb"] > 0 for r in records)
 
     def test_ablation_scope_shows_flooding(self):
-        result = ablation_scope(scale=TINY, samples=2)
-        assert all(row[3] >= 1.0 for row in result.rows)
+        records = ablation_scope(scale=TINY, samples=2)
+        assert all(r["access_ratio"] >= 1.0 for r in records)
 
-    def test_main_entry_point(self, capsys):
-        from repro.bench.__main__ import main
-
-        # Running everything at tiny scale should complete and print tables.
-        assert main(["--scale", str(TINY)]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
-        assert "Figure 8" in out
+    def test_ablation_push_rows(self):
+        records = ablation_push(scale=TINY, repeats=1)
+        assert [r["name"] for r in records] == ["ablation_push_batch", "ablation_push_inc"]
+        assert all(r["push_ms"] > 0 and r["pull_ms"] > 0 for r in records)

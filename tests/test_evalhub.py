@@ -15,6 +15,7 @@ from repro.cli import main as cli_main
 from repro.errors import ReproError
 from repro.evalhub import (
     RECORD_SCHEMA,
+    SUITES,
     Registry,
     RunRecord,
     generate_report,
@@ -22,6 +23,7 @@ from repro.evalhub import (
     host_record,
     load_gates,
     run_gates,
+    run_suite,
 )
 from repro.evalhub.gates import Gate, GateConfigError
 from repro.evalhub.registry import RegistryError, comparable, repo_root
@@ -385,3 +387,24 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         for name in ("kernels", "serve", "fig6", "fig7", "fig8", "table1", "ablation"):
             assert name in out
+
+
+PAPER_SUITES = ("fig6", "fig7", "fig8", "table1", "ablation")
+
+
+class TestPaperSuites:
+    """Every paper figure has one producer: its registry suite."""
+
+    def test_smoke_suites_record_and_report(self, tmp_path):
+        registry = Registry(root=tmp_path)
+        for name in PAPER_SUITES:
+            rows = run_suite(name, "smoke")
+            assert rows, name
+            for row in rows:
+                assert "name" in row and "changed" in row, (name, row)
+            for trend in SUITES[name].trends:
+                assert any(trend.metric in row for row in rows), (name, trend.metric)
+            registry.append(name, rows, host=HOST_A, scale="smoke")
+        report = generate_report(registry)
+        for name in PAPER_SUITES:
+            assert f"## Suite `{name}`" in report

@@ -6,6 +6,7 @@ from repro.metrics import (
     AccessCounter,
     NullCounter,
     Stopwatch,
+    best_of,
     deep_size_bytes,
     state_size_bytes,
     time_call,
@@ -104,6 +105,18 @@ class TestTimers:
         result, seconds = time_call(sum, [1, 2, 3])
         assert result == 6
         assert seconds >= 0.0
+
+    def test_best_of_warms_up_and_prepares_outside_timing(self):
+        prepared = []
+
+        def prepare():
+            prepared.append([])
+            return (prepared[-1],)
+
+        timing = best_of(lambda xs: xs.append(1) or len(xs), 3, prepare=prepare)
+        assert len(prepared) == 4  # one warmup + three timed calls
+        assert timing.result == 1  # every call got fresh arguments
+        assert timing.spread >= 1.0 and timing.seconds >= 0.0
 
 
 class TestLatencyRecorder:
