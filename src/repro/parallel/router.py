@@ -29,9 +29,9 @@ One write window:
    global batch, possibly empty, so shard WAL seqs stay in lockstep with
    the global seq) plus *pins*: the writer's post-window value of every
    key present on that shard that is in ``ΔO`` or newly materialized
-   there.  The worker applies its sub-batches through its own session,
-   then lands exactly on the writer's values
-   (:meth:`~repro.parallel.worker.ShardWorker.handle`, ``apply``).
+   there.  The worker applies its sub-batches to its fragment graphs
+   only — no ``A_Δ`` runs on a shard — then lands exactly on the
+   writer's values (:meth:`~repro.session.DynamicGraphSession.replicate`).
 
 Reads (``answer``) go to the writer.  Failure semantics: the writer
 commits or rolls back before anything is scattered; a failed scatter

@@ -12,8 +12,9 @@ vocabulary the router (:mod:`repro.parallel.router`) speaks:
                           a query on the fragment
 ``apply``                 apply a window of sub-batches (one per global
                           batch, possibly empty, so every shard's WAL
-                          seq advances in lockstep with the global seq),
-                          then pin the writer's values
+                          seq advances in lockstep with the global seq)
+                          to the fragment graphs, then pin the writer's
+                          values; no ``A_Δ`` runs
 ``pin``                   pin the writer's values (registration and
                           recovery)
 ``export_fragment``       the fragment graph (recovery reassembly)
@@ -21,12 +22,15 @@ vocabulary the router (:mod:`repro.parallel.router`) speaks:
 ``info``                  seq + registered queries (recovery handshake)
 ========================  ============================================
 
-The pin step keeps the replica contract: after every command, each
-query's value on every fragment node equals the writer's.  ``apply``
-ships pins for the keys the writer's ``ΔO`` touched and the nodes newly
-materialized on this fragment; any other key the local ``A_Δ`` changed
-is reset to its pre-window value, which by the contract is the writer's
-unchanged value.
+Both ``apply`` and ``pin`` are one call to
+:meth:`~repro.session.DynamicGraphSession.replicate` (``pin`` with an
+empty stream), which keeps the replica contract: after every command,
+each query's value on every fragment node equals the writer's, and no
+query holds a value for a node outside the fragment.  By Theorems 1 and
+3 the writer's one ``A_Δ`` run on the global graph already yields those
+values, so the shard never re-runs it: ``apply`` ships pins for the keys
+the writer's ``ΔO`` touched and the nodes newly materialized on this
+fragment, and every other key keeps its (already equal) value.
 
 The worker runs either in-process (tests, recovery, ``shards=1``
 plumbing checks) or as a child process speaking pickled request/response
@@ -36,12 +40,11 @@ dicts over a :mod:`multiprocessing` pipe (:func:`shard_main`).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import ReproError
 from ..graph.graph import Graph
 from ..resilience import SessionConfig
-from ..resilience.faults import inject
 from ..session import DynamicGraphSession
 
 
@@ -76,21 +79,6 @@ class ShardWorker:
             return {"ok": False, "error": exc}
 
     # ------------------------------------------------------------------
-    def _pin(
-        self, pins: Dict[str, Dict[Hashable, Any]], results: Dict[str, Any]
-    ) -> None:
-        """Land every query exactly on the writer's values: ``pins`` plus
-        the pre-window value of every other key ``results`` changed."""
-        inject("shard.reconcile")
-        for name, result in results.items():
-            values = pins.setdefault(name, {})
-            for key, (old, new) in result.changes.items():
-                if key not in values and old is not None and new is not None:
-                    values[key] = old
-        for name, values in pins.items():
-            if values:
-                self.session.pin(name, values)
-
     def _cmd_register(self, request: Dict[str, Any]) -> Dict[str, Any]:
         if request["prelude"]:
             self.session.update_stream(request["prelude"])
@@ -102,12 +90,11 @@ class ShardWorker:
         return {"seq": self.session.seq}
 
     def _cmd_apply(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        results = self.session.update_stream(request["batches"])
-        self._pin(request["pins"], results)
+        self.session.replicate(request["batches"], request["pins"])
         return {"seq": self.session.seq}
 
     def _cmd_pin(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._pin(request["pins"], {})
+        self.session.replicate([], request["pins"])
         return {"seq": self.session.seq}
 
     def _cmd_export_fragment(self, request: Dict[str, Any]) -> Graph:

@@ -24,9 +24,9 @@ Site                         Fires
 ``engine.fixpoint``          on entry to :func:`~repro.core.engine.run_fixpoint`
 ``wal.mid-append``           between the two halves of a WAL record (torn write)
 ``checkpoint.mid-write``     after the temp file is written, before the rename
-``shard.reconcile``          on a sharded-tier worker, in its pin step: after
-                             its sub-batches applied, before the writer's values
-                             land
+``shard.reconcile``          on a sharded-tier worker, in its replica step: after
+                             ``G ⊕ ΔG`` on its fragment, before the writer's
+                             values land
 ===========================  ====================================================
 
 Plans can also be armed process-wide through the ``REPRO_FAULTS``

@@ -314,12 +314,11 @@ class DynamicGraphSession:
         if not stream:
             return {}
         if all(len(batch) == 0 for batch in stream):
-            # Seq-only window: a shard receiving the empty sub-batches of
-            # a window it does not participate in (repro.parallel.router)
-            # must advance its WAL seq in lockstep with the global seq,
-            # but there is no ΔG — skip the scratch copy, the transaction
-            # snapshots, and the per-query schedulers entirely so an idle
-            # shard's per-window cost does not scale with its fragment.
+            # Seq-only window: the sharded router's writer (_align_source)
+            # and a shard's register prelude consume one seq with no ΔG
+            # so every WAL seq stays in lockstep with the global seq —
+            # skip the scratch copy, the transaction snapshots, and the
+            # per-query schedulers entirely.
             seqs = [self._log(batch) for batch in stream]
             apply_starting(self, seqs[-1], durable=self._wal is not None)
             self._batches_applied += len(stream)
@@ -366,21 +365,50 @@ class DynamicGraphSession:
         self._run_cadences()
         return results
 
-    @guarded_mutation("session.pin")
-    def pin(self, name: str, values: Dict[Hashable, Any]) -> None:
-        """Overwrite some of ``name``'s values with externally derived ones.
+    @guarded_mutation("session.replicate")
+    def replicate(self, stream: List[Batch], pins: Dict[str, Dict[Hashable, Any]]) -> None:
+        """Apply ``stream`` to the graphs only, then land on ``pins``.
 
-        The replica step of the sharded tier (:mod:`repro.parallel`): a
-        shard lands on the router's global values after applying its
-        sub-batches.  Pins carry no ``ΔG``, so they are not WAL-logged;
-        sharded recovery re-pins every shard.
+        The replica step of the sharded tier (:mod:`repro.parallel`): the
+        router's writer already ran ``A_Δ`` on the global graph, so a
+        shard runs none.  Each batch is validated and WAL-logged as in
+        :meth:`update_stream` (shard seqs stay in lockstep with the
+        global seq) and applied to the reference graph and every query
+        replica; each query drops its ``removed_variables``.  ``pins``
+        then overwrite values with the writer's — they cover every key
+        whose global value changed and every newly materialized node.
+        Pins carry no ``ΔG``, so they are not WAL-logged; sharded
+        recovery re-pins every shard.  An empty ``stream`` only pins.
         """
-        registered = self._query(name)
-        registered.state.values.update(values)
-        if hasattr(registered.incremental, "_kernel_ctx"):
-            # Pinned values bypass the dense mirror; never trust it
-            # afterwards (same rule as _recompute).
+        live = [batch for batch in stream if len(batch)]
+        if len(live) == 1:
+            self._validate(live[0])  # validate_batch simulates within a batch
+        elif live:
+            scratch = self.graph.copy()
+            for batch in live:
+                self._validate(batch, graph=scratch)
+                apply_updates(scratch, batch)
+        seqs = [self._log(batch) for batch in stream]
+        if seqs:
+            apply_starting(self, seqs[-1], durable=self._wal is not None)
+        for batch in stream:
+            apply_updates(self.graph, batch)
+            for registered in self._queries.values():
+                apply_updates(registered.graph, batch)
+                for key in registered.batch.spec.removed_variables(
+                    batch, registered.graph, registered.query
+                ):
+                    registered.state.drop(key)
+            self._batches_applied += 1
+        inject("shard.reconcile")
+        for name, values in pins.items():
+            self._query(name).state.values.update(values)
+        for registered in self._queries.values():
+            # Values moved without the dense mirror, and a count-neutral
+            # move still passes KernelContext.matches; never trust it.
             registered.incremental._kernel_ctx = None
+        if stream:
+            self._run_cadences()
 
     # ------------------------------------------------------------------
     def _validate(self, delta: Batch, graph: Optional[Graph] = None) -> None:

@@ -6,7 +6,7 @@ answers of a single :class:`DynamicGraphSession` fed the same windows,
 deletions included.  CC answers are compared as partitions (component
 labels are representative-dependent).  Alongside it runs the *replica
 contract*: after every window each shard's session holds the writer's
-value on every node of its fragment.
+value on every node of its fragment and no value for any other key.
 """
 
 import random
@@ -60,13 +60,16 @@ def assert_equivalent(single, sharded, context=""):
 
 
 def assert_replicas_match(sharded, context=""):
-    """Every in-process shard holds the writer's values on its nodes."""
+    """Every in-process shard holds the writer's values on its nodes,
+    and no value for a key outside its fragment."""
     for shard, present in zip(sharded._shards, sharded._present):
         session = shard.worker.session
         assert set(session.graph.nodes()) == present, context
         for name in sharded.queries():
             writer = sharded._queries[name].state.values
             local = session._queries[name].state.values
+            stale = set(local) - set(session.graph.nodes())
+            assert not stale, f"{context} shard {shard.worker.index} {name} stale {stale!r}"
             for node in session.graph.nodes():
                 assert local.get(node) == writer.get(node), (
                     f"{context} shard {shard.worker.index} {name} {node!r}"
@@ -132,7 +135,7 @@ class TestBoundaryDeletions:
     def test_cut_edge_deletion_repairs_across_shards(self):
         # A path that is guaranteed to cross shard boundaries: deleting
         # an interior edge must raise downstream SSSP/SSWP/Reach values
-        # on *other* shards via the suspect protocol.
+        # on *other* shards via the writer's pins.
         g = random_graph(random.Random(0), 0, 0, directed=False)
         for v in range(10):
             g.ensure_node(v)
@@ -222,7 +225,7 @@ class TestBoundaryFlapProtocol:
         st.integers(min_value=0, max_value=10_000),
         st.lists(st.sampled_from(["delete", "reinsert", "both"]), min_size=4, max_size=10),
     )
-    def test_cut_edge_flaps_match_and_reset_once(self, seed, moves):
+    def test_cut_edge_flaps_match_in_one_scatter(self, seed, moves):
         g = random_graph(random.Random(0), 0, 0, directed=False)
         for v in range(12):
             g.ensure_node(v)
@@ -232,8 +235,8 @@ class TestBoundaryFlapProtocol:
         single, sharded = make_pair(g, shards=3, seed=seed)
         sharded.protocol_stats.snapshot(reset=True)
         rng = random.Random(seed)
-        # Flap edges that straddle shard boundaries: every reset chain
-        # the deletion triggers must cross fragments.
+        # Flap edges that straddle shard boundaries: every value change
+        # a deletion triggers must reach the other fragments as pins.
         owner = lambda v: sharded._owner(v)
         cut_edges = [e for e in path if owner(e[0]) != owner(e[1])] or path
         live = set(path)
@@ -318,9 +321,70 @@ class TestScatterCost:
             single.close()
 
 
-class TestExchangeFaults:
+class TestReplicaStep:
+    """Shards replicate ΔG and the writer's pins; they never run A_Δ."""
+
+    def test_shards_run_no_incremental_algorithm(self):
+        from repro.resilience.faults import injected
+
+        g = random_graph(random.Random(5), 20, 45, directed=False, weighted=True)
+        single, sharded = make_pair(g, shards=3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a shard ran A_Δ")
+
+        for shard in sharded._shards:
+            for registered in shard.worker.session._queries.values():
+                registered.incremental.apply = forbidden
+                registered.incremental.apply_stream = forbidden
+
+        graph, owner = sharded.graph, sharded._owner
+        edges = sorted(graph.edges())
+        cut = [e for e in edges if owner(e[0]) != owner(e[1])]
+        u = cut[0][0]
+        w = next(
+            x for x in sorted(graph.nodes())
+            if owner(x) != owner(u) and x != u and not graph.has_edge(u, x)
+        )
+        local = next(e for e in edges if owner(e[0]) == owner(e[1]))
+        victim = next(v for e in cut[2:] for v in e if v != 0 and v not in local)
+        label = graph.node_label(victim)
+        fresh = 100
+        anchor = next(x for x in sorted(graph.nodes()) if owner(x) != owner(fresh))
+        windows = [
+            # Cut-edge moves, there and back.
+            [Batch([EdgeDeletion(*cut[0]), EdgeInsertion(u, w, weight=1.0)])],
+            [Batch([EdgeDeletion(u, w), EdgeInsertion(*cut[0], weight=2.0)])],
+            [Batch([VertexInsertion(fresh, None, (EdgeInsertion(fresh, anchor, weight=1.0),))])],
+            [Batch([VertexDeletion(victim)])],
+            # Re-insertion of the deleted node, now hanging off the source.
+            [Batch([VertexInsertion(victim, label, (EdgeInsertion(victim, 0, weight=3.0),))])],
+            # An intra-shard edge: every other shard gets only empty sub-batches.
+            [Batch([EdgeDeletion(*local)]), Batch([EdgeInsertion(*local, weight=4.0)])],
+        ]
+        try:
+            for step, stream in enumerate(windows):
+                single.update_stream(stream)
+                sharded.update_stream(stream)
+                context = f"step {step}"
+                assert_equivalent(single, sharded, context)
+                assert_replicas_match(sharded, context)
+                for shard in sharded._shards:
+                    assert shard.worker.session.seq == sharded.seq, context
+                    for registered in shard.worker.session._queries.values():
+                        assert registered.incremental._kernel_ctx is None, context
+            with injected("shard.reconcile"):
+                with pytest.raises(ShardingError):
+                    sharded.update(Batch([EdgeDeletion(*cut[1])]))
+            assert sharded.incidents.by_kind("shard-error")
+        finally:
+            sharded.close()
+            single.close()
+
+
+class TestPinFaults:
     def test_crash_inside_reconcile_surfaces_as_sharding_error(self):
-        # A worker dying in its pin step (after applying its sub-batch)
+        # A worker dying in its replica step (after applying its sub-batch)
         # must surface in-band as a ShardingError with an incident
         # recorded, not hang the scatter or corrupt the reply pipeline.
         from repro.resilience.faults import injected
