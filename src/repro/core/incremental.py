@@ -275,6 +275,7 @@ class IncrementalAlgorithm:
         query: Any = None,
         window: int = None,
         engine: str = None,
+        max_evals: Optional[int] = None,
     ):
         """Apply a whole update stream through the coalescing scheduler.
 
@@ -283,8 +284,9 @@ class IncrementalAlgorithm:
         (``window`` ops, default :data:`repro.kernels.scheduler.WINDOW`)
         and each flushed batch is routed kernel-vs-generic from the
         estimated |AFF| plus realized-|AFF| feedback; pass ``engine`` to
-        force one path for every apply.  Mutates ``graph`` and ``state``
-        like the equivalent :meth:`apply` sequence and returns a
+        force one path for every apply; ``max_evals`` is one budget for
+        the whole stream, as :meth:`apply` has for one batch.  Mutates ``graph`` and ``state`` like the
+        equivalent :meth:`apply` sequence and returns a
         :class:`~repro.kernels.scheduler.StreamResult` with the composed
         ``ΔO`` and per-apply routing stats.
         """
@@ -298,6 +300,7 @@ class IncrementalAlgorithm:
             query,
             window=WINDOW if window is None else window,
             engine=engine,
+            max_evals=max_evals,
         )
 
 

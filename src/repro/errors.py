@@ -62,10 +62,12 @@ class BatchValidationError(UpdateError):
     requires a rollback.
     """
 
-    def __init__(self, message: str, index: int = -1) -> None:
+    def __init__(self, message: str, index: int = -1, batch: int = 0) -> None:
         super().__init__(message)
-        #: Position of the offending unit update within the batch.
+        #: Position of the offending unit update within its batch.
         self.index = index
+        #: Position of that batch within the validated window.
+        self.batch = batch
 
 
 class UnknownNodeError(BatchValidationError):

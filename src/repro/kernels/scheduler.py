@@ -113,17 +113,20 @@ def schedule_stream(
     query: Any = None,
     window: int = WINDOW,
     engine: Optional[str] = None,
+    max_evals: Optional[int] = None,
 ) -> StreamResult:
     """Drive ``inc`` over a stream of updates with coalescing + routing.
 
     ``stream`` yields :class:`Batch` or bare :class:`Update` items;
     ``engine`` forces every apply onto one path (``None`` lets the
-    AFF policy choose per op).  Mutates ``graph`` and ``state`` exactly
-    as the equivalent sequence of :meth:`IncrementalAlgorithm.apply`
-    calls would, and returns the composed :class:`StreamResult`.
+    AFF policy choose per op); ``max_evals`` is one evaluation budget
+    for the whole stream, shared by its applies.  Mutates ``graph`` and ``state`` exactly as the equivalent sequence of
+    :meth:`IncrementalAlgorithm.apply` calls would, and returns the
+    composed :class:`StreamResult`.
     """
     result = StreamResult()
     pending: List[Update] = []
+    budget = max_evals
 
     def flush() -> None:
         if not pending:
@@ -136,6 +139,7 @@ def schedule_stream(
             _apply_one(net)
 
     def _apply_one(net: Batch) -> None:
+        nonlocal budget
         inject("scheduler.mid-stream")
         est = estimate_affected(graph, net)
         if engine is not None:
@@ -153,7 +157,10 @@ def schedule_stream(
                 pick = "auto"
             else:
                 pick = "generic"
-        r = inc.apply(graph, state, net, query, engine=pick)
+        rounds = state.rounds
+        r = inc.apply(graph, state, net, query, engine=pick, max_evals=budget)
+        if budget is not None:
+            budget -= state.rounds - rounds  # evaluations this apply spent
         realized = r.affected_size
         inc._aff_ewma += EWMA_ALPHA * (realized - inc._aff_ewma)
         _compose(result.changes, r.changes)

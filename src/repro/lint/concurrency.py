@@ -41,11 +41,10 @@ from .effects import (
 from .report import LintFinding
 
 #: Call tokens that *apply* a batch to live state (the effect T006
-#: orders against the WAL append).  An apply whose first argument is a
-#: thread-private copy (``scratch = graph.copy()``) does not count —
-#: simulating a batch on a scratch graph before logging it is exactly
-#: how update_stream validates.
-APPLY_TOKENS = frozenset({"apply_updates", "apply", "apply_stream", "_apply_to_query"})
+#: orders against the WAL append); ``_maintain`` is the session's
+#: per-query maintenance step.  No logging function applies to a private
+#: copy (validation is an overlay), so every apply counts.
+APPLY_TOKENS = frozenset({"apply_updates", "apply", "apply_stream", "_maintain"})
 
 
 @dataclass(frozen=True)
@@ -414,8 +413,7 @@ def _check_wal_ordering(
     findings: List[LintFinding],
 ) -> None:
     """T006: within any one function that both logs and applies, the
-    first append-reaching call must precede the first apply.  Applies on
-    thread-private copies (scratch validation) are exempt."""
+    first append-reaching call must precede the first apply."""
     for fx in index.functions.values():
         append_lines: List[int] = []
         apply_sites: List[CallSite] = []
@@ -429,7 +427,7 @@ def _check_wal_ordering(
                     break
             if is_append:
                 append_lines.append(site.line)
-            elif site.token in APPLY_TOKENS and not site.arg0_private:
+            elif site.token in APPLY_TOKENS:
                 apply_sites.append(site)
         if not append_lines or not apply_sites:
             continue

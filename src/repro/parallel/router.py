@@ -58,7 +58,6 @@ from ..core.engine import run_fixpoint  # noqa: F401
 from ..graph.updates import apply_updates  # noqa: F401
 from ..resilience.validate import validate_batch  # noqa: F401
 
-from ..core.incremental import IncrementalResult
 from ..errors import NodeNotFoundError, ReproError, ShardingError, ShardRecoveryError
 from ..graph.graph import Graph
 from ..graph.updates import Batch, EdgeDeletion, EdgeInsertion, VertexDeletion, VertexInsertion
@@ -390,15 +389,11 @@ class ShardedSession:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def update(self, delta) -> Dict[str, IncrementalResult]:
-        """Apply one ``ΔG`` on the writer (which notifies listeners),
-        then replicate it to the shards."""
+    def update(self, delta) -> Dict[str, Any]:
+        """Apply one ``ΔG``: a one-batch :meth:`update_stream` that notifies."""
         if not isinstance(delta, Batch):
             delta = Batch(list(delta))
-        self._check_open()
-        results = self.writer.update(delta)
-        self._replicate([delta], results)
-        return results
+        return self.update_stream([delta], notify=True)
 
     def update_stream(self, stream, notify: bool = False) -> Dict[str, Any]:
         """Apply a whole update stream as one window on the writer

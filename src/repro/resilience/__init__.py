@@ -92,8 +92,9 @@ class SessionConfig:
     #: Weight validation: "any", "finite", or "spec" (per-algorithm
     #: requirements, e.g. no negative weights while SSSP is registered).
     weight_policy: str = "finite"
-    #: Abort a query's incremental apply after this many update-function
-    #: evaluations (``None`` = unbounded).  Guards non-terminating drains.
+    #: Abort a query's incremental maintenance of one window after this
+    #: many update-function evaluations (``None`` = unbounded).  Guards
+    #: non-terminating drains.
     step_budget: Optional[int] = None
     #: Quarantine a query after this many consecutive failed applies.
     quarantine_after: int = 3

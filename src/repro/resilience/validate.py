@@ -2,16 +2,18 @@
 
 A malformed batch used to fail *inside* the first query's incremental
 apply — after that query's replica had already mutated — leaving the
-session torn.  :func:`validate_batch` simulates the batch against the
-live graph in O(|ΔG|) without copying or mutating anything, and raises a
-typed :class:`~repro.errors.BatchValidationError` subclass describing
-the first offending op, so :meth:`DynamicGraphSession.update
-<repro.session.DynamicGraphSession.update>` can reject the batch before
+session torn.  :func:`validate_batch` simulates a whole update window
+(one batch or several, in order) against the live graph with one
+O(|ΔG|) overlay, without copying or mutating anything, and raises a
+typed :class:`~repro.errors.BatchValidationError` subclass naming the
+first offending op, so every commit path of
+:class:`~repro.session.DynamicGraphSession` can reject the window before
 any replica or state is touched.
 
-The simulation mirrors strict-apply semantics exactly: a batch passes
+The simulation mirrors strict-apply semantics exactly: a window passes
 validation if and only if :func:`repro.graph.updates.apply_updates`
-with ``strict=True`` would apply it cleanly.  On top of that it checks
+with ``strict=True`` would apply each of its batches in turn cleanly.
+On top of that it checks
 edge weights against a policy the strict apply has no opinion on:
 
 * ``"any"`` — no weight checks;
@@ -34,7 +36,7 @@ edge weights against a policy the strict apply has no opinion on:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Any, FrozenSet, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import (
     ContradictoryUpdateError,
@@ -128,100 +130,105 @@ class _BatchSimulation:
             self.edges_added.discard(key)
 
 
-def _check_weight(weight: Any, index: int, forbid_negative: bool) -> None:
+def _weight_error(weight: Any, forbid_negative: bool) -> Optional[str]:
+    """Why ``weight`` is rejected, or ``None`` when it passes."""
     try:
         finite = math.isfinite(weight)
     except TypeError:
-        raise InvalidWeightError(
-            f"update #{index}: weight {weight!r} is not a number", index
-        ) from None
+        return f"weight {weight!r} is not a number"
     if not finite:
-        raise InvalidWeightError(
-            f"update #{index}: weight {weight!r} is not finite; NaN/±inf "
-            "weights poison every weighted fixpoint",
-            index,
+        return (
+            f"weight {weight!r} is not finite; NaN/±inf weights poison "
+            "every weighted fixpoint"
         )
     if forbid_negative and weight < 0:
-        raise InvalidWeightError(
-            f"update #{index}: negative weight {weight!r} violates the "
-            "nonnegative-weight requirement of a registered algorithm "
-            f"(policy 'spec'; see NONNEGATIVE_WEIGHT_ALGORITHMS)",
-            index,
+        return (
+            f"negative weight {weight!r} violates the nonnegative-weight "
+            "requirement of a registered algorithm (policy 'spec'; see "
+            "NONNEGATIVE_WEIGHT_ALGORITHMS)"
         )
+    return None
 
 
 def validate_batch(
     graph: Graph,
-    delta: Batch,
+    window: Union[Batch, Sequence[Batch]],
     weight_policy: str = "finite",
     forbid_negative: bool = False,
 ) -> None:
-    """Raise a typed error if ``ΔG`` would not apply cleanly to ``graph``.
+    """Raise a typed error if the window would not apply cleanly to ``graph``.
 
-    Mirrors ``apply_updates(graph, delta, strict=True)`` without mutating
-    anything; see the module docstring for the weight policy.  The raised
-    error's ``index`` attribute points at the offending unit update.
+    ``window`` is one :class:`Batch` or a sequence of them, applied in
+    order.  Mirrors ``apply_updates(graph, batch, strict=True)`` for each
+    batch in turn, without mutating anything: one overlay spans the whole
+    window, so the cost is O(|ΔG|) however many batches it holds.  See
+    the module docstring for the weight policy.  The raised error's
+    ``batch`` and ``index`` attributes point at the offending unit update
+    (``index`` counts within its batch).
     """
     if weight_policy not in WEIGHT_POLICIES:
         raise ReproError(
             f"unknown weight policy {weight_policy!r}; expected one of {WEIGHT_POLICIES}"
         )
+    batches = [window] if isinstance(window, Batch) else list(window)
     check_weights = weight_policy != "any"
     forbid_negative = forbid_negative and weight_policy == "spec"
     sim = _BatchSimulation(graph)
 
+    def fail(error: type, index: int, text: str) -> None:
+        where = f"update #{index}"
+        if len(batches) > 1:
+            where = f"batch #{position}, {where}"
+        raise error(f"{where}: {text}", index, batch=position)
+
     def validate_insertion(u: Update, index: int) -> None:
         if check_weights:
-            _check_weight(u.weight, index, forbid_negative)
+            problem = _weight_error(u.weight, forbid_negative)
+            if problem is not None:
+                fail(InvalidWeightError, index, problem)
         if sim.has_edge(u.u, u.v):
-            raise ContradictoryUpdateError(
-                f"update #{index}: edge ({u.u!r}, {u.v!r}) is already "
-                "present at this point in the batch",
-                index,
+            fail(
+                ContradictoryUpdateError, index,
+                f"edge ({u.u!r}, {u.v!r}) is already present at this point in the batch",
             )
         sim.add_edge(u.u, u.v)
 
-    for index, u in enumerate(delta):
-        if isinstance(u, EdgeInsertion):
-            validate_insertion(u, index)
-        elif isinstance(u, EdgeDeletion):
-            if not sim.has_edge(u.u, u.v):
-                if not sim.has_node(u.u) or not sim.has_node(u.v):
-                    missing = u.u if not sim.has_node(u.u) else u.v
-                    raise UnknownNodeError(
-                        f"update #{index}: cannot delete edge ({u.u!r}, "
-                        f"{u.v!r}); node {missing!r} is unknown at this "
-                        "point in the batch",
-                        index,
+    for position, delta in enumerate(batches):
+        for index, u in enumerate(delta):
+            if isinstance(u, EdgeInsertion):
+                validate_insertion(u, index)
+            elif isinstance(u, EdgeDeletion):
+                if not sim.has_edge(u.u, u.v):
+                    if not sim.has_node(u.u) or not sim.has_node(u.v):
+                        missing = u.u if not sim.has_node(u.u) else u.v
+                        fail(
+                            UnknownNodeError, index,
+                            f"cannot delete edge ({u.u!r}, {u.v!r}); node "
+                            f"{missing!r} is unknown at this point in the batch",
+                        )
+                    fail(
+                        ContradictoryUpdateError, index,
+                        f"edge ({u.u!r}, {u.v!r}) is absent at this point in the batch",
                     )
-                raise ContradictoryUpdateError(
-                    f"update #{index}: edge ({u.u!r}, {u.v!r}) is absent "
-                    "at this point in the batch",
-                    index,
-                )
-            sim.remove_edge(u.u, u.v)
-        elif isinstance(u, VertexInsertion):
-            if sim.has_node(u.v):
-                raise ContradictoryUpdateError(
-                    f"update #{index}: node {u.v!r} is already present at "
-                    "this point in the batch",
-                    index,
-                )
-            sim.add_node(u.v)
-            for e in u.edges:
-                validate_insertion(e, index)
-        elif isinstance(u, VertexDeletion):
-            if not sim.has_node(u.v):
-                raise UnknownNodeError(
-                    f"update #{index}: cannot delete node {u.v!r}; it is "
-                    "unknown at this point in the batch",
-                    index,
-                )
-            sim.remove_node(u.v)
-        else:
-            raise ContradictoryUpdateError(
-                f"update #{index}: unknown update type {type(u).__name__}", index
-            )
+                sim.remove_edge(u.u, u.v)
+            elif isinstance(u, VertexInsertion):
+                if sim.has_node(u.v):
+                    fail(
+                        ContradictoryUpdateError, index,
+                        f"node {u.v!r} is already present at this point in the batch",
+                    )
+                sim.add_node(u.v)
+                for e in u.edges:
+                    validate_insertion(e, index)
+            elif isinstance(u, VertexDeletion):
+                if not sim.has_node(u.v):
+                    fail(
+                        UnknownNodeError, index,
+                        f"cannot delete node {u.v!r}; it is unknown at this point in the batch",
+                    )
+                sim.remove_node(u.v)
+            else:
+                fail(ContradictoryUpdateError, index, f"unknown update type {type(u).__name__}")
 
 
 def session_weight_requirements(algorithms) -> bool:

@@ -444,7 +444,7 @@ class QueryService:
         committed = False
         for op in run:
             try:
-                results = self.session.update(op.batch)
+                results = self.session.update_stream([op.batch], notify=True)
             except Exception as exc:
                 op.error = exc
                 with self._stats_lock:
@@ -453,7 +453,7 @@ class QueryService:
                 continue
             op.seq = self.session.seq
             committed = True
-            self._absorb_apply_stats(results)
+            self._absorb_stream_stats(results, ops=1)
         return committed
 
     def _apply_control(self, op: _Op) -> bool:
@@ -493,26 +493,6 @@ class QueryService:
                 counters["windows"] += 1
                 for key, value in totals.items():
                     counters[key] += value
-
-    def _absorb_apply_stats(self, results: Dict[str, Any]) -> None:
-        touched = writes = kernel = generic = 0
-        for result in results.values():
-            touched += result.affected_size
-            stats = getattr(result, "kernel_stats", None)
-            if stats:
-                kernel += 1
-                writes += stats.get("writes", 0)
-            else:
-                generic += 1
-        with self._stats_lock:
-            for counters in (self._counters, self._lifetime):
-                counters["ops"] += 1
-                counters["windows"] += 1
-                counters["applies"] += kernel + generic
-                counters["kernel_applies"] += kernel
-                counters["generic_applies"] += generic
-                counters["touched"] += touched
-                counters["writes"] += writes
 
     def _publish(self) -> None:
         session = self.session

@@ -63,7 +63,7 @@ from .algorithms import (
     Simfp,
     WidestPath,
 )
-from .core.incremental import IncrementalAlgorithm, IncrementalResult
+from .core.incremental import IncrementalResult
 from .core.state import FixpointState
 from .errors import (
     FixpointError,
@@ -74,7 +74,7 @@ from .errors import (
     TransactionError,
 )
 from .graph.graph import Graph
-from .graph.updates import Batch, Update, apply_updates
+from .graph.updates import Batch, apply_updates
 from .resilience import SessionConfig
 from .resilience.audit import AuditReport, QueryAudit, full_audit, sigma_audit
 from .resilience.checkpoint import (
@@ -240,124 +240,68 @@ class DynamicGraphSession:
     # ------------------------------------------------------------------
     # Applying updates
     # ------------------------------------------------------------------
-    @guarded_mutation("session.update")
-    def update(self, delta) -> Dict[str, IncrementalResult]:
-        """Apply ``ΔG`` to the graph and maintain every registered query.
-
-        Returns ``{query name: ΔO result}`` and notifies listeners.
-        Each query maintains its own graph replica, so per-query
-        incremental applications never interfere.
-
-        The batch is validated first (typed
-        :class:`~repro.errors.BatchValidationError` subclasses, nothing
-        mutated), then WAL-logged when the session is durable, then
-        applied under a snapshot transaction: any mid-batch failure
-        rolls every replica back and raises
-        :class:`~repro.errors.TransactionError` with the original error
-        as its cause.  :class:`~repro.resilience.InjectedFault` models a
-        hard crash and propagates as-is — no rollback, no abort record —
-        leaving exactly the on-disk state :meth:`recover` must handle.
-        """
+    def update(self, delta) -> Dict[str, Any]:
+        """Apply one ``ΔG``: a one-batch :meth:`update_stream` that notifies."""
         if not isinstance(delta, Batch):
             delta = Batch(list(delta))
-        inject("session.pre-apply")
-        self._validate(delta)
-        seq = self._log(delta)
-        apply_starting(self, seq, durable=self._wal is not None)
-
-        txn = (
-            SessionTransaction.begin(self._queries.values())
-            if self.config.transactional
-            else None
-        )
-        results: Dict[str, IncrementalResult] = {}
-        try:
-            for registered in self._queries.values():
-                inject("session.mid-apply")
-                results[registered.name] = self._apply_to_query(registered, delta, seq)
-            apply_updates(self.graph, delta)
-        except InjectedFault:
-            raise  # simulated crash: the process is presumed dead mid-batch
-        except Exception as exc:
-            self._fail_batch(txn, seq, exc)
-
-        self._batches_applied += 1
-        self._notify(results)
-        self._run_cadences()
-        return results
+        return self.update_stream([delta], notify=True)
 
     @guarded_mutation("session.update_stream")
     def update_stream(self, stream, notify: bool = False) -> Dict[str, Any]:
-        """Apply a whole update stream with per-query coalescing.
+        """Apply an update window and maintain every registered query.
 
-        ``stream`` is an iterable of :class:`Batch` or unit updates.
-        Each registered query drives the stream through its incremental
-        algorithm's :meth:`apply_stream` scheduler (coalesced windows,
-        per-op kernel-vs-generic routing); the session's reference graph
-        receives the raw stream, so all replicas stay identical.
-        Returns ``{query name: StreamResult}`` with each query's composed
-        ``ΔO``; listeners are *not* called per op — pass ``notify=True``
-        to deliver each query's composed result to its listeners once,
-        after the whole stream committed (the serve writer thread's
-        delivery mode; a raising listener is isolated exactly as in
-        :meth:`update`).
+        ``stream`` is an iterable of :class:`Batch` or unit updates; each
+        item is one batch with its own WAL seq.  Every healthy query
+        drives the window through its incremental algorithm (spec-backed
+        ones through the :meth:`apply_stream` scheduler: coalesced
+        windows, per-op kernel-vs-generic routing, and
+        ``SessionConfig.step_budget`` as one budget for the window); the
+        reference graph receives the raw window, so all replicas stay
+        identical.  Returns ``{query name: result}`` with each query's
+        composed ``ΔO``.  ``notify=True`` delivers each result to the
+        query's listeners once, after the window committed; a raising
+        listener is recorded as an incident and never starves the rest.
 
-        The stream enjoys the same guarantees as :meth:`update`: every
-        batch is validated (against the graph *as the stream leaves it*,
-        simulated on a scratch copy), WAL-logged, and the whole stream is
-        applied under one transaction — a failure anywhere rolls back to
-        the pre-stream snapshot and aborts every logged batch.
+        One commit, in order: the whole window is validated by one
+        O(|ΔG|) overlay (typed
+        :class:`~repro.errors.BatchValidationError` subclasses, nothing
+        mutated), WAL-logged one seq per batch when the session is
+        durable, then applied under one snapshot transaction: a failure
+        anywhere rolls every replica back, aborts every logged batch and
+        raises :class:`~repro.errors.TransactionError` with the original
+        error as its cause.  A query whose drain runs away
+        (:class:`~repro.errors.FixpointError`) or that faults
+        ``quarantine_after`` times in a row is quarantined instead and
+        recomputed by its batch algorithm.
+        :class:`~repro.resilience.InjectedFault` models a hard crash and
+        propagates as-is — no rollback, no abort record — leaving exactly
+        the on-disk state :meth:`recover` must handle.
         """
-        stream = [
-            item if isinstance(item, Batch) else Batch([item]) for item in stream
-        ]
+        stream = [item if isinstance(item, Batch) else Batch([item]) for item in stream]
         if not stream:
             return {}
-        if all(len(batch) == 0 for batch in stream):
+        self._validate(stream)
+        inject("session.pre-apply")
+        seqs = [self._log(batch) for batch in stream]
+        apply_starting(self, seqs[-1], durable=self._wal is not None)
+        if not any(stream):
             # Seq-only window: the sharded router's writer (_align_source)
             # and a shard's register prelude consume one seq with no ΔG
             # so every WAL seq stays in lockstep with the global seq —
-            # skip the scratch copy, the transaction snapshots, and the
-            # per-query schedulers entirely.
-            seqs = [self._log(batch) for batch in stream]
-            apply_starting(self, seqs[-1], durable=self._wal is not None)
+            # skip the transaction snapshots and the per-query steps.
             self._batches_applied += len(stream)
             self._run_cadences()
             return {}
-        scratch = self.graph.copy()
-        for batch in stream:
-            self._validate(batch, graph=scratch)
-            apply_updates(scratch, batch)
-        seqs = [self._log(batch) for batch in stream]
-        apply_starting(self, seqs[-1], durable=self._wal is not None)
 
         txn = (
             SessionTransaction.begin(self._queries.values())
             if self.config.transactional
             else None
         )
-        results: Dict[str, Any] = {}
         try:
-            for registered in self._queries.values():
-                if registered.quarantined:
-                    continue  # recomputed once, off the final graph, below
-                if hasattr(registered.incremental, "apply_stream"):
-                    results[registered.name] = registered.incremental.apply_stream(
-                        registered.graph, registered.state, stream, registered.query
-                    )
-                else:  # non-spec incrementals (IncDFS, ...) apply op by op
-                    for batch in stream:
-                        results[registered.name] = registered.incremental.apply(
-                            registered.graph, registered.state, batch, registered.query
-                        )
-            for batch in stream:
-                apply_updates(self.graph, batch)
-                self._batches_applied += 1
-            for registered in self._queries.values():
-                if registered.quarantined:
-                    results[registered.name] = self._recompute(registered, None, self._seq)
+            results = self._maintain(stream, seqs[-1])
         except InjectedFault:
-            raise
+            raise  # simulated crash: the process is presumed dead mid-window
         except Exception as exc:
             self._fail_batch(txn, seqs, exc)
         if notify:
@@ -371,7 +315,7 @@ class DynamicGraphSession:
 
         The replica step of the sharded tier (:mod:`repro.parallel`): the
         router's writer already ran ``A_Δ`` on the global graph, so a
-        shard runs none.  Each batch is validated and WAL-logged as in
+        shard runs none.  The window is validated and WAL-logged as in
         :meth:`update_stream` (shard seqs stay in lockstep with the
         global seq) and applied to the reference graph and every query
         replica; each query drops its ``removed_variables``.  ``pins``
@@ -380,14 +324,7 @@ class DynamicGraphSession:
         Pins carry no ``ΔG``, so they are not WAL-logged; sharded
         recovery re-pins every shard.  An empty ``stream`` only pins.
         """
-        live = [batch for batch in stream if len(batch)]
-        if len(live) == 1:
-            self._validate(live[0])  # validate_batch simulates within a batch
-        elif live:
-            scratch = self.graph.copy()
-            for batch in live:
-                self._validate(batch, graph=scratch)
-                apply_updates(scratch, batch)
+        self._validate(stream)
         seqs = [self._log(batch) for batch in stream]
         if seqs:
             apply_starting(self, seqs[-1], durable=self._wal is not None)
@@ -411,12 +348,12 @@ class DynamicGraphSession:
             self._run_cadences()
 
     # ------------------------------------------------------------------
-    def _validate(self, delta: Batch, graph: Optional[Graph] = None) -> None:
+    def _validate(self, stream: List[Batch]) -> None:
         policy = self.config.weight_policy
         try:
             validate_batch(
-                self.graph if graph is None else graph,
-                delta,
+                self.graph,
+                stream,
                 weight_policy=policy,
                 forbid_negative=policy == "spec"
                 and session_weight_requirements(
@@ -442,41 +379,53 @@ class DynamicGraphSession:
         self._seq = seq
         return seq
 
-    def _apply_to_query(
-        self, registered: RegisteredQuery, delta: Batch, seq: int
-    ) -> IncrementalResult:
-        """Maintain one query for one batch, degrading per its health."""
-        if registered.quarantined:
-            return self._recompute(registered, delta, seq)
-        # Hand-written incrementals (IncDFS, IncCoreness) have no
-        # evaluation counter to budget; only deduced A_Δ takes max_evals.
-        budget = (
-            {"max_evals": self.config.step_budget}
-            if self.config.step_budget is not None
-            and isinstance(registered.incremental, IncrementalAlgorithm)
-            else {}
-        )
-        try:
-            result = registered.incremental.apply(
-                registered.graph, registered.state, delta, registered.query, **budget
-            )
-            registered.faults = 0
-            return result
-        except InjectedFault:
-            raise
-        except FixpointError as exc:
-            # A runaway drain (step budget, divergence) is this query's
-            # own pathology — quarantine it instead of failing the batch.
-            kind = (
-                "runaway-drain"
-                if "exceeded" in str(exc) or "max_evals" in str(exc)
-                else "apply-error"
-            )
-            self.incidents.record(kind, query=registered.name, detail=str(exc), error=exc, seq=seq)
-            return self._quarantine(registered, delta, seq, exc)
-        except Exception as exc:
-            registered.faults += 1
-            if registered.faults >= self.config.quarantine_after:
+    def _maintain(self, stream: List[Batch], seq: int) -> Dict[str, Any]:
+        """One maintenance step per query, then ``G ⊕ ΔG`` on the reference.
+
+        Each healthy query drives the window through its incremental
+        algorithm; hand-written ones (IncDFS, IncCoreness) have no
+        evaluation counter and go batch by batch, unbudgeted.  A runaway
+        drain (step budget, divergence) is the query's own pathology and
+        quarantines it; any other error fails the window until the query
+        has faulted ``quarantine_after`` times in a row.  Quarantined
+        queries are recomputed by their batch algorithm once the
+        reference graph has absorbed the window.
+        """
+        results: Dict[str, Any] = {}
+        quarantined: List[RegisteredQuery] = []
+        for registered in self._queries.values():
+            if registered.quarantined:
+                continue
+            inject("session.mid-apply")
+            inc = registered.incremental
+            try:
+                if hasattr(inc, "apply_stream"):
+                    result = inc.apply_stream(
+                        registered.graph,
+                        registered.state,
+                        stream,
+                        registered.query,
+                        max_evals=self.config.step_budget,
+                    )
+                else:
+                    for batch in stream:
+                        result = inc.apply(
+                            registered.graph, registered.state, batch, registered.query
+                        )
+            except InjectedFault:
+                raise
+            except FixpointError as exc:
+                kind = (
+                    "runaway-drain"
+                    if "exceeded" in str(exc) or "max_evals" in str(exc)
+                    else "apply-error"
+                )
+                self.incidents.record(kind, query=registered.name, detail=str(exc), error=exc, seq=seq)
+                failure = exc
+            except Exception as exc:
+                registered.faults += 1
+                if registered.faults < self.config.quarantine_after:
+                    raise
                 self.incidents.record(
                     "apply-error",
                     query=registered.name,
@@ -484,42 +433,43 @@ class DynamicGraphSession:
                     error=exc,
                     seq=seq,
                 )
-                return self._quarantine(registered, delta, seq, exc)
-            raise
+                failure = exc
+            else:
+                registered.faults = 0
+                results[registered.name] = result
+                continue
+            registered.quarantined = True
+            quarantined.append(registered)
+            self.incidents.record(
+                "quarantine",
+                query=registered.name,
+                detail=f"incremental path disabled after: {failure}",
+                error=failure,
+                seq=seq,
+            )
+        for batch in stream:
+            apply_updates(self.graph, batch)
+            self._batches_applied += 1
+        for registered in self._queries.values():
+            if registered.quarantined:
+                results[registered.name] = self._recompute(registered)
+        for registered in quarantined:
+            self.incidents.record(
+                "self-heal",
+                query=registered.name,
+                detail="state recomputed by the batch algorithm",
+                seq=seq,
+            )
+        return results
 
-    def _quarantine(
-        self, registered: RegisteredQuery, delta: Optional[Batch], seq: int, exc: BaseException
-    ) -> IncrementalResult:
-        registered.quarantined = True
-        self.incidents.record(
-            "quarantine",
-            query=registered.name,
-            detail=f"incremental path disabled after: {exc}",
-            error=exc,
-            seq=seq,
-        )
-        result = self._recompute(registered, delta, seq)
-        self.incidents.record(
-            "self-heal",
-            query=registered.name,
-            detail="state recomputed by the batch algorithm",
-            seq=seq,
-        )
-        return result
-
-    def _recompute(
-        self, registered: RegisteredQuery, delta: Optional[Batch], seq: int
-    ) -> IncrementalResult:
+    def _recompute(self, registered: RegisteredQuery) -> IncrementalResult:
         """Rebuild one query's replica and state from the reference graph.
 
-        Always starts from the session's authoritative ``self.graph``
-        (⊕ ``delta`` when the reference graph has not absorbed the batch
-        yet), so it is correct even when the query's own replica was torn
-        by a failed apply.
+        Always starts from the session's authoritative ``self.graph``, so
+        it is correct even when the query's own replica was torn by a
+        failed apply.
         """
         replica = self.graph.copy()
-        if delta is not None:
-            apply_updates(replica, delta)
         old_values = dict(registered.state.values)
         state = registered.batch.run(replica, registered.query)
         registered.graph = replica
@@ -528,11 +478,9 @@ class DynamicGraphSession:
             registered.incremental._kernel_ctx = None
         return IncrementalResult(changes=_diff_values(old_values, state.values))
 
-    def _fail_batch(self, txn: Optional[SessionTransaction], seqs, exc: Exception) -> None:
-        """Roll back (when transactional) and re-raise a failed batch."""
-        if isinstance(seqs, int):
-            seqs = [seqs]
-        seq = seqs[-1] if seqs else -1
+    def _fail_batch(self, txn: Optional[SessionTransaction], seqs: List[int], exc: Exception) -> None:
+        """Roll back (when transactional) and re-raise a failed window."""
+        seq = seqs[-1]
         if txn is not None:
             restored = txn.rollback(self._queries.values())
             self.incidents.record(
@@ -684,14 +632,11 @@ class DynamicGraphSession:
 
         for seq, delta in entries:
             try:
-                for registered in session._queries.values():
-                    session._apply_to_query(registered, delta, seq)
-                apply_updates(session.graph, delta)
+                session._maintain([delta], seq)
             except Exception as exc:
                 raise RecoveryError(
                     f"replaying WAL batch {seq} failed: {exc!r}"
                 ) from exc
-            session._batches_applied += 1
         if torn:
             session.incidents.record(
                 "wal-torn-tail",
@@ -750,7 +695,7 @@ class DynamicGraphSession:
                 )
                 registered.quarantined = True
                 if heal:
-                    self._recompute(registered, None, self._seq)
+                    self._recompute(registered)
                     entry.healed = True
                     self.incidents.record(
                         "self-heal",
@@ -765,7 +710,7 @@ class DynamicGraphSession:
     def heal(self, name: str) -> None:
         """Recompute a quarantined query and restore its incremental path."""
         registered = self._query(name)
-        self._recompute(registered, None, self._seq)
+        self._recompute(registered)
         registered.quarantined = False
         registered.faults = 0
         self.incidents.record("healed", query=name, detail="quarantine lifted", seq=self._seq)

@@ -292,6 +292,31 @@ class TestSeededFixtures:
         )
         assert "T006" not in rule_ids(findings)
 
+    def test_t006_orders_the_maintenance_step_on_a_fresh_window(self):
+        # The session's commit step takes a freshly built window list;
+        # a private first argument must not exempt it from the ordering.
+        findings = check(
+            {
+                "fix": (
+                    "class WriteAheadLog:\n"
+                    "    def append(self, seq, batch):\n"
+                    "        pass\n"
+                    "\n"
+                    "class Session:\n"
+                    "    def __init__(self):\n"
+                    "        self.wal = WriteAheadLog()\n"
+                    "    def _maintain(self, stream, seq):\n"
+                    "        pass\n"
+                    "    def update_stream(self, items):\n"
+                    "        stream = [item for item in items]\n"
+                    "        self._maintain(stream, 1)\n"
+                    "        self.wal.append(1, stream)\n"
+                )
+            },
+            ThreadModel(wal_classes=frozenset({"WriteAheadLog"})),
+        )
+        assert "T006" in rule_ids(findings)
+
     def test_t007_listener_invoked_under_lock(self):
         findings = check(
             {

@@ -152,23 +152,34 @@ class TestTransactions:
     def test_session_still_correct_after_rollback(self):
         # Regression: a rolled-back kernel apply must not leave a stale
         # dense mirror behind — the next apply would replay phantom ops.
+        # The stream scheduler routes a cold mirror to the kernel only on
+        # a large anchor estimate, so a hub batch warms it first.
         session = make_session()
         session.register("sssp", "SSSP", query=0)
-        session.update([EdgeInsertion(0, 2, weight=0.5)])  # warm the kernel path
+        hub = [EdgeInsertion(3, 100 + i, weight=1.0) for i in range(64)]
+        warm = session.update(hub + [EdgeInsertion(0, 2, weight=5.0)])
+        assert warm["sssp"].kernel_applies > 0
+        assert session._queries["sssp"].incremental._kernel_ctx is not None
 
         original = session._queries["sssp"].incremental.apply
-        calls = {"n": 0}
+        kernel_runs = []
 
         def explode_once(*args, **kwargs):
-            if calls["n"] == 0:
-                calls["n"] += 1
+            # The kernel apply runs (mirror included), then the window fails.
+            result = original(*args, **kwargs)
+            kernel_runs.append(result.kernel_stats is not None)
+            if len(kernel_runs) == 1:
                 raise RuntimeError("transient")
-            return original(*args, **kwargs)
+            return result
 
         session._queries["sssp"].incremental.apply = explode_once
         with pytest.raises(TransactionError):
-            session.update([EdgeDeletion(0, 2), EdgeInsertion(0, 3, weight=0.2)])
-        session.update([EdgeDeletion(0, 2), EdgeInsertion(0, 3, weight=0.2)])
+            # Count-neutral with zero ΔO: only the rollback itself can
+            # tell the mirror that (0, 2) is back and (0, 3) is gone.
+            session.update([EdgeDeletion(0, 2), EdgeInsertion(0, 3, weight=50.0)])
+        assert kernel_runs == [True]
+        # Node 2 now depends on (0, 2), which a stale mirror has deleted.
+        session.update([EdgeDeletion(1, 2)])
         assert session.answer("sssp") == oracle_sssp(session.graph, 0)
 
     def test_injected_mid_apply_fault_crashes_without_commit(self):
@@ -224,6 +235,17 @@ class TestTransactions:
 
 
 class TestQuarantine:
+    """The per-query fault policy, through ``session.update``.
+
+    :class:`TestQuarantineThroughUpdateStream` reruns every case through
+    ``update_stream([Batch(...)], notify=True)``: both entry points share one
+    commit path, so both must quarantine, recompute and heal alike.
+    """
+
+    @staticmethod
+    def commit(session, delta):
+        return session.update(delta)
+
     def test_repeated_faults_quarantine_and_self_heal(self):
         session = make_session(SessionConfig(quarantine_after=2))
         session.register("sssp", "SSSP", query=0)
@@ -235,8 +257,8 @@ class TestQuarantine:
         session._queries["cc"].incremental.apply = explode
         delta = Batch([EdgeInsertion(0, 3, weight=1.0)])
         with pytest.raises(TransactionError):
-            session.update(delta)  # fault 1/2: rolled back
-        session.update(delta)  # fault 2/2: cc quarantined, batch commits
+            self.commit(session, delta)  # fault 1/2: rolled back
+        self.commit(session, delta)  # fault 2/2: cc quarantined, batch commits
 
         assert session._queries["cc"].quarantined
         assert not session._queries["sssp"].quarantined
@@ -252,18 +274,29 @@ class TestQuarantine:
         session._queries["cc"].incremental.apply = lambda *a, **k: (_ for _ in ()).throw(
             RuntimeError("broken")
         )
-        session.update([EdgeInsertion(0, 3, weight=1.0)])
+        self.commit(session, [EdgeInsertion(0, 3, weight=1.0)])
         assert session._queries["cc"].quarantined
         # further updates are maintained via the batch algorithm; this one
         # isolates node 3, so its component root must change
-        result = session.update([EdgeDeletion(2, 3), EdgeDeletion(0, 3)])
+        result = self.commit(session, [EdgeDeletion(2, 3), EdgeDeletion(0, 3)])
         assert session.answer("cc") == oracle_cc(session.graph)
         assert result["cc"].changes  # ΔO still reported from the recompute
 
     def test_runaway_drain_hits_step_budget(self):
         session = make_session(SessionConfig(step_budget=1))
         session.register("sssp", "SSSP", query=0)
-        session.update([EdgeInsertion(0, 2, weight=0.1)])  # repairs 2 & 3
+        self.commit(session, [EdgeInsertion(0, 2, weight=0.1)])  # repairs 2 & 3
+        assert session._queries["sssp"].quarantined
+        assert session.incidents.by_kind("runaway-drain")
+        assert session.answer("sssp") == oracle_sssp(session.graph, 0)
+
+    def test_step_budget_covers_the_whole_batch(self):
+        # 40 new leaves cost one evaluation each.  The scheduler splits
+        # the batch into applies of at most 16 ops, each under budget on
+        # its own; the budget is for the batch, so the drain still trips.
+        session = make_session(SessionConfig(step_budget=20))
+        session.register("sssp", "SSSP", query=0)
+        self.commit(session, [EdgeInsertion(3, 100 + i, weight=1.0) for i in range(40)])
         assert session._queries["sssp"].quarantined
         assert session.incidents.by_kind("runaway-drain")
         assert session.answer("sssp") == oracle_sssp(session.graph, 0)
@@ -278,15 +311,21 @@ class TestQuarantine:
             raise RuntimeError("transient outage")
 
         broken.apply = explode.__get__(broken)
-        session.update([EdgeInsertion(0, 3, weight=1.0)])
+        self.commit(session, [EdgeInsertion(0, 3, weight=1.0)])
         assert session._queries["cc"].quarantined
 
         broken.apply = original.__get__(broken)  # outage over
         session.heal("cc")
         assert not session._queries["cc"].quarantined
-        session.update([EdgeDeletion(0, 3)])
+        self.commit(session, [EdgeDeletion(0, 3)])
         assert session.answer("cc") == oracle_cc(session.graph)
         assert session.incidents.by_kind("healed")
+
+
+class TestQuarantineThroughUpdateStream(TestQuarantine):
+    @staticmethod
+    def commit(session, delta):
+        return session.update_stream([Batch(list(delta))], notify=True)
 
 
 class TestListenerIsolation:

@@ -71,12 +71,49 @@ class TestReadsAndWrites:
         service.unregister("lcc")
         assert "lcc" not in service.store.names()
 
-    def test_validation_error_is_typed_and_isolated(self, service):
-        with pytest.raises(BatchValidationError):
-            service.update(EdgeInsertion(0, 1))  # edge already exists
-        # The service survives and later writes commit.
-        seq = service.update(EdgeInsertion(0, 7))
-        assert service.read("cc").seq >= seq
+    def test_validation_error_is_typed_and_isolated(self):
+        # Queue a bad and a good op before the writer starts, so both land
+        # in one window: the stream fails validation as a whole and the
+        # writer falls back to committing op by op.
+        service = make_service(start=False)
+        outcomes = {}
+
+        def submit(label, update):
+            try:
+                outcomes[label] = service.update(update)
+            except Exception as exc:
+                outcomes[label] = exc
+
+        submitters = [
+            threading.Thread(target=submit, args=("bad", EdgeInsertion(0, 1))),  # edge exists
+            threading.Thread(target=submit, args=("good", EdgeInsertion(0, 7))),
+        ]
+        try:
+            for thread in submitters:
+                thread.start()
+            deadline = time.monotonic() + 5.0
+            while service._queue.qsize() < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service._queue.qsize() == 2
+            service.start()
+            for thread in submitters:
+                thread.join(5.0)
+            assert isinstance(outcomes["bad"], BatchValidationError)
+            # The service survives and the healthy op commits.
+            seq = outcomes["good"]
+            assert isinstance(seq, int)
+            assert service.read("cc").seq >= seq
+            # The fallback window counts through the same absorber as any
+            # window: the rejected op once, the good op once in ops and
+            # windows, with one apply per registered query.
+            window = service.stats()["window"]
+            assert window["rejected"] == 1
+            assert window["ops"] == 1
+            assert window["windows"] == 1
+            assert window["applies"] == len(service.session.queries())
+            assert window["applies"] == window["kernel_applies"] + window["generic_applies"]
+        finally:
+            service.close(drain=False)
 
 
 class TestWatch:

@@ -384,6 +384,90 @@ class TestValidateMirrorsStrictApply:
         assert base == fingerprint  # validation never mutates
 
 
+class TestValidateStreamMirrorsStrictApply:
+    """One overlay across a multi-batch window decides exactly like
+    strict-applying each batch in turn: the same verdict, the same
+    (batch, op) position, and the base graph is never mutated.
+
+    A fixed seed loop (not a Hypothesis draw) over edge and vertex churn,
+    including nodes re-inserted after removal, in both directednesses.
+    """
+
+    UNIVERSE = range(7)  # the base graphs hold nodes 0-4; 5 and 6 are new
+
+    @classmethod
+    def _random_op(cls, rng, shadow):
+        """One op, valid against ``shadow`` four times out of five."""
+        kind = rng.choice(["+e", "+e", "-e", "-e", "+v", "-v"])
+        nodes = list(shadow.nodes())
+        if rng.random() < 0.2 or not nodes:
+            a, b = rng.choice(cls.UNIVERSE), rng.choice(cls.UNIVERSE)
+        elif kind == "-e" and shadow.num_edges:
+            a, b = rng.choice(sorted(shadow.edges()))[:2]
+        elif kind == "+v":
+            absent = [v for v in cls.UNIVERSE if not shadow.has_node(v)]
+            a = b = rng.choice(absent or list(cls.UNIVERSE))
+        else:
+            a, b = rng.choice(nodes), rng.choice(nodes)
+        if kind == "+e":
+            return EdgeInsertion(a, b, weight=float(rng.randint(1, 4)))
+        if kind == "-e":
+            return EdgeDeletion(a, b)
+        if kind == "+v":
+            others = [v for v in nodes if v != a]
+            edges = ()
+            if others and rng.random() < 0.3:
+                edges = (EdgeInsertion(a, rng.choice(others), weight=1.0),)
+            return VertexInsertion(a, edges=edges)
+        return VertexDeletion(a)
+
+    @classmethod
+    def _random_stream(cls, rng, base):
+        shadow = base.copy()
+        stream = []
+        for _ in range(rng.randint(1, 4)):
+            batch = Batch([cls._random_op(rng, shadow) for _ in range(rng.randint(1, 4))])
+            apply_updates(shadow, batch, strict=False)
+            stream.append(batch)
+        return stream
+
+    @staticmethod
+    def _strict_failure(base, stream):
+        """``(batch, op)`` of the first op strict apply rejects, or None."""
+        graph = base.copy()
+        for position, batch in enumerate(stream):
+            for index, op in enumerate(batch):
+                try:
+                    apply_updates(graph, [op], strict=True)
+                except UpdateError:
+                    return position, index
+        return None
+
+    def test_stream_verdict_and_position_match_batch_by_batch_strict_apply(self):
+        import random
+
+        from repro.errors import BatchValidationError
+        from repro.resilience.validate import validate_batch
+
+        verdicts = {"accepted": 0, "rejected": 0}
+        for seed in range(600):
+            rng = random.Random(seed)
+            base = TestNormalizedNetEffect._base_graph(seed, directed=seed % 2 == 0)
+            fingerprint = base.copy()
+            stream = self._random_stream(rng, base)
+            expected = self._strict_failure(base, stream)
+            try:
+                validate_batch(base, stream, weight_policy="any")
+                got = None
+            except BatchValidationError as exc:
+                got = (exc.batch, exc.index)
+            assert got == expected, f"seed {seed}: {[b.updates for b in stream]}"
+            assert base == fingerprint, f"seed {seed}: validation mutated G"
+            verdicts["accepted" if got is None else "rejected"] += 1
+        # the sample exercises both verdicts in earnest
+        assert min(verdicts.values()) >= 100, verdicts
+
+
 class TestValidateEdgeCases:
     """Pinned edge cases for the batch validator (ISSUE satellite)."""
 
