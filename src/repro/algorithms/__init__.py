@@ -14,7 +14,6 @@ LCC        :class:`LCCfp`              :class:`IncLCC`       deducible
 =========  ==========================  ====================  ================
 """
 
-from .bc import BCResult, BCfp, IncBC, bc, biconnectivity
 from .cc import CCfp, CCSpec, IncCC, cc
 from .coreness import CorenessFp, CorenessSpec, IncCoreness, coreness, h_index
 from .dfs import DFSfp, DFSResult, IncDFS, dfs, has_cycle, topological_order
@@ -25,8 +24,6 @@ from .sssp import Dijkstra, IncSSSP, SSSPSpec, sssp
 from .sswp import IncSSWP, SSWPSpec, WidestPath, sswp
 
 __all__ = [
-    "BCResult",
-    "BCfp",
     "CCSpec",
     "CCfp",
     "CorenessFp",
@@ -34,7 +31,6 @@ __all__ = [
     "DFSResult",
     "DFSfp",
     "Dijkstra",
-    "IncBC",
     "IncCC",
     "IncCoreness",
     "IncDFS",
@@ -52,8 +48,6 @@ __all__ = [
     "SimSpec",
     "Simfp",
     "WidestPath",
-    "bc",
-    "biconnectivity",
     "cc",
     "coreness",
     "dfs",

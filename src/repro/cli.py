@@ -553,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="replicate the session onto N durable shard worker processes "
-        "(1 = the plain single-writer session)",
+        help="log every window on N durable shard worker processes, one "
+        "graph fragment each (1 = the plain single-writer session)",
     )
     p_serve.add_argument(
         "--shard-seed",

@@ -116,10 +116,11 @@ class ShardedDirectoryError(RecoveryError):
 
 
 class ShardRecoveryError(RecoveryError):
-    """A sharded session directory cannot be reassembled: a shard is
-    missing, a shard failed to recover, or the shards' WAL sequence
-    numbers diverge (a crash mid-scatter lost part of a window on some
-    shards — see docs/serving.md, "Failure semantics per shard")."""
+    """A sharded session directory cannot be reassembled: its manifest
+    is missing or malformed, a shard is missing, a shard failed to
+    recover, or the shards' WAL sequence numbers diverge (a crash
+    mid-scatter lost part of a window on some shards — see
+    docs/serving.md, "Failure semantics per shard")."""
 
 
 class ServeError(SessionError):

@@ -2,20 +2,20 @@
 
 :class:`ShardedSession` is one single-writer
 :class:`~repro.session.DynamicGraphSession` over the global graph (the
-*writer*) plus ``N`` partitioned, durable replicas of its state.  By
-Theorems 1 and 3, one ``A_Δ`` run on the global graph already yields the
-batch fixpoint, so the writer does all the query work and the shards
-divide none of it; they exist to keep per-fragment WALs and checkpoints.
+*writer*) plus ``N`` partitioned, durable fragment logs.  By Theorems 1
+and 3, one ``A_Δ`` run on the global graph already yields the batch
+fixpoint, so the writer does all the query work; the shards hold no
+query at all and exist to keep per-fragment WALs and checkpoints.
 
 The graph is partitioned by :func:`~repro.parallel.partition.stable_assign`
 (edge-cut: every edge lives on its endpoints' owner shards, remote
 endpoints become replicas).  Each shard runs a
-:class:`~repro.parallel.worker.ShardWorker` — a full session with its
-own WAL/checkpoint directory over its fragment.  The router presents the
-*session surface* the serving tier consumes (``register`` / ``update``
-/ ``update_stream`` / ``answer`` / ``seq`` / ``incidents`` / ``close``),
-so :class:`repro.serve.QueryService` runs unchanged on top of it
-(``repro serve --shards N``).
+:class:`~repro.parallel.worker.ShardWorker` — a query-less session with
+its own WAL/checkpoint directory over its fragment.  The router presents
+the *session surface* the serving tier consumes (``register`` /
+``update`` / ``update_stream`` / ``answer`` / ``seq`` / ``incidents`` /
+``close``), so :class:`repro.serve.QueryService` runs unchanged on top
+of it (``repro serve --shards N``).
 
 One write window:
 
@@ -27,20 +27,21 @@ One write window:
    fragment alone.
 3. One ``apply`` scatter sends each shard its sub-batches (one per
    global batch, possibly empty, so shard WAL seqs stay in lockstep with
-   the global seq) plus *pins*: the writer's post-window value of every
-   key present on that shard that is in ``ΔO`` or newly materialized
-   there.  The worker applies its sub-batches to its fragment graphs
-   only — no ``A_Δ`` runs on a shard — then lands exactly on the
-   writer's values (:meth:`~repro.session.DynamicGraphSession.replicate`).
+   the global seq); each worker runs them through its session's
+   ``update_stream``.
+
+Registration touches only the writer and, when durable, the
+``sharding.json`` manifest, which lists every registered query in
+registration order: it sends no scatter and consumes no seq.
 
 Reads (``answer``) go to the writer.  Failure semantics: the writer
 commits or rolls back before anything is scattered; a failed scatter
 raises :class:`~repro.errors.ShardingError` and records an incident.
 :meth:`ShardedSession.recover` reassembles the graph from the shard
 fragments, refuses divergent shard seqs with
-:class:`~repro.errors.ShardRecoveryError`, re-runs the queries on the
-writer and re-pins every shard.  See ``docs/serving.md`` ("Sharded
-deployment").
+:class:`~repro.errors.ShardRecoveryError`, and re-registers the
+manifest's queries on a fresh writer.  See ``docs/serving.md``
+("Sharded deployment").
 """
 
 from __future__ import annotations
@@ -51,30 +52,31 @@ import pickle
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Union
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 # The e2e benchmark's tracer patches these three names on this module.
 from ..core.engine import run_fixpoint  # noqa: F401
 from ..graph.updates import apply_updates  # noqa: F401
 from ..resilience.validate import validate_batch  # noqa: F401
 
-from ..errors import NodeNotFoundError, ReproError, ShardingError, ShardRecoveryError
+from ..errors import ReproError, ShardingError, ShardRecoveryError
 from ..graph.graph import Graph
 from ..graph.updates import Batch, EdgeDeletion, EdgeInsertion, VertexDeletion, VertexInsertion
 from ..resilience import SessionConfig
-from ..resilience.checkpoint import CHECKPOINT_FILE, SHARDING_FILE
-from ..session import ALGORITHM_PAIRS, DynamicGraphSession, Listener, RegisteredQuery
+from ..resilience.checkpoint import (
+    CHECKPOINT_FILE,
+    SHARDING_FILE,
+    query_from_doc,
+    query_to_doc,
+    write_json_atomic,
+)
+from ..session import DynamicGraphSession, Listener, RegisteredQuery
 from .partition import stable_assign, stable_partition
 from .stats import ProtocolStats
 from .worker import ShardWorker, shard_main
 
-#: Algorithms the sharded tier can host: node-keyed specs, whose values
-#: split cleanly over fragment nodes.
-SHARDABLE_ALGORITHMS = frozenset({"SSSP", "SSWP", "CC", "Reach"})
-_SOURCE_ALGORITHMS = frozenset({"SSSP", "SSWP", "Reach"})
-
 SHARD_DIR = "shard-{:02d}"
-_MANIFEST_VERSION = 1
+_MANIFEST_VERSION = 2
 
 
 class _InProcessShard:
@@ -153,7 +155,8 @@ class _ProcessShard:
 
 
 class ShardedSession:
-    """A single-writer session replicated onto ``N`` durable shards.
+    """A single-writer session whose windows are logged on ``N`` durable
+    fragment shards.
 
     Parameters
     ----------
@@ -165,13 +168,12 @@ class ShardedSession:
         the plain single-writer path instead.
     config:
         Session configuration; ``config.directory`` (when set) becomes
-        the *base* directory — the router writes a ``sharding.json``
+        the *base* directory — the router keeps a ``sharding.json``
         manifest there and gives shard ``i`` the subdirectory
         ``shard-00``, ``shard-01``, ... so per-shard WALs and
         checkpoints never collide.  The writer runs in memory
-        (``directory=None``): durability lives in the shards.  Worker
-        sessions always run with ``transactional=False``; the writer's
-        transaction already decided the window before it is scattered.
+        (``directory=None``): durability lives in the shards and the
+        manifest.
     processes:
         True (default) forks one worker process per shard;
         False runs workers in-process (deterministic, for tests).
@@ -202,17 +204,14 @@ class ShardedSession:
         partitioning = stable_partition(graph, shards, seed)
         self._present: List[Set[Hashable]] = [set(f.nodes()) for f in partitioning.fragments]
 
-        base = Path(self.config.directory) if self.config.directory is not None else None
-        if base is not None:
-            base.mkdir(parents=True, exist_ok=True)
-            (base / SHARDING_FILE).write_text(
-                json.dumps(
-                    {"version": _MANIFEST_VERSION, "num_shards": shards, "seed": seed}
-                )
-            )
+        directory = self.config.directory
+        self._base = Path(directory) if directory is not None else None
+        if self._base is not None:
+            self._base.mkdir(parents=True, exist_ok=True)
+            self._write_manifest()
         self._shards: List[Any] = []
         for i, fragment in enumerate(partitioning.fragments):
-            cfg = self._shard_config(base, i)
+            cfg = self._shard_config(i)
             if processes:
                 self._shards.append(
                     _ProcessShard(i, {"fragment": fragment, "config": cfg})
@@ -229,12 +228,27 @@ class ShardedSession:
         self._queries = writer._queries
         self.incidents = writer.incidents
 
-    def _shard_config(self, base: Optional[Path], index: int) -> SessionConfig:
+    def _shard_config(self, index: int) -> SessionConfig:
+        base = self._base
         directory = str(base / SHARD_DIR.format(index)) if base is not None else None
-        # A replica's values are the global fixpoint, not its fragment's,
-        # so a σ_A audit on the fragment would flag (and "heal") them;
-        # the writer audits the global state instead.
-        return replace(self.config, directory=directory, transactional=False, audit_every=0)
+        return replace(self.config, directory=directory)
+
+    def _write_manifest(self) -> None:
+        """Atomically rewrite ``sharding.json``: the partitioning and
+        every registered query, in registration order."""
+        if self._base is None:
+            return
+        write_json_atomic(
+            self._base / SHARDING_FILE,
+            {
+                "version": _MANIFEST_VERSION,
+                "num_shards": self.num_shards,
+                "seed": self.seed,
+                "queries": [
+                    [r.name, r.algorithm, query_to_doc(r.query)] for r in self._queries.values()
+                ],
+            },
+        )
 
     @property
     def graph(self) -> Graph:
@@ -292,23 +306,6 @@ class ShardedSession:
             cache[node] = owner
         return owner
 
-    def _pins(self, shard: int, keys: Dict[str, Iterable[Hashable]]) -> Dict[str, Dict]:
-        """The writer's values of ``keys[name]`` on ``shard``'s nodes."""
-        present = self._present[shard]
-        pins = {}
-        for name, wanted in keys.items():
-            values = self._queries[name].state.values
-            pins[name] = {k: values[k] for k in wanted if k in present and k in values}
-        return pins
-
-    def _pin_everywhere(self, names: List[str]) -> None:
-        self._scatter(
-            {
-                i: {"cmd": "pin", "pins": self._pins(i, dict.fromkeys(names, self._present[i]))}
-                for i in range(self.num_shards)
-            }
-        )
-
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
@@ -319,66 +316,19 @@ class ShardedSession:
         query: Any = None,
         listener: Optional[Listener] = None,
     ) -> RegisteredQuery:
-        """Register a standing query on the writer and every shard.
-
-        The shards' fragment runs overlap the writer's central batch
-        run; one pin scatter then lands every shard on the writer's
-        values."""
-        if name in self._queries:
-            raise ReproError(f"query {name!r} is already registered")
-        if algorithm not in ALGORITHM_PAIRS:
-            raise ReproError(
-                f"unknown algorithm {algorithm!r}; available: {', '.join(ALGORITHM_PAIRS)}"
-            )
-        if algorithm not in SHARDABLE_ALGORITHMS:
-            raise ShardingError(
-                f"algorithm {algorithm!r} cannot be sharded; shardable algorithms: "
-                f"{', '.join(sorted(SHARDABLE_ALGORITHMS))}"
-            )
-        preludes: List[List[Batch]] = [[] for _ in range(self.num_shards)]
-        if algorithm in _SOURCE_ALGORITHMS and query is not None:
-            if not self.graph.has_node(query):
-                raise NodeNotFoundError(query)
-            preludes = self._align_source(query)
-        order = self._send(
-            {
-                i: {
-                    "cmd": "register",
-                    "name": name,
-                    "algorithm": algorithm,
-                    "query": query,
-                    "prelude": preludes[i],
-                }
-                for i in range(self.num_shards)
-            }
-        )
+        """Register a standing query on the writer and record it in the
+        manifest.  The shards hold no queries: no scatter, no seq."""
+        registered = self.writer.register(name, algorithm, query=query, listener=listener)
         try:
-            registered = self.writer.register(name, algorithm, query=query, listener=listener)
-        finally:
-            self._collect(order)
-        self._pin_everywhere([name])
+            self._write_manifest()
+        except Exception:
+            self.writer.unregister(name)  # recovery could not bring it back
+            raise
         return registered
 
-    def _align_source(self, source: Hashable) -> List[List[Batch]]:
-        """Per-shard preludes materializing ``source`` on every shard
-        lacking it (a fragment without the source cannot even seed the
-        spec).  The prelude is one seq-consuming batch on every shard
-        (empty where the source is already present), matched by an empty
-        writer batch, so seqs stay in lockstep."""
-        missing = [i for i in range(self.num_shards) if source not in self._present[i]]
-        if not missing:
-            return [[] for _ in range(self.num_shards)]
-        self.writer.update_stream([Batch([])])
-        insert = Batch([VertexInsertion(source, self.graph.node_label(source))])
-        for i in missing:
-            self._present[i].add(source)
-        return [[insert if i in missing else Batch([])] for i in range(self.num_shards)]
-
     def unregister(self, name: str) -> None:
-        if name not in self._queries:
-            raise ReproError(f"query {name!r} is not registered")
-        self._scatter({i: {"cmd": "unregister", "name": name} for i in range(self.num_shards)})
         self.writer.unregister(name)
+        self._write_manifest()
 
     def subscribe(self, name: str, listener: Listener) -> None:
         self.writer.subscribe(name, listener)
@@ -397,42 +347,34 @@ class ShardedSession:
 
     def update_stream(self, stream, notify: bool = False) -> Dict[str, Any]:
         """Apply a whole update stream as one window on the writer
-        (session semantics), then replicate it to the shards."""
+        (session semantics), then log it on the shards."""
         stream = [item if isinstance(item, Batch) else Batch([item]) for item in stream]
         if not stream:
             return {}
         self._check_open()
         results = self.writer.update_stream(stream, notify=notify)
-        self._replicate(stream, results)
+        self._log_on_shards(stream)
         return results
 
     def _check_open(self) -> None:
         if self._closed:
             raise ShardingError("sharded session is closed")
 
-    def _replicate(self, stream: List[Batch], results: Dict[str, Any]) -> None:
-        """Split the committed window by ownership and ship it, with the
-        writer's new values as pins, in one ``apply`` scatter."""
+    def _log_on_shards(self, stream: List[Batch]) -> None:
+        """Split the committed window by ownership and ship it in one
+        ``apply`` scatter."""
         deletions = any(
             isinstance(op, (EdgeDeletion, VertexDeletion)) for batch in stream for op in batch
         )
         self.protocol_stats.begin_window(deletions=deletions)
         try:
             per_shard: List[List[Batch]] = [[] for _ in range(self.num_shards)]
-            fresh: List[Set[Hashable]] = [set() for _ in range(self.num_shards)]
             for batch in stream:
-                for i, sub in enumerate(self._split_batch(batch, fresh)):
+                for i, sub in enumerate(self._split_batch(batch)):
                     per_shard[i].append(sub)
-            changed = {
-                name: getattr(results.get(name), "changes", {}) for name in self._queries
-            }
-            pins = [
-                self._pins(i, {name: fresh[i].union(keys) for name, keys in changed.items()})
-                for i in range(self.num_shards)
-            ]
             gathers = self._scatter(
                 {
-                    i: {"cmd": "apply", "batches": per_shard[i], "pins": pins[i]}
+                    i: {"cmd": "apply", "batches": per_shard[i]}
                     for i in range(self.num_shards)
                 }
             )
@@ -446,11 +388,10 @@ class ShardedSession:
                     shard=i,
                 )
 
-    def _split_batch(self, batch: Batch, fresh: List[Set[Hashable]]) -> List[Batch]:
+    def _split_batch(self, batch: Batch) -> List[Batch]:
         """Split one committed batch into per-shard sub-batches, adding
         ``VertexInsertion`` preludes so each sub-batch is valid on its
-        fragment alone.  Updates presence bookkeeping in place and adds
-        every node newly materialized on shard ``i`` to ``fresh[i]``.
+        fragment alone.  Updates presence bookkeeping in place.
 
         Labels of nodes not inserted by ``batch`` are read from the
         post-window graph; they only reach replicas, and recovery takes
@@ -469,7 +410,6 @@ class ShardedSession:
                 return
             subs[shard].append(VertexInsertion(node, node_label(node)))
             self._present[shard].add(node)
-            fresh[shard].add(node)
 
         def route_edge(op: EdgeInsertion) -> None:
             for shard in {self._owner(op.u), self._owner(op.v)}:
@@ -490,7 +430,6 @@ class ShardedSession:
                 if op.v not in self._present[owner]:
                     subs[owner].append(VertexInsertion(op.v, op.label))
                     self._present[owner].add(op.v)
-                    fresh[owner].add(op.v)
                 for edge in op.edges:  # carried edges route independently
                     route_edge(edge)
             elif isinstance(op, VertexDeletion):
@@ -545,26 +484,14 @@ class ShardedSession:
 
         Every shard recovers its own session (checkpoint + WAL tail);
         the router then verifies the shards agree on their sequence
-        number and registered queries, reassembles the global graph
-        from the fragments, re-runs every query on a fresh writer, and
-        re-pins every shard to the writer's values (pins are not
-        WAL-logged).  Missing shards, failed shard recoveries, and
-        divergent sequence numbers raise
+        number, reassembles the global graph from the fragments, and
+        re-registers the manifest's queries, in order, on a fresh
+        writer.  A missing or malformed manifest, missing shards, failed
+        shard recoveries, and divergent sequence numbers raise
         :class:`~repro.errors.ShardRecoveryError`.
         """
         base = Path(directory)
-        manifest_path = base / SHARDING_FILE
-        if not manifest_path.exists():
-            raise ShardRecoveryError(
-                f"{base} holds no {SHARDING_FILE} manifest; recover plain session "
-                "directories with DynamicGraphSession.recover"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            shards = int(manifest["num_shards"])
-            seed = int(manifest["seed"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ShardRecoveryError(f"corrupt manifest {manifest_path}: {exc}") from exc
+        shards, seed, registrations = _read_manifest(base / SHARDING_FILE)
         if config is None:
             config = SessionConfig(directory=base)
         elif config.directory is None:
@@ -574,6 +501,7 @@ class ShardedSession:
         session.num_shards = shards
         session.seed = seed
         session.config = config
+        session._base = base
         session._closed = False
         session.protocol_stats = ProtocolStats()
         session._owner_cache = {}
@@ -584,7 +512,7 @@ class ShardedSession:
                 raise ShardRecoveryError(
                     f"shard {i} cannot be reassembled: no checkpoint in {shard_dir}"
                 )
-            cfg = session._shard_config(base, i)
+            cfg = session._shard_config(i)
             try:
                 if processes:
                     session._shards.append(
@@ -607,13 +535,6 @@ class ShardedSession:
                 f"shard WAL sequence numbers diverge ({seqs}): a crash mid-scatter "
                 "lost part of a window on some shards"
             )
-        reference = infos[0]["queries"]
-        for i, info in infos.items():
-            if info["queries"] != reference:
-                raise ShardRecoveryError(
-                    f"shard {i} registers {sorted(info['queries'])} but shard 0 "
-                    f"registers {sorted(reference)}"
-                )
 
         fragments = session._scatter({i: {"cmd": "export_fragment"} for i in range(shards)})
         graph = Graph(directed=fragments[0].directed)
@@ -636,10 +557,13 @@ class ShardedSession:
         writer._seq = seqs[0]
         writer._batches_applied = infos[0]["batches_applied"]
         session._init_writer(writer)
-        for qname, qinfo in reference.items():
-            writer.register(qname, qinfo["algorithm"], query=qinfo["query"])
-        if reference:
-            session._pin_everywhere(list(reference))
+        for name, algorithm, query in registrations:
+            try:
+                writer.register(name, algorithm, query=query)
+            except ReproError as exc:
+                raise ShardRecoveryError(
+                    f"manifest query {name!r} cannot be re-registered: {exc}"
+                ) from exc
         return session
 
     def __repr__(self) -> str:
@@ -647,3 +571,36 @@ class ShardedSession:
             f"ShardedSession(shards={self.num_shards}, |V|={self.graph.num_nodes}, "
             f"queries={self.queries()}, seq={self.seq})"
         )
+
+
+def _read_manifest(path: Path) -> Tuple[int, int, List[Tuple[str, str, Any]]]:
+    """``(num_shards, seed, [(name, algorithm, query), ...])`` from a
+    version-2 ``sharding.json``; anything else is a
+    :class:`~repro.errors.ShardRecoveryError`."""
+    if not path.exists():
+        raise ShardRecoveryError(
+            f"{path.parent} holds no {SHARDING_FILE} manifest; recover plain session "
+            "directories with DynamicGraphSession.recover"
+        )
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ShardRecoveryError(f"corrupt manifest {path}: {exc}") from exc
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != _MANIFEST_VERSION:
+        raise ShardRecoveryError(
+            f"unsupported manifest version {version!r} in {path}; this build reads "
+            f"version {_MANIFEST_VERSION}"
+        )
+    try:
+        entries = manifest["queries"]
+        if not isinstance(entries, list):
+            raise TypeError(f"'queries' is {type(entries).__name__}, not a list")
+        registrations = []
+        for name, algorithm, query in entries:
+            if not isinstance(name, str) or not isinstance(algorithm, str):
+                raise TypeError(f"query entry {[name, algorithm]!r} is not [name, algorithm, ...]")
+            registrations.append((name, algorithm, query_from_doc(query)))
+        return int(manifest["num_shards"]), int(manifest["seed"]), registrations
+    except (ValueError, KeyError, TypeError, ReproError) as exc:
+        raise ShardRecoveryError(f"corrupt manifest {path}: {exc!r}") from exc

@@ -29,8 +29,6 @@ FIELDS = (
     "scatters",             # scatter round-trips, all kinds
     "deletion_scatters",    # scatters spent inside deletion windows
     "apply_scatters",       # one per write window
-    "register_scatters",
-    "pin_scatters",         # registration and recovery
     "messages",             # per-shard requests across all scatters
     "bytes_shipped",        # router→worker payload bytes (exact: the pickle)
 )

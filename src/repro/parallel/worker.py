@@ -1,36 +1,21 @@
-"""The shard worker: one fragment, one session, one command loop.
+"""The shard worker: one fragment, one durable log, one command loop.
 
-A :class:`ShardWorker` wraps a full
-:class:`~repro.session.DynamicGraphSession` over its fragment — WAL and
-checkpoints apply *per shard* — and keeps it a replica of the router's
-writer session on the fragment's nodes.  It answers the small command
-vocabulary the router (:mod:`repro.parallel.router`) speaks:
+A :class:`ShardWorker` wraps a :class:`~repro.session.DynamicGraphSession`
+over its fragment that never registers a query: it exists to keep the
+fragment's WAL and checkpoints.  By Theorems 1 and 3 the router's writer
+already computes every answer from one ``A_Δ`` run on the global graph,
+so a shard holds no query state at all.  The worker answers the small
+command vocabulary the router (:mod:`repro.parallel.router`) speaks:
 
-========================  ============================================
-``register``              apply the optional seq-consuming prelude
-                          (materializes a query source), then register
-                          a query on the fragment
-``apply``                 apply a window of sub-batches (one per global
-                          batch, possibly empty, so every shard's WAL
-                          seq advances in lockstep with the global seq)
-                          to the fragment graphs, then pin the writer's
-                          values; no ``A_Δ`` runs
-``pin``                   pin the writer's values (registration and
-                          recovery)
-``export_fragment``       the fragment graph (recovery reassembly)
-``unregister`` ``close``  bookkeeping
-``info``                  seq + registered queries (recovery handshake)
-========================  ============================================
-
-Both ``apply`` and ``pin`` are one call to
-:meth:`~repro.session.DynamicGraphSession.replicate` (``pin`` with an
-empty stream), which keeps the replica contract: after every command,
-each query's value on every fragment node equals the writer's, and no
-query holds a value for a node outside the fragment.  By Theorems 1 and
-3 the writer's one ``A_Δ`` run on the global graph already yields those
-values, so the shard never re-runs it: ``apply`` ships pins for the keys
-the writer's ``ΔO`` touched and the nodes newly materialized on this
-fragment, and every other key keeps its (already equal) value.
+=====================  ===============================================
+``apply``              apply a window of sub-batches (one per global
+                       batch, possibly empty, so every shard's WAL seq
+                       advances in lockstep with the global seq) to the
+                       fragment: one ``update_stream`` call
+``export_fragment``    the fragment graph (recovery reassembly)
+``info``               seq + batches applied (recovery handshake)
+``close``              checkpoint (when durable) and stop
+=====================  ===============================================
 
 The worker runs either in-process (tests, recovery, ``shards=1``
 plumbing checks) or as a child process speaking pickled request/response
@@ -79,38 +64,15 @@ class ShardWorker:
             return {"ok": False, "error": exc}
 
     # ------------------------------------------------------------------
-    def _cmd_register(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        if request["prelude"]:
-            self.session.update_stream(request["prelude"])
-        self.session.register(request["name"], request["algorithm"], query=request["query"])
-        return {"seq": self.session.seq}
-
-    def _cmd_unregister(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self.session.unregister(request["name"])
-        return {"seq": self.session.seq}
-
     def _cmd_apply(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self.session.replicate(request["batches"], request["pins"])
-        return {"seq": self.session.seq}
-
-    def _cmd_pin(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self.session.replicate([], request["pins"])
+        self.session.update_stream(request["batches"])
         return {"seq": self.session.seq}
 
     def _cmd_export_fragment(self, request: Dict[str, Any]) -> Graph:
         return self.session.graph
 
     def _cmd_info(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        session = self.session
-        return {
-            "index": self.index,
-            "seq": session.seq,
-            "batches_applied": session.batches_applied,
-            "queries": {
-                name: {"algorithm": registered.algorithm, "query": registered.query}
-                for name, registered in session._queries.items()
-            },
-        }
+        return {"seq": self.session.seq, "batches_applied": self.session.batches_applied}
 
     def _cmd_close(self, request: Dict[str, Any]) -> None:
         self.session.close()

@@ -129,14 +129,25 @@ def write_checkpoint(directory: PathLike, graph: Graph, queries, seq: int) -> Pa
         ],
     }
     target = directory / CHECKPOINT_FILE
-    temp = directory / (CHECKPOINT_FILE + ".tmp")
+    write_json_atomic(target, doc, site="checkpoint.mid-write")
+    return target
+
+
+def write_json_atomic(target: Path, doc: Any, site: Optional[str] = None) -> None:
+    """Replace ``target`` with ``doc`` as JSON, never leaving it torn.
+
+    Writes a temp file in the same directory, fsyncs it, then
+    ``os.replace``-s it over ``target``; ``site`` names the fault site
+    fired between the fsync and the rename.
+    """
+    temp = target.with_name(target.name + ".tmp")
     with open(temp, "w") as f:
         json.dump(doc, f)
         f.flush()
         os.fsync(f.fileno())
-    inject("checkpoint.mid-write")
+    if site is not None:
+        inject(site)
     os.replace(temp, target)
-    return target
 
 
 def load_checkpoint(directory: PathLike) -> Dict[str, Any]:

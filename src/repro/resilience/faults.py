@@ -24,9 +24,6 @@ Site                         Fires
 ``engine.fixpoint``          on entry to :func:`~repro.core.engine.run_fixpoint`
 ``wal.mid-append``           between the two halves of a WAL record (torn write)
 ``checkpoint.mid-write``     after the temp file is written, before the rename
-``shard.reconcile``          on a sharded-tier worker, in its replica step: after
-                             ``G ⊕ ΔG`` on its fragment, before the writer's
-                             values land
 ===========================  ====================================================
 
 Plans can also be armed process-wide through the ``REPRO_FAULTS``
@@ -65,7 +62,6 @@ KNOWN_SITES = frozenset(
         "engine.fixpoint",
         "wal.mid-append",
         "checkpoint.mid-write",
-        "shard.reconcile",
     }
 )
 

@@ -284,15 +284,6 @@ class DynamicGraphSession:
         inject("session.pre-apply")
         seqs = [self._log(batch) for batch in stream]
         apply_starting(self, seqs[-1], durable=self._wal is not None)
-        if not any(stream):
-            # Seq-only window: the sharded router's writer (_align_source)
-            # and a shard's register prelude consume one seq with no ΔG
-            # so every WAL seq stays in lockstep with the global seq —
-            # skip the transaction snapshots and the per-query steps.
-            self._batches_applied += len(stream)
-            self._run_cadences()
-            return {}
-
         txn = (
             SessionTransaction.begin(self._queries.values())
             if self.config.transactional
@@ -308,44 +299,6 @@ class DynamicGraphSession:
             self._notify(results)
         self._run_cadences()
         return results
-
-    @guarded_mutation("session.replicate")
-    def replicate(self, stream: List[Batch], pins: Dict[str, Dict[Hashable, Any]]) -> None:
-        """Apply ``stream`` to the graphs only, then land on ``pins``.
-
-        The replica step of the sharded tier (:mod:`repro.parallel`): the
-        router's writer already ran ``A_Δ`` on the global graph, so a
-        shard runs none.  The window is validated and WAL-logged as in
-        :meth:`update_stream` (shard seqs stay in lockstep with the
-        global seq) and applied to the reference graph and every query
-        replica; each query drops its ``removed_variables``.  ``pins``
-        then overwrite values with the writer's — they cover every key
-        whose global value changed and every newly materialized node.
-        Pins carry no ``ΔG``, so they are not WAL-logged; sharded
-        recovery re-pins every shard.  An empty ``stream`` only pins.
-        """
-        self._validate(stream)
-        seqs = [self._log(batch) for batch in stream]
-        if seqs:
-            apply_starting(self, seqs[-1], durable=self._wal is not None)
-        for batch in stream:
-            apply_updates(self.graph, batch)
-            for registered in self._queries.values():
-                apply_updates(registered.graph, batch)
-                for key in registered.batch.spec.removed_variables(
-                    batch, registered.graph, registered.query
-                ):
-                    registered.state.drop(key)
-            self._batches_applied += 1
-        inject("shard.reconcile")
-        for name, values in pins.items():
-            self._query(name).state.values.update(values)
-        for registered in self._queries.values():
-            # Values moved without the dense mirror, and a count-neutral
-            # move still passes KernelContext.matches; never trust it.
-            registered.incremental._kernel_ctx = None
-        if stream:
-            self._run_cadences()
 
     # ------------------------------------------------------------------
     def _validate(self, stream: List[Batch]) -> None:

@@ -5,34 +5,32 @@ import pytest
 from repro.errors import GraphError
 from repro.generators import erdos_renyi
 from repro.graph import from_edges
-from repro.parallel import build_partitioning, hash_partition
+from repro.parallel import build_partitioning, stable_partition
 
 
 class TestPartitioning:
     def test_hash_partition_covers_all_nodes(self):
         g = erdos_renyi(30, 60, seed=1)
-        p = hash_partition(g, 4)
+        p = stable_partition(g, 4)
         assert set(p.assignment) == set(g.nodes())
-        assert sum(len(nodes) for nodes in p.owned) == 30
+        owned = [{v for v, i in p.assignment.items() if i == k} for k in range(4)]
+        assert sum(len(nodes) for nodes in owned) == 30
+        for k, fragment in enumerate(p.fragments):
+            assert owned[k] <= set(fragment.nodes())
 
     def test_fragments_keep_incident_edges(self):
         g = from_edges([(0, 1), (1, 2)], directed=True)
         p = build_partitioning(g, {0: 0, 1: 1, 2: 1}, 2)
         # Fragment 0 owns node 0 and holds a replica of 1 plus the cut edge.
         assert p.fragments[0].has_edge(0, 1)
-        assert 1 in p.replicas[0]
-        assert p.edge_cut == 1
+        assert not p.fragments[0].has_node(2)
+        assert p.fragments[1].has_edge(0, 1) and p.fragments[1].has_edge(1, 2)
 
     def test_replica_locations(self):
         g = from_edges([(0, 1)], directed=True)
         p = build_partitioning(g, {0: 0, 1: 1}, 2)
-        assert p.replica_locations[1] == {0}
-        assert p.replica_locations[0] == {1}
-
-    def test_balance_metric(self):
-        g = erdos_renyi(40, 0, seed=2)
-        p = build_partitioning(g, {v: 0 if v < 39 else 1 for v in g.nodes()}, 2)
-        assert p.balance > 1.5
+        # Each endpoint of the cut edge is replicated on the other's owner.
+        assert set(p.fragments[0].nodes()) == set(p.fragments[1].nodes()) == {0, 1}
 
     def test_invalid_assignment_rejected(self):
         g = from_edges([(0, 1)])
@@ -41,8 +39,10 @@ class TestPartitioning:
         with pytest.raises(GraphError):
             build_partitioning(g, {0: 0, 1: 5}, 2)  # fragment out of range
         with pytest.raises(GraphError):
-            hash_partition(g, 0)
+            stable_partition(g, 0)
 
     def test_no_cut_for_single_fragment(self):
         g = erdos_renyi(20, 40, seed=3)
-        assert hash_partition(g, 1).edge_cut == 0
+        (fragment,) = stable_partition(g, 1).fragments
+        assert set(fragment.nodes()) == set(g.nodes())
+        assert set(fragment.edges()) == set(g.edges())

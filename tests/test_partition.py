@@ -1,9 +1,9 @@
 """Tests for the sharded tier's partitioning (`repro.parallel.partition`).
 
-Covers the ISSUE-7 gaps: boundary-vertex identification, edge-cut
-ownership, and the empty/singleton-shard edge cases — plus the
-cross-process stability contract of ``stable_assign`` that the
-router/worker boundary relies on.
+Covers boundary-vertex identification, edge-cut ownership, and the
+empty/singleton-shard edge cases — plus the cross-process stability
+contract of ``stable_assign`` that the router/worker boundary relies
+on.
 """
 
 import random
@@ -78,6 +78,15 @@ class TestStableAssign:
             stable_assign(0, 0)
 
 
+def owned(p, i):
+    return {v for v, k in p.assignment.items() if k == i}
+
+
+def replicas(p, i):
+    """Nodes present on fragment ``i`` that another fragment owns."""
+    return set(p.fragments[i].nodes()) - owned(p, i)
+
+
 class TestStablePartition:
     def test_assignment_in_range_and_total(self):
         g = random_graph(random.Random(5), 30, 60, directed=False)
@@ -91,29 +100,28 @@ class TestStablePartition:
         p = stable_partition(g, 3)
         # Every node with a replica anywhere is a boundary vertex, and
         # vice versa — matches the brute-force cut-edge scan.
-        assert set(p.replica_locations) == brute_force_boundary(g, p.assignment)
+        replicated = set().union(*(replicas(p, i) for i in range(3)))
+        assert replicated == brute_force_boundary(g, p.assignment)
 
     def test_edge_cut_ownership(self):
         g = random_graph(random.Random(11), 25, 70, directed=True)
         p = stable_partition(g, 4)
-        cut = 0
         for u, v in g.edges():
             iu, iv = p.assignment[u], p.assignment[v]
             # Every edge lives on the owner fragment(s) of its endpoints
-            # and nowhere else.
+            # and nowhere else, with its weight.
             holders = {i for i in range(4) if p.fragments[i].has_edge(u, v)}
             assert holders == {iu, iv}
+            for i in holders:
+                assert p.fragments[i].weight(u, v) == g.weight(u, v)
             if iu != iv:
-                cut += 1
-                assert v in p.replicas[iu] or u in p.replicas[iu]
-        assert p.edge_cut == cut
+                assert v in replicas(p, iu) and u in replicas(p, iv)
 
     def test_replicas_are_remote_endpoints(self):
         g = random_graph(random.Random(13), 20, 50, directed=False)
         p = stable_partition(g, 3)
         for i in range(3):
-            assert not (p.replicas[i] & p.owned[i])
-            for v in p.replicas[i]:
+            for v in replicas(p, i):
                 assert any(
                     p.assignment[u] == i
                     for u, w in g.edges()
@@ -124,25 +132,22 @@ class TestStablePartition:
     def test_singleton_shard(self):
         g = random_graph(random.Random(2), 15, 30, directed=False)
         p = stable_partition(g, 1)
-        assert p.edge_cut == 0
-        assert p.replicas == [set()]
-        assert p.replica_locations == {}
-        assert p.owned[0] == set(g.nodes())
+        assert replicas(p, 0) == set()
+        assert owned(p, 0) == set(g.nodes())
+        assert p.fragments[0].num_edges == g.num_edges
 
     def test_more_shards_than_nodes_leaves_empty_shards(self):
         g = from_edges([(0, 1), (1, 2)])
         p = stable_partition(g, 16)
-        assert sum(len(nodes) for nodes in p.owned) == 3
-        assert sum(1 for nodes in p.owned if not nodes) >= 13
-        # Quality metrics stay well-defined with empty fragments.
-        assert p.balance >= 1.0
-        assert p.edge_cut >= 0
+        assert sum(len(owned(p, i)) for i in range(16)) == 3
+        assert sum(1 for f in p.fragments if f.num_nodes == 0) >= 13
+        assert {e for f in p.fragments for e in f.edges()} == set(g.edges())
 
     def test_empty_graph(self):
         p = stable_partition(Graph(), 4)
-        assert p.edge_cut == 0
-        assert p.balance == 1.0
-        assert all(not nodes for nodes in p.owned)
+        assert p.assignment == {}
+        assert len(p.fragments) == 4
+        assert all(f.num_nodes == 0 for f in p.fragments)
 
     def test_invalid_fragment_count(self):
         with pytest.raises(GraphError):
@@ -153,10 +158,9 @@ class TestBuildPartitioningEdgeCases:
     def test_explicit_empty_shard(self):
         g = from_edges([(0, 1), (1, 2)])
         p = build_partitioning(g, {0: 0, 1: 0, 2: 2}, 3)
-        assert p.owned[1] == set()
+        assert owned(p, 1) == set()
         assert p.fragments[1].num_nodes == 0
-        assert p.edge_cut == 1
-        assert p.replica_locations == {1: {2}, 2: {0}}
+        assert replicas(p, 0) == {2} and replicas(p, 2) == {1}
 
     def test_out_of_range_assignment_rejected(self):
         g = from_edges([(0, 1)])

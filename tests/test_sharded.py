@@ -4,9 +4,9 @@ The correctness anchor is *differential equivalence*: a
 :class:`ShardedSession` over any shard count must serve exactly the
 answers of a single :class:`DynamicGraphSession` fed the same windows,
 deletions included.  CC answers are compared as partitions (component
-labels are representative-dependent).  Alongside it runs the *replica
-contract*: after every window each shard's session holds the writer's
-value on every node of its fragment and no value for any other key.
+labels are representative-dependent).  Alongside it runs the *fragment
+contract*: after every window each shard's session holds exactly its
+fragment of the writer's graph and registers no query.
 """
 
 import random
@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from oracles import random_graph
 from repro.errors import ShardRecoveryError, ShardedDirectoryError, ShardingError
+from repro.graph import Graph
 from repro.graph import Batch, EdgeDeletion, EdgeInsertion, VertexDeletion, VertexInsertion
 from repro.graph.updates import apply_updates
-from repro.parallel import SHARDABLE_ALGORITHMS, ShardedSession
+from repro.parallel import ShardedSession
 from repro.resilience import SHARDING_FILE, SessionConfig
+from repro.resilience.faults import injected
 from repro.session import DynamicGraphSession
 
 settings.register_profile("repro-sharded", deadline=None, max_examples=15)
@@ -42,15 +44,11 @@ def make_pair(graph, shards, seed=0, processes=False):
     for name, algo, query in ALGOS:
         single.register(name, algo, query=query)
         sharded.register(name, algo, query=query)
-    # Registration may consume extra seqs on the sharded side (source
-    # replicas are materialized through seq-consuming windows so shard
-    # WALs stay aligned); afterwards both must advance in lockstep.
-    single._seq_offset = sharded.seq - single.seq
     return single, sharded
 
 
-def assert_equivalent(single, sharded, context=""):
-    assert single.seq + getattr(single, "_seq_offset", 0) == sharded.seq, context
+def assert_equivalent(single, sharded, context="", seq_offset=0):
+    assert single.seq + seq_offset == sharded.seq, context
     for name, _algo, _query in ALGOS:
         a, b = single.answer(name), sharded.answer(name)
         if name == "cc":
@@ -59,21 +57,30 @@ def assert_equivalent(single, sharded, context=""):
             assert a == b, f"{context} {name}"
 
 
-def assert_replicas_match(sharded, context=""):
-    """Every in-process shard holds the writer's values on its nodes,
-    and no value for a key outside its fragment."""
+def assert_fragments_match(sharded, context=""):
+    """Every in-process shard holds exactly its fragment of the writer's
+    graph — the nodes the router counts as present, every global edge
+    incident to a node it owns with the global weight, the owned nodes'
+    global labels — and registers no query."""
+    graph = sharded.graph
+
+    def key(u, v):
+        return (u, v) if graph.directed else frozenset((u, v))
+
     for shard, present in zip(sharded._shards, sharded._present):
-        session = shard.worker.session
-        assert set(session.graph.nodes()) == present, context
-        for name in sharded.queries():
-            writer = sharded._queries[name].state.values
-            local = session._queries[name].state.values
-            stale = set(local) - set(session.graph.nodes())
-            assert not stale, f"{context} shard {shard.worker.index} {name} stale {stale!r}"
-            for node in session.graph.nodes():
-                assert local.get(node) == writer.get(node), (
-                    f"{context} shard {shard.worker.index} {name} {node!r}"
-                )
+        i, session = shard.worker.index, shard.worker.session
+        fragment = session.graph
+        where = f"{context} shard {i}"
+        assert not session._queries, f"{where} registers {list(session._queries)}"
+        assert set(fragment.nodes()) == present, where
+        owned = {v for v in graph.nodes() if sharded._owner(v) == i}
+        assert owned <= present <= set(graph.nodes()), where
+        incident = {key(u, v): (u, v) for u, v in graph.edges() if u in owned or v in owned}
+        assert {key(u, v) for u, v in fragment.edges()} == set(incident), where
+        for u, v in incident.values():
+            assert fragment.weight(u, v) == graph.weight(u, v), f"{where} edge {(u, v)!r}"
+        for v in owned:
+            assert fragment.node_label(v) == graph.node_label(v), f"{where} node {v!r}"
 
 
 def random_windows(rng, graph, steps, next_id):
@@ -135,7 +142,7 @@ class TestBoundaryDeletions:
     def test_cut_edge_deletion_repairs_across_shards(self):
         # A path that is guaranteed to cross shard boundaries: deleting
         # an interior edge must raise downstream SSSP/SSWP/Reach values
-        # on *other* shards via the writer's pins.
+        # of nodes owned by *other* shards.
         g = random_graph(random.Random(0), 0, 0, directed=False)
         for v in range(10):
             g.ensure_node(v)
@@ -179,13 +186,13 @@ def run_differential(seed, shards, steps=12):
     single, sharded = make_pair(g, shards=shards, seed=seed)
     stream, next_id = g.copy(), [1000]
     try:
-        assert_replicas_match(sharded, f"seed {seed} shards {shards} registration")
+        assert_fragments_match(sharded, f"seed {seed} shards {shards} registration")
         for step, batch in enumerate(random_windows(rng, stream, steps, next_id)):
             single.update(batch)
             sharded.update(batch)
             context = f"seed {seed} shards {shards} step {step}"
             assert_equivalent(single, sharded, context)
-            assert_replicas_match(sharded, context)
+            assert_fragments_match(sharded, context)
     finally:
         sharded.close()
         single.close()
@@ -235,8 +242,8 @@ class TestBoundaryFlapProtocol:
         single, sharded = make_pair(g, shards=3, seed=seed)
         sharded.protocol_stats.snapshot(reset=True)
         rng = random.Random(seed)
-        # Flap edges that straddle shard boundaries: every value change
-        # a deletion triggers must reach the other fragments as pins.
+        # Flap edges that straddle shard boundaries: every move must
+        # reach both endpoints' fragments.
         owner = lambda v: sharded._owner(v)
         cut_edges = [e for e in path if owner(e[0]) != owner(e[1])] or path
         live = set(path)
@@ -261,7 +268,7 @@ class TestBoundaryFlapProtocol:
                 single.update(batch)
                 sharded.update(batch)
                 assert_equivalent(single, sharded, f"seed {seed} step {step} {move}")
-                assert_replicas_match(sharded, f"seed {seed} step {step} {move}")
+                assert_fragments_match(sharded, f"seed {seed} step {step} {move}")
             window = sharded.protocol_stats.snapshot()["window"]
             if window["deletion_windows"]:
                 assert window["scatters_per_deletion_window"] == 1.0
@@ -272,21 +279,20 @@ class TestBoundaryFlapProtocol:
 
 
 class TestScatterCost:
-    def test_registration_is_one_register_and_one_pin_scatter(self):
+    def test_registration_sends_no_scatter(self):
         g = random_graph(random.Random(2), 20, 40, directed=False, weighted=True)
         sharded = ShardedSession(g, 3, processes=False)
         try:
             for name, algo, query in ALGOS:
                 sharded.protocol_stats.snapshot(reset=True)
                 sharded.register(name, algo, query=query)
-                window = sharded.protocol_stats.snapshot()["window"]
-                assert window["scatters"] == 2, name
-                assert window["register_scatters"] == window["pin_scatters"] == 1
-            assert_replicas_match(sharded, "registration")
+                assert sharded.protocol_stats.snapshot()["window"]["scatters"] == 0, name
+                assert sharded.seq == -1, name
+            assert_fragments_match(sharded, "registration")
         finally:
             sharded.close()
 
-    def test_recovery_is_a_handshake_and_one_pin_scatter(self, tmp_path):
+    def test_recovery_is_a_handshake_and_one_export_scatter(self, tmp_path):
         g = random_graph(random.Random(2), 20, 40, directed=False, weighted=True)
         sharded = ShardedSession(g, 3, config=SessionConfig(directory=tmp_path), processes=False)
         for name, algo, query in ALGOS:
@@ -296,12 +302,11 @@ class TestScatterCost:
         recovered = ShardedSession.recover(tmp_path)
         try:
             life = recovered.protocol_stats.snapshot()["lifetime"]
-            assert life["scatters"] == 3  # info + export_fragment + pin
-            assert life["pin_scatters"] == 1
-            assert_replicas_match(recovered, "recovery")
+            assert life["scatters"] == 2  # info + export_fragment
+            assert life["apply_scatters"] == 0
+            assert_fragments_match(recovered, "recovery")
         finally:
             recovered.close()
-
 
     def test_rejected_window_scatters_nothing(self):
         from repro.errors import BatchValidationError
@@ -322,22 +327,12 @@ class TestScatterCost:
 
 
 class TestReplicaStep:
-    """Shards replicate ΔG and the writer's pins; they never run A_Δ."""
+    """Shards log ΔG on their fragments; they hold no query, so they
+    never run A_Δ."""
 
     def test_shards_run_no_incremental_algorithm(self):
-        from repro.resilience.faults import injected
-
         g = random_graph(random.Random(5), 20, 45, directed=False, weighted=True)
         single, sharded = make_pair(g, shards=3)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a shard ran A_Δ")
-
-        for shard in sharded._shards:
-            for registered in shard.worker.session._queries.values():
-                registered.incremental.apply = forbidden
-                registered.incremental.apply_stream = forbidden
-
         graph, owner = sharded.graph, sharded._owner
         edges = sorted(graph.edges())
         cut = [e for e in edges if owner(e[0]) != owner(e[1])]
@@ -368,41 +363,42 @@ class TestReplicaStep:
                 sharded.update_stream(stream)
                 context = f"step {step}"
                 assert_equivalent(single, sharded, context)
-                assert_replicas_match(sharded, context)
+                assert_fragments_match(sharded, context)
                 for shard in sharded._shards:
                     assert shard.worker.session.seq == sharded.seq, context
-                    for registered in shard.worker.session._queries.values():
-                        assert registered.incremental._kernel_ctx is None, context
-            with injected("shard.reconcile"):
-                with pytest.raises(ShardingError):
-                    sharded.update(Batch([EdgeDeletion(*cut[1])]))
-            assert sharded.incidents.by_kind("shard-error")
         finally:
             sharded.close()
             single.close()
 
 
-class TestPinFaults:
-    def test_crash_inside_reconcile_surfaces_as_sharding_error(self):
-        # A worker dying in its replica step (after applying its sub-batch)
-        # must surface in-band as a ShardingError with an incident
-        # recorded, not hang the scatter or corrupt the reply pipeline.
-        from repro.resilience.faults import injected
-
+class TestShardCrash:
+    def test_crash_in_shard_window_surfaces_and_blocks_recovery(self, tmp_path):
+        # A shard dying in its update_stream must surface in-band as a
+        # ShardingError with an incident recorded, not hang the scatter.
+        # The crashed shard logged nothing, so recovery must refuse the
+        # diverged seqs rather than reassemble a torn window.
         g = random_graph(random.Random(0), 0, 0, directed=False)
         for v in range(10):
             g.ensure_node(v)
         for v in range(9):
             g.add_edge(v, v + 1, weight=1.0)
-        single, sharded = make_pair(g, shards=3)
-        try:
-            with injected("shard.reconcile"):
-                with pytest.raises(ShardingError):
-                    sharded.update(Batch([EdgeDeletion(4, 5)]))
-            assert sharded.incidents.by_kind("shard-error")
-        finally:
-            sharded.close()
-            single.close()
+        config = SessionConfig(directory=tmp_path)
+        sharded = ShardedSession(g, 3, config=config, processes=False)
+        for name, algo, query in ALGOS:
+            sharded.register(name, algo, query=query)
+        sharded.update(Batch([EdgeInsertion(0, 9, weight=4.0)]))
+        seq = sharded.seq + 1
+        # session.pre-apply fires on the writer first, then on each
+        # shard in index order: hit 3 lands on shard 1.
+        with injected("session.pre-apply:3"):
+            with pytest.raises(ShardingError) as info:
+                sharded.update(Batch([EdgeDeletion(4, 5)]))
+        assert info.value.shard == 1
+        assert sharded.incidents.by_kind("shard-error")
+        assert [s.worker.session.seq for s in sharded._shards] == [seq, seq - 1, seq]
+        sharded.close()
+        with pytest.raises(ShardRecoveryError, match=str({0: seq, 1: seq - 1, 2: seq})):
+            ShardedSession.recover(tmp_path)
 
 
 class TestProcessMode:
@@ -422,13 +418,39 @@ class TestProcessMode:
 
 
 class TestRegistration:
-    def test_unsupported_algorithm_rejected(self):
-        g = random_graph(random.Random(1), 10, 20, directed=False)
-        sharded = ShardedSession(g, 2, processes=False)
-        assert "LCC" not in SHARDABLE_ALGORITHMS
-        with pytest.raises(ShardingError):
-            sharded.register("lcc", "LCC")
+    def test_any_algorithm_registers_and_recovers(self, tmp_path):
+        rng = random.Random(1)
+        g = random_graph(rng, 16, 36, directed=False, weighted=True, labels=["b", "c"])
+        pattern = Graph(directed=False)
+        pattern.add_node("u_b", label="b")
+        pattern.add_node("u_c", label="c")
+        pattern.add_edge("u_b", "u_c")
+        queries = [("lcc", "LCC", None), ("sim", "Sim", pattern), ("core", "Coreness", None)]
+        single = DynamicGraphSession(g.copy())
+        config = SessionConfig(directory=tmp_path)
+        sharded = ShardedSession(g.copy(), 2, config=config, processes=False)
+        for name, algo, query in queries:
+            single.register(name, algo, query=query)
+            sharded.register(name, algo, query=query)
+        sharded.register("gone", "SSSP", query=0)
+        stream, next_id = g.copy(), [1000]
+        for step, batch in enumerate(random_windows(rng, stream, 10, next_id)):
+            single.update(batch)
+            sharded.update(batch)
+            for name, _algo, _query in queries:
+                assert sharded.answer(name) == single.answer(name), f"step {step} {name}"
+            assert_fragments_match(sharded, f"step {step}")
+        sharded.unregister("gone")
         sharded.close()
+        recovered = ShardedSession.recover(tmp_path)
+        try:
+            assert recovered.queries() == [name for name, _a, _q in queries]
+            assert recovered.seq == single.seq
+            for name, _algo, _query in queries:
+                assert recovered.answer(name) == single.answer(name), name
+        finally:
+            recovered.close()
+            single.close()
 
     def test_update_stream_window(self):
         rng = random.Random(4)
@@ -473,13 +495,30 @@ class TestDurability:
         single = DynamicGraphSession(recovered.graph.copy())
         for name, algo, query in ALGOS:
             single.register(name, algo, query=query)
-        single._seq_offset = recovered.seq - single.seq
         batch = Batch([EdgeDeletion(*next(iter(recovered.graph.edges())))])
         single.update(batch)
         recovered.update(batch)
-        assert_equivalent(single, recovered, "post-recovery update")
+        # The fresh single session starts at seq -1, the recovered one at seq.
+        assert_equivalent(single, recovered, "post-recovery update", seq_offset=seq + 1)
         recovered.close()
         single.close()
+
+    def test_empty_batch_advances_seq_and_survives_recovery(self, tmp_path):
+        sharded = self._durable(tmp_path)
+        seq = sharded.seq
+        answers = {name: sharded.answer(name) for name, _a, _q in ALGOS}
+        results = sharded.update(Batch([]))
+        assert sharded.seq == seq + 1
+        assert all(not result.changes for result in results.values())
+        assert {name: sharded.answer(name) for name in answers} == answers
+        assert [s.worker.session.seq for s in sharded._shards] == [seq + 1] * 3
+        sharded.close()
+        recovered = ShardedSession.recover(tmp_path)
+        try:
+            assert recovered.seq == seq + 1
+            assert {name: recovered.answer(name) for name in answers} == answers
+        finally:
+            recovered.close()
 
     def test_per_shard_directories_do_not_collide(self, tmp_path):
         sharded = self._durable(tmp_path, shards=3)
@@ -511,5 +550,30 @@ class TestDurability:
         sharded = self._durable(tmp_path)
         sharded.close()
         (tmp_path / SHARDING_FILE).write_text('{"num_shards": "many"}')
+        with pytest.raises(ShardRecoveryError):
+            ShardedSession.recover(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(version=1),
+            lambda doc: doc.pop("queries"),
+            lambda doc: doc.update(queries={"sssp": "SSSP"}),
+            lambda doc: doc.update(queries=[["sssp", "SSSP"]]),
+            lambda doc: doc.update(queries=[["sssp", "SSSP", "not a query doc"]]),
+        ],
+        ids=["version-1", "no-queries", "queries-not-a-list", "short-entry", "bad-query"],
+    )
+    def test_recover_rejects_malformed_manifest(self, tmp_path, edit):
+        import json
+
+        sharded = self._durable(tmp_path)
+        sharded.close()
+        path = tmp_path / SHARDING_FILE
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2
+        assert [entry[:2] for entry in doc["queries"]] == [[n, a] for n, a, _q in ALGOS]
+        edit(doc)
+        path.write_text(json.dumps(doc))
         with pytest.raises(ShardRecoveryError):
             ShardedSession.recover(tmp_path)
