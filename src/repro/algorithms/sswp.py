@@ -13,14 +13,17 @@ order (widths start at 0 — the ⪯-top — and only grow), the schedule is
 "largest width first" (a max-heap Dijkstra), and the anchor order is
 value-derived, so the deduced ``IncSSWP`` is *deducible*.
 
-One honest caveat: unlike SSSP's ``x + w`` — strictly increasing in its
-anchor, so an anchor change forces a dependent change — SSWP's
-``min(x, capacity)`` both *ties* across paths sharing a bottleneck and
-*saturates* (the anchor can move without moving the dependent).  The
-scope function handles both conservatively, which keeps IncSSWP exactly
-correct but lets ``H⁰`` exceed ``AFF`` along anchor-cascade chains —
-*semi-boundedness* in the sense of the paper's reference [23] rather
-than strict relative boundedness.
+Unlike SSSP's ``x + w`` — strictly increasing in its anchor, so an
+anchor change forces a dependent change — SSWP's ``min(x, capacity)``
+both *ties* across paths sharing a bottleneck and *saturates* (the
+anchor can move without moving the dependent).  Ties are broken by old
+timestamp in the repair order ``<_C`` (docs/theory.md), so a tied input
+that settled earlier stays trusted and one deleted hub edge no longer
+resets a whole width plateau.  Saturation, and a dependent whose only
+tied support settled after it, can still pull an unaffected variable
+into ``H⁰``, so ``H⁰`` may exceed ``AFF`` along anchor-cascade chains —
+*semi-boundedness* in the sense of the paper's reference [23].  IncSSWP
+stays exactly correct either way.
 
 >>> from repro.graph import Graph
 >>> g = Graph(directed=True)
@@ -63,11 +66,6 @@ class SSWPSpec(FixpointSpec):
     order = MaxValueOrder()
     uses_timestamps = False
     supports_push = True  # f is the ⪯-min (numeric max) of edge candidates
-    # C1 is only *semi*-bounded for SSWP: min(x, capacity) ties across
-    # bottleneck-sharing paths and saturates, so H⁰ may exceed AFF along
-    # anchor-cascade chains (see the module docstring).  IncSSWP stays
-    # exactly correct; we waive the strict-boundedness lint rule.
-    lint_suppress = frozenset({"scope-unbounded"})
 
     # -- model ----------------------------------------------------------
     def variables(self, graph: Graph, query: Node) -> Iterable[Node]:
@@ -121,8 +119,8 @@ class SSWPSpec(FixpointSpec):
 
     # -- anchors ----------------------------------------------------------
     def order_key(self, key: Node, value: float, timestamp: int) -> float:
-        # <_C follows settling order: larger widths settle first; ties
-        # are handled conservatively by the scope function.
+        # <_C follows settling order: larger widths settle first; the
+        # scope function breaks width ties by old timestamp.
         return -value
 
     def changed_input_keys(self, delta: Batch, graph_new: Graph, query: Node) -> Iterable[Node]:

@@ -25,7 +25,12 @@ from .state import FixpointState
 
 PathLike = Union[str, Path]
 
-_FORMAT_VERSION = 1
+#: Version 2: timestamps carry correctness weight.  The repair pass
+#: breaks ``<_C`` ties by old timestamp and trusts an earlier-stamped
+#: tied input, which is sound only for states whose every non-⊥ value has
+#: a support strictly earlier in ``(order_key, timestamp)``
+#: (docs/theory.md).  Version-1 states predate that invariant.
+_FORMAT_VERSION = 2
 
 
 def _encode(value: Any) -> Any:
@@ -99,8 +104,9 @@ def load_state(source: Union[PathLike, IO[str]]) -> FixpointState:
         raise ReproError(
             f"unsupported state format version {doc.get('version')!r}; this "
             f"build reads version {_FORMAT_VERSION}.  The file was written "
-            "by an incompatible (likely newer) release — upgrade, or "
-            "re-run the batch algorithm to regenerate the state."
+            "by an incompatible release (version 1 predates the timestamp "
+            "tie-break of the repair order) — re-run the batch algorithm "
+            "to regenerate the state."
         )
     state = FixpointState()
     for raw_key, raw_value, timestamp in doc["entries"]:

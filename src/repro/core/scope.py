@@ -11,12 +11,16 @@ The implementation follows Figure 4 line by line:
 1. Collect into ``H⁰`` the variables whose update-function input sets
    evolved due to ``ΔG`` (``spec.changed_input_keys``).
 2. Initialize a priority queue with them, ordered by the topological
-   order ``<_C`` induced by anchor sets (``spec.order_key`` — final
-   values for deducible specs, timestamps for weakly deducible ones).
+   order ``<_C`` induced by anchor sets: the lexicographic key
+   ``(spec.order_key, old timestamp)`` — final values for deducible
+   specs, timestamps for weakly deducible ones, with the old timestamp
+   breaking value ties (docs/theory.md, "Tie-breaking the repair order").
 3. Pop the smallest variable ``x_i``; build the *feasibilized* input set
-   ``Ȳ``: any input later than ``x_i`` in ``<_C`` is reset to its initial
-   value ``y^⊥`` (line 6), inputs earlier in the order keep their —
-   already repaired — current values.
+   ``Ȳ``: an input keeps its current value only if its *current* key is
+   strictly below ``x_i``'s old key, otherwise it is reset to its initial
+   value ``y^⊥`` (line 6).  A variable repaired in this pass carries a
+   fresh, later timestamp, so it is trusted only when its new value is
+   strictly better than ``x_i``'s old one.
 4. If the old value is strictly below ``f(Ȳ)`` (``x_i ≺ f(Ȳ)``), the old
    value is potentially infeasible: adopt ``f(Ȳ)``, add ``x_i`` to
    ``H⁰``, and enqueue every ``z`` with ``x_i ∈ C_z``
@@ -78,9 +82,16 @@ def repair_pass(
     def okey(key: Hashable) -> Any:
         cached = okey_cache.get(key)
         if cached is None:
-            cached = spec.order_key(key, old_value_of(key), old_timestamp_of(key))
+            ts = old_timestamp_of(key)
+            cached = (spec.order_key(key, old_value_of(key), ts), ts)
             okey_cache[key] = cached
         return cached
+
+    def current_key(key: Hashable) -> Any:
+        if key not in old_values:
+            return okey(key)  # not repaired: current key == old key
+        ts = state.timestamp(key)
+        return (spec.order_key(key, state.values[key], ts), ts)
 
     processed: Set[Hashable] = set()
     tick = 0
@@ -101,24 +112,14 @@ def repair_pass(
             continue
         processed.add(x)
 
-        # Lines 4-6: feasibilized evaluation — inputs later in <_C are
-        # reset to their initial values.
+        # Lines 4-6: feasibilized evaluation — an input is trusted iff its
+        # current key is strictly earlier in <_C than x_i's old key; any
+        # other input is reset to its initial value.
         def value_of_feasible(y: Hashable, _x_okey=x_okey) -> Any:
             if counting:
                 counter.on_read(y)
-            if y not in state.values:
-                return spec.initial_value(y, graph_new, query)
-            if y in processed or y in old_values:
-                # Already repaired (or being repaired): current value is
-                # feasible for the new graph.
+            if y in state.values and current_key(y) < _x_okey:
                 return state.values[y]
-            if okey(y) < _x_okey:
-                # Strictly earlier in <_C: feasible by induction on the
-                # repair order.
-                return state.values[y]
-            # Later in <_C — or tied with x_i, in which case y cannot be a
-            # contributor of x_i and its old value is untrusted: reset to
-            # the initial value (Figure 4, line 6).
             return spec.initial_value(y, graph_new, query)
 
         if counting:

@@ -67,9 +67,8 @@ class FixpointSpec(ABC):
     supports_push: bool = False
     #: Lint rules (ids or names, see :mod:`repro.lint.rules`) that this
     #: spec deliberately opts out of.  Suppressions are a public admission
-    #: — each one should carry a comment citing why the contract is waived
-    #: (e.g. SSWP waives ``scope-unbounded``: its ``min``-saturating update
-    #: function is only *semi*-bounded, see the module docstring there).
+    #: — each one should carry a comment citing why the contract is
+    #: waived.  No built-in spec needs one.
     lint_suppress: frozenset = frozenset()
 
     # ------------------------------------------------------------------
@@ -182,7 +181,9 @@ class FixpointSpec(ABC):
         Deducible specs derive this from the final value (e.g. SSSP uses
         the distance itself); weakly deducible specs use the timestamp.
         The default uses the timestamp, which is always a valid
-        linearization of the batch run's change propagation.
+        linearization of the batch run's change propagation.  The scope
+        function breaks ties of this key by old timestamp, so tied values
+        need no spec-side tie-break.
         """
         return timestamp
 

@@ -13,9 +13,13 @@ fixpoint values mirrored into flat encoded arrays.  Each apply then runs
    ``new_variables`` hooks (so delete-then-reinsert churn keeps old
    values, exactly like the generic driver);
 2. the Figure-4 repair queue over dense ids, ordered by the spec's
-   ``<_C`` (encoded old values for deducible specs, old timestamps for
-   weakly deducible ones), with feasibilized pulls and per-spec anchor
-   enumeration — all reading *old* values through a lazy overlay dict;
+   ``<_C`` — the lexicographic key ``(okey, old timestamp)``, where okey
+   is the encoded old value for deducible specs and the old timestamp
+   for weakly deducible ones — with feasibilized pulls (an input is
+   trusted iff its current key is strictly below the popped node's old
+   key; a node repaired in this pass counts as freshly timestamped) and
+   per-spec anchor enumeration, all reading *old* values through a lazy
+   overlay dict;
 3. seed evaluations, per-edge insertion relaxations, and the resumed
    push drain, with the scalar combine inlined over the overlay rows
    (clean base nodes read the snapshot arrays directly);
@@ -525,7 +529,9 @@ def kernel_apply(
     # ------------------------------------------------------------------
     # Phase h — the Figure-4 repair queue over dense ids, reading old
     # values/timestamps through a lazy overlay (ts[] itself stays
-    # pre-apply until the final resync, so it *is* the old clock).
+    # pre-apply until the final resync, so it *is* the old clock).  The
+    # heap orders by (okey, ts): the old timestamp breaks okey ties, the
+    # same lexicographic <_C as core.scope.
     old_val: Dict[int, float] = {}
     anchor_ts = kspec.anchor == TIMESTAMP
     boolean = kspec.domain == BOOL
@@ -545,25 +551,29 @@ def kernel_apply(
             repair_seeds.add(i)
 
     heappush, heappop = heapq.heappush, heapq.heappop
-    que: List[Tuple[Any, int, int]] = []
+    que: List[Tuple[Any, int, int, int]] = []
     queued: Set[int] = set()
     processed: Set[int] = set()
     tick = 0
     for i in repair_seeds:
         tick += 1
-        heappush(que, (okey(i), tick, i))
+        heappush(que, (okey(i), ts[i], tick, i))
         queued.add(i)
 
     while que:
-        x_okey, _, x = heappop(que)
+        x_okey, x_ts, _, x = heappop(que)
         if x in processed:
             continue
         processed.add(x)
 
-        # Feasibilized pull: inputs later in <_C reset to their initial
-        # values, repaired or strictly-earlier inputs trusted.  The row
-        # iteration and the input's okey are inlined per anchor mode —
-        # this is the hottest per-edge loop of the repair phase.
+        # Feasibilized pull: an input keeps its current value iff its
+        # current key is strictly below (x_okey, x_ts), otherwise it is
+        # reset to its initial value.  A node repaired in this pass (in
+        # old_val) carries a fresh, later timestamp: value anchors trust
+        # it only if its new value is strictly below x_okey, timestamp
+        # anchors never.  The row iteration and the input's key are
+        # inlined per anchor mode — this is the hottest per-edge loop of
+        # the repair phase.
         if x == src:
             new = init[x]
         else:
@@ -576,21 +586,22 @@ def kernel_apply(
             if not anchor_ts:
                 if combine == ADD:
                     for j, w in jw:
-                        if j in processed or (
-                            old_val[j] if j in old_val else val[j]
-                        ) < x_okey:
-                            cand = val[j] + w
-                        else:
-                            cand = init[j] + w
+                        vj = val[j]
+                        if not (
+                            vj < x_okey
+                            or (vj == x_okey and j not in old_val and ts[j] < x_ts)
+                        ):
+                            vj = init[j]
+                        cand = vj + w
                         if cand < best:
                             best = cand
                 else:  # MAXNEG
                     for j, w in jw:
-                        if j in processed or (
-                            old_val[j] if j in old_val else val[j]
-                        ) < x_okey:
-                            vj = val[j]
-                        else:
+                        vj = val[j]
+                        if not (
+                            vj < x_okey
+                            or (vj == x_okey and j not in old_val and ts[j] < x_ts)
+                        ):
                             vj = init[j]
                         nw = -w
                         cand = nw if nw > vj else vj
@@ -598,20 +609,19 @@ def kernel_apply(
                             best = cand
             elif boolean:
                 for j, _w in jw:
-                    if j in processed:
-                        vj = val[j]
-                    else:
-                        ov = old_val[j] if j in old_val else val[j]
-                        jkey = float(ts[j]) if ov != 0.0 else INF
-                        vj = val[j] if jkey < x_okey else init[j]
+                    vj = val[j]
+                    if j in old_val or (
+                        (float(ts[j]) if vj != 0.0 else INF), ts[j]
+                    ) >= (x_okey, x_ts):
+                        vj = init[j]
                     if vj < best:
                         best = vj
             else:  # CC: okey is the raw timestamp
                 for j, _w in jw:
-                    if j in processed or ts[j] < x_okey:
-                        vj = val[j]
-                    else:
+                    if j in old_val or ts[j] >= x_okey:
                         vj = init[j]
+                    else:
+                        vj = val[j]
                     if vj < best:
                         best = vj
             new = best
@@ -639,7 +649,7 @@ def kernel_apply(
                         ovz = old_val[z] if z in old_val else val[z]
                         if ovz == oldv + w:
                             tick += 1
-                            heappush(que, (ovz, tick, z))  # okey(z) == ovz here
+                            heappush(que, (ovz, ts[z], tick, z))  # okey(z) == ovz here
                             queued.add(z)
         elif combine == MAXNEG:
             if oldv != 0.0:
@@ -649,7 +659,7 @@ def kernel_apply(
                         ovz = old_val[z] if z in old_val else val[z]
                         if ovz == (nw if nw > oldv else oldv):
                             tick += 1
-                            heappush(que, (ovz, tick, z))  # okey(z) == ovz here
+                            heappush(que, (ovz, ts[z], tick, z))  # okey(z) == ovz here
                             queued.add(z)
         elif boolean:
             if oldv != 0.0:
@@ -660,14 +670,14 @@ def kernel_apply(
                         if ovz != 0.0 and ts[z] > tsx:
                             tick += 1
                             # okey(z) == float(ts[z]) since ovz is truthy
-                            heappush(que, (float(ts[z]), tick, z))
+                            heappush(que, (float(ts[z]), ts[z], tick, z))
                             queued.add(z)
         else:  # CC: neighbors whose last change came later
             tsx = ts[x]
             for z, _w in zw:
                 if z not in processed and z not in queued and ts[z] > tsx:
                     tick += 1
-                    heappush(que, (ts[z], tick, z))  # okey(z) == ts[z]
+                    heappush(que, (ts[z], ts[z], tick, z))  # okey(z) == ts[z]
                     queued.add(z)
 
     # ------------------------------------------------------------------

@@ -18,10 +18,12 @@ every rule to run (checks that need missing structure skip themselves).
 from __future__ import annotations
 
 import inspect
+import random
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from ..core.spec import FixpointSpec
+from ..graph.updates import Batch, EdgeInsertion
 from ..generators import (
     assign_labels,
     assign_weights,
@@ -68,6 +70,22 @@ def _directed_weighted(seed: int, tag: str) -> Workload:
     return Workload(graph, 0, random_updates(graph, 8, seed=seed + 1), tag)
 
 
+def _tie_heavy(seed: int, tag: str) -> Workload:
+    # Integer weights in 1..3, so widths and distances tie across paths:
+    # the case <_C's timestamp tie-break must keep bounded (C105).
+    rng = random.Random(seed)
+    graph = erdos_renyi(24, 70, directed=True, seed=seed)
+    for u, v in list(graph.edges()):
+        graph.set_weight(u, v, float(rng.randint(1, 3)))
+    delta = random_updates(graph, 8, seed=seed + 1, weight_range=(1.0, 3.0))
+    delta = Batch([
+        EdgeInsertion(op.u, op.v, weight=float(round(op.weight)))
+        if isinstance(op, EdgeInsertion) else op
+        for op in delta
+    ])
+    return Workload(graph, 0, delta, tag)
+
+
 def _undirected(seed: int, tag: str) -> Workload:
     graph = erdos_renyi(22, 50, directed=False, seed=seed)
     return Workload(graph, None, random_updates(graph, 8, seed=seed + 1), tag)
@@ -85,7 +103,11 @@ def default_workloads(spec: FixpointSpec) -> List[Workload]:
     """Two seeded probes shaped for the spec's query/graph requirements."""
     name = spec.name
     if name in ("SSSP", "SSWP", "Reach"):
-        return [_directed_weighted(3, f"{name}-a"), _directed_weighted(11, f"{name}-b")]
+        return [
+            _directed_weighted(3, f"{name}-a"),
+            _directed_weighted(11, f"{name}-b"),
+            _tie_heavy(5, f"{name}-ties"),
+        ]
     if name == "Sim":
         return [_labeled_with_pattern(5, "Sim-a"), _labeled_with_pattern(13, "Sim-b")]
     if name in ("CC", "LCC", "Coreness"):

@@ -143,12 +143,13 @@ class TestLint:
         assert doc["specs"] == ["SSSP"]
         assert doc["semantic"] is True and doc["clean"] is True
 
-    def test_verbose_shows_sswp_waiver(self, capsys):
+    def test_verbose_shows_sswp_clean_unsuppressed(self, capsys):
         code, out, _err = run_cli(
             capsys, "lint", "--spec", "sswp", "--semantic", "--verbose"
         )
-        assert code == 0  # suppressed findings don't fail the run ...
-        assert "C105" in out and "[suppressed]" in out  # ... but stay visible
+        assert code == 0
+        assert "0 error(s)" in out and "0 suppressed" in out
+        assert "C105" not in out and "[suppressed]" not in out
 
     def test_disable_rule_by_name(self, capsys):
         code, out, _err = run_cli(capsys, "lint", "--disable", "mutating-update")

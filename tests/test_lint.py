@@ -211,15 +211,17 @@ class NoAnchorSSSP(SSSPSpec):
         return ()
 
 
-class UnorderedAnchorSSSP(SSSPSpec):
-    """A broken <_C plus overbroad anchors: the repair loop resets every
-    input (all order keys tie) and walks into unaffected variables, so
-    H⁰ ⊄ AFF even though the final answer stays correct."""
+class InvertedAnchorSSSP(SSSPSpec):
+    """An inverted <_C plus overbroad anchors: the repair loop pops far
+    variables first, resets their (nearer, hence "later") inputs, and
+    walks into unaffected variables, so H⁰ ⊄ AFF even though the final
+    answer stays correct.  The timestamp tie-break cannot help: no keys
+    tie, they are in the wrong order."""
 
-    name = "UnorderedSSSP"
+    name = "InvertedSSSP"
 
     def order_key(self, key, value, timestamp):
-        return 0
+        return -value
 
     def anchor_dependents(self, key, value_of, timestamp_of, graph_new, query):
         return [z for z in sorted(graph_new.nodes(), reverse=True) if z != query]
@@ -286,16 +288,16 @@ class TestContractRules:
         assert "C108" in ids
 
     def test_scope_unbounded_c105(self):
-        # Deleting (1, 2) only affects {2, 3}, but the tied order makes
-        # the repair of node 4 (unaffected, 2 hops out) reset its input
-        # to ∞ and adopt it — H⁰ picks up a variable outside AFF.
+        # Deleting (1, 2) only affects {2, 3}, but the inverted order pops
+        # node 4 (unaffected, 2 hops out) before its input 1, resets that
+        # input to ∞ and adopts it — H⁰ picks up a variable outside AFF.
         g = from_edges(
             [(0, 1), (0, 2), (1, 2), (2, 3), (1, 4)],
             directed=True,
             weights=[1.0, 5.0, 1.0, 1.0, 1.0],
         )
         workload = Workload(g, 0, Batch([EdgeDeletion(1, 2)]), "diamond+tail")
-        ids = self.contract_ids(UnorderedAnchorSSSP(), workload)
+        ids = self.contract_ids(InvertedAnchorSSSP(), workload)
         assert "C105" in ids
         assert "C108" not in ids  # unbounded is still *correct*
 
@@ -332,8 +334,10 @@ class TestBuiltins:
     def test_builtins_clean_semantic(self):
         report = lint_specs(semantic=True)
         assert report.clean, report.render_text(verbose=True)
-        # SSWP's semi-boundedness waiver is visible, not silent.
-        assert [(f.rule.id, f.spec) for f in report.suppressed] == [("C105", "SSWP")]
+        # Clean unsuppressed: SSWP's tie plateaus (including the tie-heavy
+        # probe) stay bounded under the timestamp tie-break of <_C.
+        assert report.suppressed == []
+        assert all(not spec.lint_suppress for spec in builtin_specs())
 
 
 # ======================================================================

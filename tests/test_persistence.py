@@ -155,8 +155,16 @@ class TestHardenedEncoding:
         with pytest.raises(ReproError) as info:
             load_state(buffer)
         message = str(info.value)
-        assert "99" in message and "version 1" in message
+        assert "99" in message and "version 2" in message
         assert "re-run" in message  # tells the operator how to recover
+
+    def test_version_1_state_is_rejected(self):
+        # Version-1 states predate the timestamp tie-break of <_C and may
+        # hold a kept value whose only tied support is stamped later;
+        # trusting them can close an unfounded cycle (tests/test_sswp.py).
+        buffer = io.StringIO('{"version": 1, "clock": 0, "entries": []}')
+        with pytest.raises(ReproError, match="re-run the batch algorithm"):
+            load_state(buffer)
 
     def test_unknown_encoded_marker_rejected(self):
         from repro.core.persistence import _decode

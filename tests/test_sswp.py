@@ -3,6 +3,8 @@
 import math
 import random
 
+import pytest
+
 from oracles import random_edge_batch, random_graph
 from repro import IncSSWP, WidestPath, sswp
 from repro.graph import Batch, EdgeDeletion, EdgeInsertion, from_edges
@@ -116,3 +118,45 @@ class TestIncremental:
                 delta = random_edge_batch(rng, work, rng.randint(1, 5), weighted=True)
                 inc.apply(work, state, delta, 0)
                 assert dict(state.values) == oracle_sswp(work, 0), f"trial {trial}"
+
+
+# (engine, drain) for the generic engine and each kernel drain tier.
+ENGINE_TIERS = [("generic", None), ("kernel", "scalar"), ("kernel", "sparse"), ("kernel", "dense")]
+
+
+class TestTieBrokenOrder:
+    """Figure 4's <_C breaks width ties by old timestamp (docs/theory.md)."""
+
+    @pytest.mark.parametrize("batch_engine", ["generic", "kernel"])
+    @pytest.mark.parametrize("engine,drain", ENGINE_TIERS)
+    def test_kept_tie_never_relies_on_a_repaired_input(self, batch_engine, engine, drain):
+        # Trusting every processed input (instead of comparing its current
+        # key) lets a kept node lean on a tied input repaired earlier in the
+        # same pass, whose fresh timestamp is later than its own.  The
+        # second deletion then closes that unfounded cycle and leaves
+        # {1, 13, 16, 18, 19} at width 1.
+        edges = [(0, 14, 3), (16, 18, 1), (1, 19, 2), (1, 18, 1), (1, 14, 3), (13, 19, 2), (13, 18, 3)]
+        g = from_edges([(u, v) for u, v, _c in edges], directed=False, weights=[float(c) for *_e, c in edges])
+        state = WidestPath(engine=batch_engine).run(g.copy(), 0)
+        inc = IncSSWP(engine=engine)
+        for u, v in [(13, 18), (1, 14)]:
+            inc.apply(g, state, Batch([EdgeDeletion(u, v)]), 0, drain=drain)
+            assert dict(state.values) == oracle_sswp(g, 0)
+        assert all(state.values[v] == 0.0 for v in (1, 13, 16, 18, 19))
+
+    @pytest.mark.parametrize("batch_engine", ["generic", "kernel"])
+    @pytest.mark.parametrize("engine,drain", ENGINE_TIERS)
+    def test_deleted_hub_edge_does_not_reset_the_plateau(self, batch_engine, engine, drain):
+        # Two hubs at width 3 feed a 200-node plateau at width 3; hub 1 is
+        # also reachable through hub 2.  Deleting 0→1 changes no width, so
+        # the repair must stay O(|ΔG|): hub 1 only, never the plateau.
+        plateau = range(10, 210)
+        edges = [(0, 1), (0, 2), (2, 1)] + [(h, p) for p in plateau for h in (1, 2)]
+        g = from_edges(edges, directed=True, weights=[3.0] * len(edges))
+        state = WidestPath(engine=batch_engine).run(g.copy(), 0)
+        result = IncSSWP(engine=engine).apply(g, state, Batch([EdgeDeletion(0, 1)]), 0, drain=drain)
+        assert dict(state.values) == oracle_sswp(g, 0)
+        assert result.changes == {}
+        assert result.scope == {1}
+        if engine == "kernel":
+            assert result.kernel_stats["touched"] <= 2
