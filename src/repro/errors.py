@@ -89,8 +89,8 @@ class SessionError(ReproError):
 
 
 class TransactionError(SessionError):
-    """An update batch failed mid-apply; the session was rolled back to
-    its pre-batch snapshot.  ``__cause__`` carries the original error."""
+    """An update window failed mid-apply; every query was rolled back to
+    its pre-window state.  ``__cause__`` carries the original error."""
 
 
 class RecoveryError(SessionError):

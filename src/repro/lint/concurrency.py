@@ -10,7 +10,7 @@ rests on invariants no spec-level lint pass can see:
 * every field is either always-locked or never-locked (**T003**), locks
   nest in one global order (**T004**), and nothing blocks while holding
   one (**T005**);
-* the WAL append precedes the apply on transactional paths (**T006**);
+* the WAL append precedes the apply on commit paths (**T006**);
 * user listeners never run under service locks (**T007**).
 
 Checks run against a :class:`ThreadModel` — the declaration of *which*

@@ -222,7 +222,7 @@ BLOCKING_UNDER_LOCK = register(Rule(
 ))
 WAL_ORDERING = register(Rule(
     "T006", "wal-ordering", THREADS, ERROR,
-    "on a transactional path the WAL append must precede the apply "
+    "on a commit path the WAL append must precede the apply "
     "(the append-before-apply contract recovery depends on)",
 ))
 THREAD_UNSAFE_CALLBACK = register(Rule(

@@ -9,8 +9,9 @@ four defenses :class:`~repro.session.DynamicGraphSession` weaves in:
 * :mod:`~repro.resilience.validate` — up-front batch validation: typed
   errors (:class:`~repro.errors.BatchValidationError` and friends)
   raised **before** any replica mutates;
-* :mod:`~repro.resilience.transactions` — pre-batch snapshots so a
-  mid-apply failure rolls every replica back to a consistent state;
+* :mod:`~repro.resilience.transactions` — pre-window state snapshots
+  so a mid-apply failure resets every query to its pre-window state on
+  a copy of the untouched reference graph;
 * :mod:`~repro.resilience.wal` + :mod:`~repro.resilience.checkpoint` —
   durability: append-before-apply logging and atomic checkpoints, so
   ``DynamicGraphSession.recover(dir)`` rebuilds a crashed session and
@@ -57,7 +58,7 @@ from .sanitizer import (
     release_owner,
     wal_logged,
 )
-from .transactions import SessionTransaction, restore_graph_inplace, restore_state_inplace
+from .transactions import SessionTransaction
 from .validate import (
     NONNEGATIVE_WEIGHT_ALGORITHMS,
     WEIGHT_POLICIES,
@@ -71,10 +72,10 @@ from .wal import WriteAheadLog, decode_batch, encode_batch
 class SessionConfig:
     """Tunable resilience behaviour of a :class:`DynamicGraphSession`.
 
-    The defaults are the safe-but-cheap middle ground: validation and
-    transactional rollback on (they cost O(|ΔG|) and O(|G|) per batch
-    respectively), durability and audits off until given a directory /
-    cadence.  ``docs/robustness.md`` discusses each knob.
+    Validation and rollback are always on; per window they cost an
+    O(|ΔG|) overlay and an O(|D|) state copy per query.  Durability and
+    audits are off until given a directory / cadence.
+    ``docs/robustness.md`` discusses each knob.
     """
 
     #: Durable directory for the WAL + checkpoints; ``None`` = in-memory
@@ -87,8 +88,6 @@ class SessionConfig:
     audit_every: int = 0
     #: Variables sampled per query per audit (``None`` = all of them).
     audit_sample: Optional[int] = 32
-    #: Snapshot replicas before each batch and roll back on failure.
-    transactional: bool = True
     #: Weight validation: "any", "finite", or "spec" (per-algorithm
     #: requirements, e.g. no negative weights while SSSP is registered).
     weight_policy: str = "finite"
@@ -135,8 +134,6 @@ __all__ = [
     "injected",
     "install",
     "load_checkpoint",
-    "restore_graph_inplace",
-    "restore_state_inplace",
     "session_weight_requirements",
     "sigma_audit",
     "validate_batch",

@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterator, List, Optional
 #: Incident kinds the session emits.  Stable API, used by tests and docs.
 KINDS = (
     "validation-error",    # batch rejected before any mutation
-    "rollback",            # transactional apply failed; session restored
+    "rollback",            # a window failed; every query rolled back
     "listener-error",      # listener raised; isolated and skipped
     "runaway-drain",       # step/time budget exceeded
     "apply-error",         # one query's incremental apply raised

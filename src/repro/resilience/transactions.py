@@ -1,116 +1,48 @@
-"""Pre-batch snapshots and in-place rollback (the session's undo log).
+"""Pre-window state snapshots and rollback from the reference graph.
 
-The session applies one ``ΔG`` to *every* registered query's replica and
-state; if any of those applies fails, the already-mutated replicas must
-be restored or the session is torn — replicas disagree with each other
-and with the reference graph.  :class:`SessionTransaction` captures a
-snapshot of each query's ``(graph, state)`` pair before the first apply
-and can restore any subset of them afterwards.
+The session applies one window to *every* registered query's replica and
+state; if any of those steps fails, the already-mutated replicas must be
+restored or the session is torn — replicas disagree with each other and
+with the reference graph.
 
-Snapshots are full copies (O(|G|) per query per batch).  A finer
-operation-level undo log would be cheaper, but vertex deletions are not
-invertible (:meth:`Batch.inverted <repro.graph.updates.Batch.inverted>`
-refuses them, because the incident edges are lost) and kernel drains
-write states through array replays, so a copy is the only undo record
-that is correct for *every* engine path.  Sessions that cannot afford it
-set ``SessionConfig.transactional = False`` and rely on quarantine +
-batch recompute to repair torn queries instead (see
-``docs/robustness.md`` for the trade-off matrix).
-
-Graphs are restored **in place** so that aliases callers may hold (the
-``RegisteredQuery.graph`` replica, the session's reference graph) stay
-valid across a rollback.
+Graphs need no snapshot.  The session's reference graph absorbs a window
+only after every query's step has succeeded, so while the window runs it
+*is* the pre-window graph: a rollback rebuilds each replica as a copy of
+it.  Only states are snapshotted — an O(|D|) dict copy per query per
+window; kernel drains write states through array replays, so a copy is
+the one state undo record every engine path honours.  The O(|G|) replica
+copies are paid on failure only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from ..core.state import FixpointState
 from ..graph.graph import Graph
 
 
-def restore_graph_inplace(target: Graph, snapshot: Graph) -> None:
-    """Make ``target`` structurally identical to ``snapshot``, in place.
-
-    ``snapshot`` must be a private copy — its adjacency dicts are handed
-    to ``target`` without re-copying (the transaction owns its snapshots
-    and never reuses one after a restore).
-    """
-    target.directed = snapshot.directed
-    target._succ = snapshot._succ
-    target._pred = snapshot._pred if snapshot.directed else snapshot._succ
-    target._node_labels = snapshot._node_labels
-    target._edge_labels = snapshot._edge_labels
-    target._num_edges = snapshot._num_edges
-
-
-def restore_state_inplace(target: FixpointState, snapshot: FixpointState) -> None:
-    """Make ``target`` carry ``snapshot``'s values/timestamps, in place.
-
-    The counter and changelog are reset — a rollback never happens while
-    instrumentation is live (the session applies uninstrumented).
-    """
-    target.values = snapshot.values
-    target.timestamps = snapshot.timestamps
-    target.clock = snapshot.clock
-    target.rounds = snapshot.rounds
-    target.changelog = None
-
-
 class SessionTransaction:
-    """Copy-on-begin undo log for one update batch across all queries."""
+    """Undo log for one update window across all queries."""
 
-    def __init__(self) -> None:
-        self._snapshots: Dict[str, Tuple[Graph, FixpointState]] = {}
-        self._restored: set = set()
+    def __init__(self, states: Dict[str, FixpointState]) -> None:
+        self._states = states
 
     @classmethod
     def begin(cls, queries) -> "SessionTransaction":
-        """Snapshot every ``RegisteredQuery`` in ``queries`` (an iterable)."""
-        txn = cls()
-        for registered in queries:
-            txn._snapshots[registered.name] = (
-                registered.graph.copy(),
-                registered.state.copy(),
-            )
-        return txn
+        """Snapshot the state of every ``RegisteredQuery`` in ``queries``."""
+        return cls({registered.name: registered.state.copy() for registered in queries})
 
-    def restore(self, registered) -> bool:
-        """Restore one query's replica and state from its snapshot.
+    def rollback(self, queries, reference: Graph) -> int:
+        """Reset every snapshotted query in ``queries`` to its pre-window
+        state on a fresh copy of ``reference``; returns the count.
 
-        Returns False (and does nothing) when the query was not
-        snapshotted or was already restored — each snapshot is
-        single-use because the restore transfers its internals.
+        Each snapshot is handed over, so a query is restored at most once.
         """
-        if registered.name in self._restored:
-            return False
-        snapshot = self._snapshots.get(registered.name)
-        if snapshot is None:
-            return False
-        graph_snapshot, state_snapshot = snapshot
-        restore_graph_inplace(registered.graph, graph_snapshot)
-        restore_state_inplace(registered.state, state_snapshot)
-        # A kernel mirror revalidates by object identity + clock + counts,
-        # all of which an in-place rollback can leave unchanged (a batch
-        # with zero ΔO and a count-neutral delete/insert pair); its overlay
-        # would still carry the rolled-back ops.  Drop it unconditionally.
-        incremental = getattr(registered, "incremental", None)
-        if incremental is not None and hasattr(incremental, "_kernel_ctx"):
-            incremental._kernel_ctx = None
-        self._restored.add(registered.name)
-        return True
-
-    def rollback(self, queries) -> int:
-        """Restore every snapshotted query in ``queries``; returns count."""
         restored = 0
         for registered in queries:
-            if self.restore(registered):
+            state = self._states.pop(registered.name, None)
+            if state is not None:
+                registered.reset(reference.copy(), state)
                 restored += 1
         return restored
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def __repr__(self) -> str:
-        return f"SessionTransaction({len(self._snapshots)} snapshots, {len(self._restored)} restored)"

@@ -1,4 +1,4 @@
-"""Up-front validation of update batches (the transactional gate).
+"""Up-front validation of update batches (the commit gate).
 
 A malformed batch used to fail *inside* the first query's incremental
 apply — after that query's replica had already mutated — leaving the

@@ -10,8 +10,8 @@ the replayed incremental applies converge to the same fixpoints).
 Record format — one JSON object per line:
 
 * ``{"v": 1, "seq": n, "ops": [...]}`` — a batch, in apply order;
-* ``{"v": 1, "abort": n}`` — batch ``n`` was rolled back after its
-  append (a transactional failure with the session still alive);
+* ``{"v": 1, "abort": n}`` — batch ``n`` was logged but its window
+  failed with the session still alive, so it was never committed;
   recovery must skip it.
 
 Update encoding reuses the persistence module's value encoder, so node

@@ -24,7 +24,7 @@ with the serving discipline a standing-query deployment needs:
 
 Failure containment follows the session's own degradation ladder: a
 window that fails wholesale (one poisoned batch rolls back the
-transactional stream) is retried op by op, so healthy batches commit and
+whole stream) is retried op by op, so healthy batches commit and
 only the offending op's submitter sees the typed error.
 """
 

@@ -17,8 +17,9 @@ services actually hit, so updates are *fault tolerant* (see
 
 * batches are validated up front — malformed ``ΔG`` raises a typed
   :class:`~repro.errors.BatchValidationError` before anything mutates;
-* applies are transactional — a mid-batch failure rolls every replica
-  back to its pre-batch snapshot and raises
+* applies are atomic — the reference graph absorbs a window only after
+  every query's step succeeded, so a mid-window failure resets every
+  query to its pre-window state on a copy of that graph and raises
   :class:`~repro.errors.TransactionError`;
 * sessions given a durable ``SessionConfig.directory`` write-ahead-log
   every batch and checkpoint on a cadence, so :meth:`recover` rebuilds
@@ -132,6 +133,17 @@ class RegisteredQuery:
     #: by batch recomputation until :meth:`DynamicGraphSession.heal`.
     quarantined: bool = False
 
+    def reset(self, graph: Graph, state: FixpointState) -> None:
+        """Maintain ``state`` against the replica ``graph`` from now on.
+
+        The kernel mirror describes the old replica, and the scheduler
+        reads any mirror as warm, so it is dropped.
+        """
+        self.graph = graph
+        self.state = state
+        if hasattr(self.incremental, "_kernel_ctx"):
+            self.incremental._kernel_ctx = None
+
 
 def _diff_values(old: Dict, new: Dict) -> Dict[Hashable, Tuple[Any, Any]]:
     """ΔO between two value assignments (``None`` on the missing side)."""
@@ -152,8 +164,8 @@ class DynamicGraphSession:
     The session owns the graph: apply updates through :meth:`update`
     only, so every registered state stays consistent with it.  Pass a
     :class:`~repro.resilience.SessionConfig` to tune validation,
-    transactionality, durability, and audits; the default is
-    validated + transactional, in memory.
+    durability, and audits; the default is validated, in memory.
+    Every window commits or rolls back as a whole.
     """
 
     def __init__(self, graph: Graph, config: Optional[SessionConfig] = None) -> None:
@@ -266,10 +278,13 @@ class DynamicGraphSession:
         O(|ΔG|) overlay (typed
         :class:`~repro.errors.BatchValidationError` subclasses, nothing
         mutated), WAL-logged one seq per batch when the session is
-        durable, then applied under one snapshot transaction: a failure
-        anywhere rolls every replica back, aborts every logged batch and
-        raises :class:`~repro.errors.TransactionError` with the original
-        error as its cause.  A query whose drain runs away
+        durable (a failed append aborts the batches already logged and
+        raises :class:`~repro.errors.SessionError`), then applied under
+        one transaction: every query's state is snapshotted, and a
+        failure anywhere resets each query to that state on a copy of
+        the still-untouched reference graph, aborts every logged batch
+        and raises :class:`~repro.errors.TransactionError` with the
+        original error as its cause.  A query whose drain runs away
         (:class:`~repro.errors.FixpointError`) or that faults
         ``quarantine_after`` times in a row is quarantined instead and
         recomputed by its batch algorithm.
@@ -282,13 +297,15 @@ class DynamicGraphSession:
             return {}
         self._validate(stream)
         inject("session.pre-apply")
-        seqs = [self._log(batch) for batch in stream]
+        seqs: List[int] = []
+        try:
+            for batch in stream:
+                seqs.append(self._log(batch))
+        except SessionError:
+            self._abort(seqs)
+            raise
         apply_starting(self, seqs[-1], durable=self._wal is not None)
-        txn = (
-            SessionTransaction.begin(self._queries.values())
-            if self.config.transactional
-            else None
-        )
+        txn = SessionTransaction.begin(self._queries.values())
         try:
             results = self._maintain(stream, seqs[-1])
         except InjectedFault:
@@ -341,8 +358,10 @@ class DynamicGraphSession:
         drain (step budget, divergence) is the query's own pathology and
         quarantines it; any other error fails the window until the query
         has faulted ``quarantine_after`` times in a row.  Quarantined
-        queries are recomputed by their batch algorithm once the
-        reference graph has absorbed the window.
+        queries are recomputed by their batch algorithm on a post-window
+        copy.  The reference graph absorbs the window last, so until
+        everything else succeeded it still is the pre-window graph a
+        rollback rebuilds replicas from.
         """
         results: Dict[str, Any] = {}
         quarantined: List[RegisteredQuery] = []
@@ -400,12 +419,16 @@ class DynamicGraphSession:
                 error=failure,
                 seq=seq,
             )
+        recompute = [r for r in self._queries.values() if r.quarantined]
+        if recompute:
+            after = self.graph.copy()
+            for batch in stream:
+                apply_updates(after, batch)
+            for registered in recompute:
+                results[registered.name] = self._recompute(registered, after)
         for batch in stream:
             apply_updates(self.graph, batch)
             self._batches_applied += 1
-        for registered in self._queries.values():
-            if registered.quarantined:
-                results[registered.name] = self._recompute(registered)
         for registered in quarantined:
             self.incidents.record(
                 "self-heal",
@@ -415,41 +438,39 @@ class DynamicGraphSession:
             )
         return results
 
-    def _recompute(self, registered: RegisteredQuery) -> IncrementalResult:
-        """Rebuild one query's replica and state from the reference graph.
+    def _recompute(
+        self, registered: RegisteredQuery, graph: Optional[Graph] = None
+    ) -> IncrementalResult:
+        """Rebuild one query's replica and state from ``graph``.
 
-        Always starts from the session's authoritative ``self.graph``, so
-        it is correct even when the query's own replica was torn by a
-        failed apply.
+        ``graph`` defaults to the session's authoritative ``self.graph``;
+        either way the replica is a fresh copy, so this is correct even
+        when the query's own replica was torn by a failed apply.
         """
-        replica = self.graph.copy()
-        old_values = dict(registered.state.values)
+        replica = (self.graph if graph is None else graph).copy()
+        old_values = registered.state.values
         state = registered.batch.run(replica, registered.query)
-        registered.graph = replica
-        registered.state = state
-        if hasattr(registered.incremental, "_kernel_ctx"):
-            registered.incremental._kernel_ctx = None
+        registered.reset(replica, state)
         return IncrementalResult(changes=_diff_values(old_values, state.values))
 
-    def _fail_batch(self, txn: Optional[SessionTransaction], seqs: List[int], exc: Exception) -> None:
-        """Roll back (when transactional) and re-raise a failed window."""
+    def _fail_batch(self, txn: SessionTransaction, seqs: List[int], exc: Exception) -> None:
+        """Roll a failed window back, abort its batches and re-raise."""
         seq = seqs[-1]
-        if txn is not None:
-            restored = txn.rollback(self._queries.values())
-            self.incidents.record(
-                "rollback",
-                detail=f"batch {seq} failed; {restored} quer{'y' if restored == 1 else 'ies'} restored",
-                error=exc,
-                seq=seq,
-            )
-            if self._wal is not None:
-                for aborted in seqs:
-                    self._wal.abort(aborted)
-            raise TransactionError(
-                f"batch {seq} failed and was rolled back: {exc}"
-            ) from exc
-        self.incidents.record("apply-error", detail=str(exc), error=exc, seq=seq)
-        raise exc
+        restored = txn.rollback(self._queries.values(), self.graph)
+        self.incidents.record(
+            "rollback",
+            detail=f"batch {seq} failed; {restored} quer{'y' if restored == 1 else 'ies'} restored",
+            error=exc,
+            seq=seq,
+        )
+        self._abort(seqs)
+        raise TransactionError(f"batch {seq} failed and was rolled back: {exc}") from exc
+
+    def _abort(self, seqs: List[int]) -> None:
+        """WAL-record that the logged batches ``seqs`` were never applied."""
+        if self._wal is not None:
+            for seq in seqs:
+                self._wal.abort(seq)
 
     def _notify(self, results: Dict[str, IncrementalResult]) -> None:
         """Deliver ΔO to listeners; one raising listener never starves

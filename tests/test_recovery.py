@@ -240,6 +240,35 @@ class TestCrashRecovery:
         assert_matches_scratch(recovered, final)
         recovered.close()
 
+    def test_failed_wal_append_aborts_the_logged_batches(self, tmp_path):
+        # A window's second append fails after its first batch is logged:
+        # that batch was never applied, so recovery must not replay it.
+        from repro.errors import SessionError
+
+        session = durable_session(tmp_path, checkpoint_every=0)
+        append = session._wal.append
+        calls = []
+
+        def failing_append(seq, delta):
+            calls.append(seq)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            append(seq, delta)
+
+        session._wal.append = failing_append
+        with pytest.raises(SessionError):
+            session.update_stream([BATCHES[0], BATCHES[1]])
+        session.update(Batch([EdgeInsertion(2, 0, weight=1.0)]))
+        session._wal.close()  # crash: no final checkpoint
+
+        recovered = DynamicGraphSession.recover(tmp_path / "state")
+        assert recovered.graph == session.graph
+        for name in ("sssp", "cc", "sim"):
+            assert recovered.answer(name) == session.answer(name), name
+        final = apply_updates(base_graph(), Batch([EdgeInsertion(2, 0, weight=1.0)]))
+        assert_matches_scratch(recovered, final)
+        recovered.close()
+
     def test_quarantine_survives_recovery(self, tmp_path):
         session = durable_session(tmp_path, quarantine_after=1, checkpoint_every=0)
         session._queries["cc"].incremental.apply = lambda *a, **k: (

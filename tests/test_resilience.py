@@ -132,22 +132,71 @@ class TestValidation:
 
 
 class TestTransactions:
-    def test_mid_apply_failure_rolls_back_every_query(self):
+    @pytest.mark.parametrize("failing", ["sssp", "cc", "sswp"], ids=["first", "middle", "last"])
+    def test_mid_apply_failure_rolls_back_every_query(self, failing):
         session = make_session()
         session.register("sssp", "SSSP", query=0)
         session.register("cc", "CC")
+        session.register("sswp", "SSWP", query=0)
         before = snapshot(session)
+        states = {name: session._queries[name].state.copy() for name in session.queries()}
 
         def explode(*args, **kwargs):
             raise RuntimeError("disk on fire")
 
-        session._queries["cc"].incremental.apply = explode
+        incremental = session._queries[failing].incremental
+        incremental.apply = explode
+        delta = [EdgeInsertion(0, 3, weight=5.0), EdgeDeletion(1, 2)]
         with pytest.raises(TransactionError) as info:
-            session.update([EdgeInsertion(0, 3, weight=1.0)])
+            session.update(delta)
         assert isinstance(info.value.__cause__, RuntimeError)
         assert snapshot(session) == before
         assert session.batches_applied == 0
         assert session.incidents.by_kind("rollback")
+        # Queries ahead of the failing one had already mutated their
+        # replicas: every replica must be the pre-window graph again.
+        for name, registered in session._queries.items():
+            assert registered.graph == session.graph, name
+            assert registered.state.values == states[name].values, name
+            assert registered.state.timestamps == states[name].timestamps, name
+            assert registered.state.clock == states[name].clock, name
+
+        del incremental.apply
+        session.update(delta)
+        for name in session.queries():
+            assert session.answer(name) == fresh_answer(session, name), name
+
+    def test_committed_windows_copy_no_graph(self, monkeypatch):
+        session = make_session()
+        session.register("cc", "CC")
+        session.register("sssp", "SSSP", query=0)
+        session.register("sswp", "SSWP", query=0)
+        copies = []
+        original = Graph.copy
+
+        def counting_copy(graph):
+            copies.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(Graph, "copy", counting_copy)
+        session.update([EdgeInsertion(0, 3, weight=5.0), EdgeDeletion(1, 2)])
+        assert len(copies) == 0
+
+    def test_failed_recompute_leaves_the_reference_untouched(self):
+        # A quarantined query is recomputed inside the window.  When that
+        # recompute fails, the reference graph must still be the
+        # pre-window graph the rollback rebuilds every replica from.
+        session = make_session()
+        session.register("sssp", "SSSP", query=0)
+        session.register("cc", "CC")
+        session._queries["sssp"].quarantined = True
+        before = snapshot(session)
+        with pytest.raises(TransactionError):
+            session.update([VertexDeletion(0)])  # Dijkstra needs its source
+        assert snapshot(session) == before
+        assert session.batches_applied == 0
+        for name, registered in session._queries.items():
+            assert registered.graph == session.graph, name
 
     def test_session_still_correct_after_rollback(self):
         # Regression: a rolled-back kernel apply must not leave a stale
@@ -191,18 +240,6 @@ class TestTransactions:
         # a crash is not a commit: the reference graph was never touched
         assert not session.graph.has_edge(0, 3)
         assert session.batches_applied == 0
-
-    def test_non_transactional_sessions_propagate_raw_errors(self):
-        session = make_session(SessionConfig(transactional=False, quarantine_after=99))
-        session.register("cc", "CC")
-
-        def explode(*args, **kwargs):
-            raise RuntimeError("boom")
-
-        session._queries["cc"].incremental.apply = explode
-        with pytest.raises(RuntimeError):
-            session.update([EdgeInsertion(0, 3, weight=1.0)])
-        assert session.incidents.by_kind("apply-error")
 
     def test_update_stream_rolls_back_as_one_transaction(self):
         session = make_session()
