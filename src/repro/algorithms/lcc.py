@@ -6,7 +6,17 @@ coefficient is
     ``γ_v = 2·λ_v / (d_v·(d_v − 1))``
 
 where ``d_v`` is the degree and ``λ_v`` the number of triangles through
-``v``.
+``v``.  Self-loops are ignored.  On a directed graph both are taken in
+the underlying simple undirected graph: ``v``'s neighbors are its in- and
+out-neighbors, a reciprocated pair ``u → v``, ``v → u`` is one edge, and
+``d_v`` is the size of that neighbor set.
+
+Cost of one recount
+-------------------
+``λ_v`` intersects ``N(v) ∖ {v}`` with ``N(u)`` for each neighbor ``u``
+(:meth:`~repro.graph.Graph.neighbor_set`): ``deg(v)`` interpreter steps,
+each a C-level set intersection that walks the smaller side.  ``d_v`` is
+O(1) on an undirected graph.
 
 Batch algorithm (LCC_fp)
 ------------------------
@@ -49,12 +59,12 @@ LAMBDA = "λ"
 
 def _triangles_at(graph: Graph, v: Node) -> int:
     """Number of triangles through ``v`` (self-loops ignored)."""
-    nbrs = {w for w in graph.neighbors(v) if w != v}
+    nbrs = graph.neighbor_set(v) - {v}
     count = 0
     for u in nbrs:
-        for w in graph.neighbors(u):
-            if w != u and w != v and w in nbrs:
-                count += 1
+        # N(v)∖{v} ∩ N(u) holds u itself iff u has a self-loop.
+        nu = graph.neighbor_set(u)
+        count += len(nbrs & nu) - (u in nu)
     # Each triangle (v, u, w) is seen twice: from u and from w.
     return count // 2
 
@@ -81,12 +91,10 @@ class LCCSpec(FixpointSpec):
     def update(self, key: Key, value_of, graph: Graph, query: Any) -> int:
         kind, v = key
         if kind == D:
-            # Simple-graph degree: self-loops contribute no triangles and
-            # are excluded from the coefficient's denominator.
-            degree = graph.degree(v)
-            if graph.has_edge(v, v):
-                degree -= 1 if not graph.directed else 2
-            return degree
+            # Degree in the underlying simple graph, as λ counts: a
+            # self-loop is no neighbor, a reciprocated pair one neighbor.
+            nbrs = graph.neighbor_set(v)
+            return len(nbrs) - (v in nbrs)
         return _triangles_at(graph, v)
 
     def dependents(self, key: Key, graph: Graph, query: Any) -> Iterable[Key]:
@@ -112,10 +120,8 @@ class LCCSpec(FixpointSpec):
                 keys.add((D, x))
                 keys.add((LAMBDA, x))
             if graph_new.has_node(u) and graph_new.has_node(v):
-                nu = {w for w in graph_new.neighbors(u) if w != u and w != v}
-                for w in graph_new.neighbors(v):
-                    if w in nu:
-                        keys.add((LAMBDA, w))
+                common = graph_new.neighbor_set(u) & graph_new.neighbor_set(v)
+                keys.update((LAMBDA, w) for w in common if w != u and w != v)
         return keys
 
     def anchor_dependents(

@@ -16,7 +16,7 @@ notes when explaining its Figure 8 footprint.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Set
 
 from ..errors import GraphError
 from ..graph.graph import Graph, Node
@@ -63,9 +63,10 @@ class DynLCC(DynamicAlgorithm):
         for v in self.triangles:
             self.triangles[v] //= 3
 
-    def _common_neighbors(self, u: Node, v: Node):
-        nu = {w for w in self.graph.neighbors(u) if w != u and w != v}
-        return [w for w in self.graph.neighbors(v) if w != v and w != u and w in nu]
+    def _common_neighbors(self, u: Node, v: Node) -> Set[Node]:
+        common = self.graph.neighbor_set(u) & self.graph.neighbor_set(v)
+        common -= {u, v}
+        return common
 
     # ------------------------------------------------------------------
     def answer(self) -> Dict[Node, float]:

@@ -23,7 +23,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import AbstractSet, Any, Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 from ..errors import (
     DuplicateEdgeError,
@@ -248,6 +248,19 @@ class Graph:
         merged = dict.fromkeys(self._succ[v])
         merged.update(dict.fromkeys(self._pred[v]))
         return iter(merged)
+
+    def neighbor_set(self, v: Node) -> AbstractSet[Node]:
+        """The neighbors of ``v`` as a set, for C-level intersections.
+
+        Undirected: the live ``keys()`` view of ``v``'s adjacency row.
+        Directed: a new set, the union of in- and out-neighbors.  ``&``
+        between two such sets iterates the smaller side in C.
+        """
+        if v not in self._succ:
+            raise NodeNotFoundError(v)
+        if not self.directed:
+            return self._succ[v].keys()
+        return self._succ[v].keys() | self._pred[v].keys()
 
     def out_items(self, v: Node) -> Iterator[Tuple[Node, float]]:
         """Pairs ``(u, weight)`` over out-neighbors of ``v``."""

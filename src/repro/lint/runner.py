@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from ..core.spec import FixpointSpec
-from ..graph.updates import Batch, EdgeInsertion
+from ..graph.updates import Batch, EdgeDeletion, EdgeInsertion
 from ..generators import (
     assign_labels,
     assign_weights,
@@ -91,6 +91,23 @@ def _undirected(seed: int, tag: str) -> Workload:
     return Workload(graph, None, random_updates(graph, 8, seed=seed + 1), tag)
 
 
+def _directed_reciprocal(seed: int, tag: str) -> Workload:
+    # Reciprocated pairs, one direction of two deleted: LCC counts each
+    # pair as one neighbor, so A_Δ must still match batch (C108).
+    rng = random.Random(seed)
+    graph = erdos_renyi(22, 50, directed=True, seed=seed)
+    one_way = [(u, v) for u, v in sorted(graph.edges()) if u != v and not graph.has_edge(v, u)]
+    pairs = rng.sample(one_way, 12)
+    for u, v in pairs:
+        graph.add_edge(v, u)
+    after = graph.copy()
+    for u, v in pairs[:2]:
+        after.remove_edge(u, v)
+    delta = [EdgeDeletion(u, v) for u, v in pairs[:2]]
+    delta.extend(random_updates(after, 6, seed=seed + 1))
+    return Workload(graph, None, Batch(delta), tag)
+
+
 def _labeled_with_pattern(seed: int, tag: str) -> Workload:
     graph = assign_labels(
         erdos_renyi(20, 55, directed=True, seed=seed), alphabet=["a", "b", "c"], seed=seed
@@ -100,7 +117,7 @@ def _labeled_with_pattern(seed: int, tag: str) -> Workload:
 
 
 def default_workloads(spec: FixpointSpec) -> List[Workload]:
-    """Two seeded probes shaped for the spec's query/graph requirements."""
+    """Seeded probes shaped for the spec's query/graph requirements."""
     name = spec.name
     if name in ("SSSP", "SSWP", "Reach"):
         return [
@@ -111,7 +128,10 @@ def default_workloads(spec: FixpointSpec) -> List[Workload]:
     if name == "Sim":
         return [_labeled_with_pattern(5, "Sim-a"), _labeled_with_pattern(13, "Sim-b")]
     if name in ("CC", "LCC", "Coreness"):
-        return [_undirected(7, f"{name}-a"), _undirected(17, f"{name}-b")]
+        probes = [_undirected(7, f"{name}-a"), _undirected(17, f"{name}-b")]
+        if name == "LCC":
+            probes.append(_directed_reciprocal(19, "LCC-directed"))
+        return probes
     return [_directed_weighted(3, f"{name}-directed"), _undirected(7, f"{name}-undirected")]
 
 

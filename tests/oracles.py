@@ -84,22 +84,23 @@ def oracle_sim(graph: Graph, pattern: Graph) -> Set[Tuple]:
     return relation
 
 
+def oracle_triangles(graph: Graph, v) -> int:
+    """Triangles through ``v``: the double loop over every neighbor's row."""
+    nbrs = {w for w in graph.neighbors(v) if w != v}
+    triangles = 0
+    for u in nbrs:
+        triangles += sum(
+            1 for w in graph.neighbors(u) if w != u and w != v and w in nbrs
+        )
+    return triangles // 2
+
+
 def oracle_lcc(graph: Graph) -> Dict:
     """Direct triangle counting per node."""
     out: Dict = {}
     for v in graph.nodes():
-        nbrs = {w for w in graph.neighbors(v) if w != v}
-        d = len(nbrs)
-        if d < 2:
-            out[v] = 0.0
-            continue
-        triangles = 0
-        for u in nbrs:
-            triangles += sum(
-                1 for w in graph.neighbors(u) if w != u and w != v and w in nbrs
-            )
-        triangles //= 2
-        out[v] = 2.0 * triangles / (d * (d - 1))
+        d = sum(1 for w in graph.neighbors(v) if w != v)
+        out[v] = 0.0 if d < 2 else 2.0 * oracle_triangles(graph, v) / (d * (d - 1))
     return out
 
 

@@ -196,6 +196,35 @@ class TestNeighborhoods:
             g.degree(0)
 
 
+class TestNeighborSet:
+    def test_undirected_is_a_live_view(self):
+        g = from_edges([(0, 1), (1, 2), (1, 1)])
+        nbrs = g.neighbor_set(1)
+        assert nbrs == set(g.neighbors(1)) == {0, 1, 2}
+        g.add_edge(1, 3)
+        g.remove_edge(0, 1)
+        assert nbrs == set(g.neighbors(1)) == {1, 2, 3}
+
+    def test_directed_is_in_union_out(self):
+        g = from_edges([(0, 1), (1, 0), (2, 1), (1, 3), (1, 1)], directed=True)
+        nbrs = g.neighbor_set(1)
+        assert nbrs == set(g.in_neighbors(1)) | set(g.out_neighbors(1)) == {0, 1, 2, 3}
+        assert nbrs == set(g.neighbors(1))
+        assert g.neighbor_set(2) == {1}
+        assert g.neighbor_set(3) == {1}
+
+    def test_intersection_gives_common_neighbors(self):
+        for directed in (False, True):
+            g = from_edges([(0, 2), (3, 0), (1, 2), (1, 3), (1, 4)], directed=directed)
+            assert g.neighbor_set(0) & g.neighbor_set(1) == {2, 3}
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_missing_node_raises(self, directed):
+        g = from_edges([(0, 1)], directed=directed)
+        with pytest.raises(NodeNotFoundError):
+            g.neighbor_set(7)
+
+
 class TestWholeGraph:
     def test_copy_is_independent(self):
         g = from_edges([(0, 1)], directed=True)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from oracles import oracle_lcc, random_edge_batch, random_graph
+from oracles import oracle_lcc, oracle_triangles, random_edge_batch, random_graph
 from repro import IncLCC, LCCfp, lcc
+from repro.algorithms.lcc import _triangles_at
 from repro.graph import (
     Batch,
     EdgeDeletion,
@@ -116,3 +117,54 @@ class TestIncremental:
                 delta = random_edge_batch(rng, work, rng.randint(1, 5))
                 inc.apply(work, state, delta)
                 assert self.answer(batch, state, work) == oracle_lcc(work), f"trial {trial}"
+
+
+def _with_loops_and_reciprocals(rng, graph):
+    """Add a few self-loops and, if directed, reverse copies of edges."""
+    nodes = list(graph.nodes())
+    for v in rng.sample(nodes, min(len(nodes), rng.randint(0, 3))):
+        graph.add_edge(v, v)
+    if graph.directed:
+        for u, v in sorted(graph.edges()):
+            if u != v and rng.random() < 0.3 and not graph.has_edge(v, u):
+                graph.add_edge(v, u)
+    return graph
+
+
+class TestTriangleCount:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_textbook_double_loop(self, directed):
+        rng = random.Random(97 + directed)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 16), rng.randint(0, 60), directed=directed)
+            _with_loops_and_reciprocals(rng, g)
+            for v in g.nodes():
+                assert _triangles_at(g, v) == oracle_triangles(g, v), (sorted(g.edges()), v)
+
+
+class TestDirected:
+    """LCC on a directed graph is LCC on its underlying simple graph."""
+
+    def test_reciprocated_pair_counts_once(self):
+        g = from_edges([(0, 1), (1, 0), (0, 2), (1, 2)], directed=True)
+        assert lcc(g) == oracle_lcc(g) == {0: 1.0, 1: 1.0, 2: 1.0}
+
+    def test_batch_and_incremental_match_oracle(self):
+        rng = random.Random(53)
+        for trial in range(60):
+            g = random_graph(rng, rng.randint(3, 16), rng.randint(2, 45), directed=True)
+            _with_loops_and_reciprocals(rng, g)
+            batch = LCCfp()
+            state = batch.run(g)
+            assert batch.answer(state, g, None) == oracle_lcc(g), f"trial {trial}"
+            inc = IncLCC()
+            for _step in range(3):
+                delta = random_edge_batch(rng, g, 4)
+                # Delete one direction of a reciprocated pair, when there is one.
+                pairs = sorted((u, v) for u, v in g.edges() if u != v and g.has_edge(v, u))
+                if pairs:
+                    u, v = rng.choice(pairs)
+                    delta = Batch([op for op in delta if {op.u, op.v} != {u, v}])
+                    delta.append(EdgeDeletion(u, v))
+                inc.apply(g, state, delta)
+                assert batch.answer(state, g, None) == oracle_lcc(g), f"trial {trial}"
