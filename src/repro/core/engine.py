@@ -102,6 +102,12 @@ class _Worklist:
 _ENGINES = ("auto", "generic", "kernel")
 
 
+def check_engine(engine: str) -> None:
+    """Raise :class:`~repro.errors.FixpointError` for an unknown engine name."""
+    if engine not in _ENGINES:
+        raise FixpointError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+
+
 def run_fixpoint(
     spec: FixpointSpec,
     graph: Graph,
@@ -137,8 +143,7 @@ def run_fixpoint(
 
     Returns the (possibly shared) :class:`FixpointState` at the fixpoint.
     """
-    if engine not in _ENGINES:
-        raise FixpointError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    check_engine(engine)
     inject("engine.fixpoint")
     fresh = state is None
     if engine != "generic":
@@ -307,8 +312,7 @@ def run_batch(
     :class:`~repro.metrics.counters.AccessCounter` forces the generic
     interpreter (the kernels do not emit per-access events).
     """
-    if engine not in _ENGINES:
-        raise FixpointError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    check_engine(engine)
     instrumented = counter is not None and not isinstance(counter, NullCounter)
     if engine != "generic" and not instrumented:
         from ..kernels.engine import try_run_batch

@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
-from ..errors import IncrementalizationError
+from ..errors import FixpointError, IncrementalizationError
 from ..graph.graph import Graph
 from ..graph.updates import Batch, apply_updates
 from ..metrics.counters import AccessCounter, NullCounter
 from ..resilience.faults import inject
-from .engine import run_batch, run_fixpoint
+from .engine import check_engine, run_batch, run_fixpoint
 from .scope import initial_scope
 from .spec import FixpointSpec
 from .state import FixpointState
@@ -50,9 +50,8 @@ class IncrementalResult:
         step-function phase respectively.
     kernel_stats:
         ``None`` for generic applies; for kernel applies a dict with the
-        drain tier used (``"scalar"``/``"sparse"``/``"dense"``) and the
-        per-op touched-node counters (``touched``, ``writes``, ``pops``,
-        ``np_rounds``, ``scanned``) — the |AFF|-proportionality evidence.
+        per-op touched-node counters (``touched``, ``writes``, ``pops``)
+        — the |AFF|-proportionality evidence.
     """
 
     changes: Dict[Hashable, Tuple[Any, Any]] = field(default_factory=dict)
@@ -133,11 +132,10 @@ class IncrementalAlgorithm:
     fixpoint, so batches can be applied repeatedly.
     """
 
-    def __init__(self, spec: FixpointSpec, engine: str = "auto", drain: str = "auto") -> None:
+    def __init__(self, spec: FixpointSpec, engine: str = "auto") -> None:
+        check_engine(engine)
         self.spec = spec
         self.engine = engine
-        # Kernel drain tier: "auto" | "scalar" | "sparse" | "dense".
-        self.drain = drain
         # Dense context reused across applies (kernels.incremental); None
         # until the first kernel apply, dropped when it goes stale.
         self._kernel_ctx = None
@@ -162,7 +160,6 @@ class IncrementalAlgorithm:
         trace: bool = False,
         measure: bool = False,
         engine: str = None,
-        drain: str = None,
         max_evals: Optional[int] = None,
     ) -> IncrementalResult:
         """Apply ``ΔG``; mutate ``graph`` and ``state``; return ``ΔO``.
@@ -171,9 +168,9 @@ class IncrementalAlgorithm:
         metric, needed for scope-share and boundedness reports);
         ``trace=True`` additionally records *which* variables were
         touched.  Both default off so timed runs carry no instrumentation
-        overhead.  ``engine`` and ``drain`` override the instance
-        defaults for this one apply — the stream scheduler uses this to
-        pick the path per op without reconfiguring the algorithm.
+        overhead.  ``engine`` overrides the instance default for this
+        one apply — the stream scheduler uses this to pick the path per
+        op without reconfiguring the algorithm.
         ``max_evals`` bounds the resumed fixpoint's update-function
         evaluations (a runaway-drain budget; exceeding it raises
         :class:`~repro.errors.FixpointError`); budgeted applies take the
@@ -181,8 +178,7 @@ class IncrementalAlgorithm:
         """
         if engine is None:
             engine = self.engine
-        if drain is None:
-            drain = self.drain
+        check_engine(engine)
         if not isinstance(delta, Batch):
             delta = Batch(list(delta))
         if not state.values:
@@ -192,12 +188,11 @@ class IncrementalAlgorithm:
 
         counting = measure or trace
         if engine != "generic" and not counting and max_evals is None:
-            from ..errors import FixpointError
             from ..kernels.incremental import kernel_apply
 
             try:
                 result, self._kernel_ctx = kernel_apply(
-                    self.spec, graph, state, delta, query, self._kernel_ctx, drain=drain
+                    self.spec, graph, state, delta, query, self._kernel_ctx
                 )
             except BaseException:
                 # A strict-apply error may have left the graph partially
@@ -214,8 +209,9 @@ class IncrementalAlgorithm:
                     f"{unsupported_reason(self.spec, graph, query) or 'state not lowerable'}"
                 )
         elif engine == "kernel":
+            cause = "measure/trace" if counting else "a max_evals step budget"
             raise IncrementalizationError(
-                "engine='kernel' cannot run instrumented (measure/trace require the generic engine)"
+                f"engine='kernel' cannot run with {cause}; use the generic engine"
             )
         self._kernel_ctx = None  # generic apply invalidates any dense mirror
 

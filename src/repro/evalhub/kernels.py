@@ -3,10 +3,9 @@
 :func:`smoke` is the correctness gate.  For every kernelized spec it
 checks that the dense kernel path is selectable (no silent fallback)
 and that forced kernel runs, batch and incremental, produce exactly the
-generic engine's values.  On a small random unit stream it also checks
-that the *sparse* drain really drains sparse (never silently falls back
-to a dense full-graph sweep) and that the stream scheduler reaches the
-generic fixpoint.  Any failure raises :class:`SuiteError`.
+generic engine's values and per-op ``ΔO``.  On a small random unit
+stream it also checks that the stream scheduler reaches the generic
+fixpoint.  Any failure raises :class:`SuiteError`.
 
 :func:`run` is the timed comparison:
 
@@ -17,11 +16,10 @@ generic fixpoint.  Any failure raises :class:`SuiteError`.
   engine is already near-optimal) and a *flap* stream alternately
   deleting/re-inserting the heaviest shortest-path-tree edges (large
   repair cascades, where the dense arrays pay off).  Each stream is
-  timed under the generic engine, the kernel engine at every drain tier
-  (auto / forced sparse / forced dense), and once more through the
-  coalescing stream scheduler (``apply_stream``); per-op touched-node
-  counters from ``kernel_stats`` are recorded so |AFF|-proportionality
-  is auditable next to the wall-clock numbers.
+  timed under the generic engine, the kernel engine, and once more
+  through the coalescing stream scheduler (``apply_stream``); per-op
+  touched-node counters from ``kernel_stats`` are recorded so
+  |AFF|-proportionality is auditable next to the wall-clock numbers.
 
 Every timed configuration also asserts value equality between the
 engines, so the recorded speedups are for identical answers.
@@ -103,7 +101,7 @@ def flap_stream(graph, query, ops: int):
     return stream
 
 
-def run_stream(graph, query, stream, engine: str, drain: str = "auto"):
+def run_stream(graph, query, stream, engine: str):
     """Apply ``stream`` as unit batches.
 
     Returns ``(seconds, final values, per-op touched counts)`` — the
@@ -113,7 +111,6 @@ def run_stream(graph, query, stream, engine: str, drain: str = "auto"):
     work = graph.copy()
     state = run_batch(SSSPSpec(), work, query, engine="generic")
     algo = IncSSSP(engine=engine)
-    algo.drain = drain
     touched, seconds = time_call(
         lambda: [algo.apply(work, state, Batch([op]), query).affected_size for op in stream]
     )
@@ -164,15 +161,11 @@ def bench_incremental(results, edges: int, ops: int):
         ("flap", flap_stream(graph, 0, ops)),
     ):
         generic_s, generic_values, generic_touched = run_stream(graph, 0, stream, "generic")
-        tiers = {}
-        for label, drain in (("kernel", "auto"), ("sparse", "sparse"), ("dense", "dense")):
-            s, values, touched = run_stream(graph, 0, stream, "kernel", drain=drain)
-            assert values == generic_values, f"inc {shape}@{edges} [{label}]: values diverge"
-            tiers[label] = (s, touched)
+        kernel_s, kernel_values, kernel_touched = run_stream(graph, 0, stream, "kernel")
+        assert kernel_values == generic_values, f"inc {shape}@{edges} [kernel]: values diverge"
         sched_s, sched_values, sched = run_scheduled(graph, 0, stream)
         assert sched_values == generic_values, f"inc {shape}@{edges} [sched]: values diverge"
 
-        kernel_s, kernel_touched = tiers["kernel"]
         results.append(
             {
                 "name": f"inc_sssp_unit_{shape}",
@@ -181,8 +174,6 @@ def bench_incremental(results, edges: int, ops: int):
                 "ops": len(stream),
                 "generic_ms": round(generic_s * 1e3, 2),
                 "kernel_ms": round(kernel_s * 1e3, 2),
-                "sparse_ms": round(tiers["sparse"][0] * 1e3, 2),
-                "dense_ms": round(tiers["dense"][0] * 1e3, 2),
                 "sched_ms": round(sched_s * 1e3, 2),
                 # Headline: generic per-op baseline vs the scheduler-driven
                 # pipeline (coalescing + AFF routing), the intended deployment.
@@ -250,32 +241,6 @@ def smoke() -> None:
         _require(
             outcomes["kernel"] == outcomes["generic"],
             f"{spec.name} incremental kernel diverges",
-        )
-
-        # Sparse-drain gate: on a small random unit stream the forced
-        # sparse tier must actually run its numpy frontier rounds — never
-        # silently degrade to a dense full-graph sweep — and still land
-        # on the generic fixpoint.
-        work = graph.copy()
-        state = run_batch(spec, work, query, engine="generic")
-        algo = inc_cls(engine="kernel")
-        algo.drain = "sparse"
-        drains = set()
-        for op in stream:
-            result = algo.apply(work, state, Batch([op]), query)
-            _require(
-                result.kernel_stats is not None,
-                f"{spec.name} sparse apply fell back off the kernel",
-            )
-            drains.add(result.kernel_stats["drain"])
-        _require("dense" not in drains, f"{spec.name} sparse drain fell back to dense")
-        _require(
-            "sparse" in drains,
-            f"{spec.name} sparse drain never exercised (saw {sorted(drains)})",
-        )
-        _require(
-            dict(state.values) == outcomes["generic"][0],
-            f"{spec.name} sparse drain diverges",
         )
 
         # Scheduler gate: coalescing + AFF routing reaches the same

@@ -202,7 +202,7 @@ SUITES: Dict[str, Suite] = {
     for suite in (
         Suite(
             "kernels",
-            "generic vs dense/sparse kernel engine (batch + incremental streams)",
+            "generic vs CSR kernel engine (batch + incremental streams)",
             _kernels_runner,
             trends=(
                 TrendSpec("speedup", ("name", "edges")),

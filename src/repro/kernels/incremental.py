@@ -46,8 +46,6 @@ import math
 from collections import deque
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..core.incremental import IncrementalResult
 from ..core.spec import FixpointSpec
 from ..resilience.faults import inject
@@ -65,31 +63,14 @@ from ..metrics.counters import NullCounter
 from .spec import (
     ADD,
     BOOL,
-    COPY,
     MAXNEG,
     NODE,
     TIMESTAMP,
-    VALUE,
     decode_value,
     encode_value,
-    np_candidates,
 )
 
 INF = math.inf
-
-#: Smallest pending worklist worth paying the list→array conversion for.
-_SPARSE_MIN = 96
-#: ``drain="auto"`` switches to numpy rounds at ``max(_SPARSE_MIN, n // 64)``
-#: pending nodes — below that the scalar loop's per-edge cost beats the
-#: fixed vectorization overhead (see docs/performance.md).
-_SPARSE_DIVISOR = 64
-#: A frontier wider than this fraction of ``n`` stops being sparse: full
-#: reverse-CSR pull sweeps (one reduceat per round) are cheaper than
-#: per-round gather/sort bookkeeping.
-_DENSE_FRACTION = 0.25
-#: Dense sweeps past this round count mean a high-diameter tail; the
-#: drain hands the shrunken frontier back to the sparse rounds.
-_DENSE_ROUND_CAP = 64
 
 
 class KernelContext:
@@ -114,7 +95,6 @@ class KernelContext:
         "g_nodes",
         "g_edges",
         "rebuild_threshold",
-        "np_cache",
     )
 
     def matches(self, graph: Graph, state: FixpointState, query: Any) -> bool:
@@ -199,221 +179,7 @@ def build_context(
     ctx.g_nodes = graph.num_nodes
     ctx.g_edges = graph.num_edges
     ctx.rebuild_threshold = max(64, len(csr.indices) // 4)
-    ctx.np_cache = None
     return ctx
-
-
-def _np_base_arrays(ctx: KernelContext) -> Dict[str, Any]:
-    """Numpy mirrors of the immutable CSR snapshot, built once per context."""
-    cache = ctx.np_cache
-    if cache is None:
-        base = ctx.overlay.base
-        cache = ctx.np_cache = {
-            "indptr": np.asarray(base.indptr, dtype=np.int64),
-            "indices": np.asarray(base.indices, dtype=np.int64),
-            "weights": np.asarray(base.weights, dtype=np.float64),
-        }
-    return cache
-
-
-def _np_rev_arrays(ctx: KernelContext) -> Dict[str, Any]:
-    """Reverse-CSR mirrors plus the reduceat segment bookkeeping."""
-    cache = _np_base_arrays(ctx)
-    if "rindptr" not in cache:
-        base = ctx.overlay.base
-        rindptr = np.asarray(base.rindptr, dtype=np.int64)
-        nonempty = np.nonzero(np.diff(rindptr) > 0)[0]
-        cache["rindptr"] = rindptr
-        cache["rindices"] = np.asarray(base.rindices, dtype=np.int64)
-        cache["rweights"] = np.asarray(base.rweights, dtype=np.float64)
-        cache["r_nonempty"] = nonempty
-        # Segment starts of the nonempty rows only: consecutive starts
-        # bound each row exactly (empty rows contribute no gap), which is
-        # what reduceat needs.
-        cache["r_starts"] = rindptr[nonempty]
-    return cache
-
-
-def _dense_sweeps(
-    ctx: KernelContext,
-    val_np: "np.ndarray",
-    writes: List[Tuple[int, float]],
-    src: int,
-) -> Tuple[int, int, int, "np.ndarray"]:
-    """Full reverse-CSR pull sweeps: the dense fallback tier.
-
-    Per round one vectorized pull computes every clean node's best
-    in-candidate (``minimum.reduceat`` over the base reverse CSR), then
-    the overlay-dirty and appended rows are patched scalar.  Values only
-    ever decrease from their current state, so the sweep converges to the
-    same fixpoint as the asynchronous drain.  Returns
-    ``(rounds, pops, scanned, live_frontier)`` — the frontier is nonempty
-    only when the round cap cut a high-diameter tail short.
-    """
-    overlay = ctx.overlay
-    combine = ctx.kspec.combine
-    n = val_np.shape[0]
-    base_n = overlay.base.num_nodes
-    cache = _np_rev_arrays(ctx)
-    rindices, rweights = cache["rindices"], cache["rweights"]
-    nonempty, r_starts = cache["r_nonempty"], cache["r_starts"]
-
-    # Rows the vectorized pull cannot see: overlay-dirty in-rows (their
-    # base segment is stale) and nodes appended after the snapshot.  Dead
-    # nodes are always dirty (their edges were deleted), end up with no
-    # in-edges, and therefore keep their value.
-    slow_in = sorted(overlay.dirty_in) + list(range(base_n, n))
-    pulled = np.full(n, INF)
-    m = rindices.shape[0]
-    rounds = pops = scanned = 0
-    idx = np.empty(0, dtype=np.int64)
-    while rounds < _DENSE_ROUND_CAP:
-        rounds += 1
-        pops += n
-        scanned += m
-        pulled[:] = INF
-        if r_starts.size:
-            cand_all = np_candidates(combine, val_np[rindices], rweights)
-            pulled[nonempty] = np.minimum.reduceat(cand_all, r_starts)
-        for x in slow_in:
-            best = INF
-            for j, w in overlay.in_edges(x):
-                scanned += 1
-                vj = val_np[j]
-                if combine == ADD:
-                    c = vj + w
-                elif combine == MAXNEG:
-                    nw = -w
-                    c = nw if nw > vj else vj
-                else:
-                    c = vj
-                if c < best:
-                    best = c
-            pulled[x] = best
-        if src >= 0:
-            pulled[src] = INF  # the source's pinned statement cannot improve
-        improved = pulled < val_np
-        idx = np.nonzero(improved)[0]
-        if idx.size == 0:
-            break
-        vals = pulled[improved]
-        val_np[idx] = vals
-        writes.extend(zip(idx.tolist(), vals.tolist()))
-    return rounds, pops, scanned, idx
-
-
-def _np_drain(
-    ctx: KernelContext,
-    frontier: Set[int],
-    val: List[float],
-    writes: List[Tuple[int, float]],
-    src: int,
-    drain: str,
-) -> Tuple[str, int, int, int]:
-    """Round-synchronous numpy relaxation restricted to the live frontier.
-
-    Each round gathers only the frontier's out-rows (AFF-proportional
-    work): positions into the CSR via the repeat/cumsum trick, candidates
-    via :func:`np_candidates`, then a sort + ``minimum.reduceat``
-    scatter-min picks each target's best offer.  Overlay-dirty and
-    appended rows relax scalar against the same array.  When the frontier
-    outgrows ``_DENSE_FRACTION * n`` (and ``drain`` allows it) the drain
-    falls back to :func:`_dense_sweeps`.  Returns
-    ``(mode, rounds, pops, scanned)``.
-    """
-    overlay = ctx.overlay
-    combine = ctx.kspec.combine
-    n = len(val)
-    base_n = overlay.base.num_nodes
-    cache = _np_base_arrays(ctx)
-    indptr, indices, weights = cache["indptr"], cache["indices"], cache["weights"]
-
-    val_np = np.array(val, dtype=np.float64)
-    w_start = len(writes)
-
-    slow = np.zeros(n, dtype=bool)
-    if overlay.dirty_out:
-        slow[np.fromiter(overlay.dirty_out, dtype=np.int64, count=len(overlay.dirty_out))] = True
-    if n > base_n:
-        slow[base_n:] = True
-
-    frontier_arr = np.unique(np.fromiter(frontier, dtype=np.int64, count=len(frontier)))
-    used_dense = False
-    rounds = pops = scanned = 0
-    if drain == "dense":
-        dense_cut = -1  # full sweeps from the first round
-    elif drain == "sparse":
-        dense_cut = n + 1  # the fallback is disabled
-    else:
-        dense_cut = max(_SPARSE_MIN, int(n * _DENSE_FRACTION))
-
-    while frontier_arr.size:
-        if int(frontier_arr.size) > dense_cut:
-            used_dense = True
-            d_rounds, d_pops, d_scanned, frontier_arr = _dense_sweeps(ctx, val_np, writes, src)
-            rounds += d_rounds
-            pops += d_pops
-            scanned += d_scanned
-            # Only a round-capped high-diameter tail survives the sweeps;
-            # finish it with sparse rounds.
-            dense_cut = n + 1
-            continue
-        rounds += 1
-        pops += int(frontier_arr.size)
-        fast = frontier_arr[~slow[frontier_arr]]
-        slow_f = frontier_arr[slow[frontier_arr]]
-
-        ut = np.empty(0, dtype=np.int64)
-        if fast.size:
-            starts = indptr[fast]
-            lens = indptr[fast + 1] - starts
-            total = int(lens.sum())
-            scanned += total
-            if total:
-                pos = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(total)
-                tgt = indices[pos]
-                cand = np_candidates(combine, np.repeat(val_np[fast], lens), weights[pos])
-                ok = cand < val_np[tgt]
-                if src >= 0:
-                    ok &= tgt != src
-                tgt = tgt[ok]
-                if tgt.size:
-                    order = np.argsort(tgt, kind="stable")
-                    tgt = tgt[order]
-                    ut, seg = np.unique(tgt, return_index=True)
-                    best = np.minimum.reduceat(cand[ok][order], seg)
-                    val_np[ut] = best
-                    writes.extend(zip(ut.tolist(), best.tolist()))
-
-        changed: Set[int] = set()
-        for i in slow_f.tolist():
-            v = float(val_np[i])
-            for j, w in overlay.out_edges(i):
-                scanned += 1
-                if j == src:
-                    continue
-                if combine == ADD:
-                    c = v + w
-                elif combine == MAXNEG:
-                    nw = -w
-                    c = nw if nw > v else v
-                else:
-                    c = v
-                if c < val_np[j]:
-                    val_np[j] = c
-                    writes.append((j, float(c)))
-                    changed.add(j)
-        if changed:
-            extra = np.fromiter(changed, dtype=np.int64, count=len(changed))
-            frontier_arr = np.unique(np.concatenate([ut, extra]))
-        else:
-            frontier_arr = ut
-
-    # Mirror the converged values back into the scalar list: every write
-    # since the conversion names a changed index (last write wins).
-    for i, v in writes[w_start:]:
-        val[i] = v
-    return ("dense" if used_dense else "sparse"), rounds, pops, scanned
 
 
 def kernel_apply(
@@ -423,7 +189,6 @@ def kernel_apply(
     delta: Batch,
     query: Any,
     ctx: Optional[KernelContext],
-    drain: str = "auto",
 ) -> Tuple[Optional[IncrementalResult], Optional[KernelContext]]:
     """One incremental apply on dense arrays.
 
@@ -433,12 +198,9 @@ def kernel_apply(
     result means the overlay crossed the rebuild threshold and the next
     apply should snapshot afresh.
 
-    ``drain`` picks the engine-phase tier: ``"auto"`` starts scalar and
-    vectorizes only once the worklist outgrows ``max(96, n/64)``;
-    ``"scalar"``, ``"sparse"``, and ``"dense"`` pin one tier (the forced
-    modes exist for the differential tests and the CI smoke gate).  The
-    chosen tier and its touched-node counters land in
-    ``result.kernel_stats``.
+    The engine phase drains one scalar worklist — a heap for prioritized
+    specs, a FIFO otherwise — so its work scales with |AFF|, never n.
+    The touched-node counters land in ``result.kernel_stats``.
     """
     if ctx is None or not ctx.matches(graph, state, query):
         ctx = build_context(spec, graph, state, query)
@@ -755,27 +517,8 @@ def kernel_apply(
                     dq.append(iv)
 
     pops = 0
-    n_all = len(val)
-    if drain == "scalar":
-        sparse_cut = None  # never vectorize
-    elif drain == "auto":
-        sparse_cut = max(_SPARSE_MIN, n_all // _SPARSE_DIVISOR)
-    else:  # "sparse" | "dense": vectorize from the first pending node
-        sparse_cut = 0
-    drain_used = "scalar"
-    np_rounds = 0
-    scanned = 0
     if prioritized:
         while heap:
-            if sparse_cut is not None and len(heap) > sparse_cut:
-                frontier = {i for d, i in heap if not d > val[i]}
-                heap.clear()
-                if frontier:
-                    drain_used, np_rounds, np_pops, scanned = _np_drain(
-                        ctx, frontier, val, writes, src, drain
-                    )
-                    pops += np_pops
-                break
             d, i = heappop(heap)
             if d > val[i]:
                 continue
@@ -816,16 +559,6 @@ def kernel_apply(
                             heappush(heap, (cand, j))
     else:
         while dq:
-            if sparse_cut is not None and len(dq) > sparse_cut:
-                frontier = set(inq)
-                dq.clear()
-                inq.clear()
-                if frontier:
-                    drain_used, np_rounds, np_pops, scanned = _np_drain(
-                        ctx, frontier, val, writes, src, drain
-                    )
-                    pops += np_pops
-                break
             i = dq.popleft()
             inq.discard(i)
             pops += 1
@@ -901,20 +634,17 @@ def kernel_apply(
     result.scope = {node_of[i] for i in h_scope}
     state.rounds += pops + len(eng_seeds)
 
-    # Per-op boundedness evidence: every dense id the apply touched.  On
-    # the scalar and sparse tiers this scales with |ΔG| + |AFF|, never n
-    # — the counters the benchmarks and the scheduler's AFF feedback read.
+    # Per-op boundedness evidence: every dense id the apply touched.  It
+    # scales with |ΔG| + |AFF|, never n — the counters the benchmarks and
+    # the scheduler's AFF feedback read.
     touched = {i for i, _v in writes}
     touched.update(h_scope)
     touched.update(eng_seeds)
     result.kernel_stats = {
         "engine": "kernel",
-        "drain": drain_used,
         "touched": len(touched),
         "writes": len(writes),
         "pops": pops,
-        "np_rounds": np_rounds,
-        "scanned": scanned,
     }
 
     ctx.state_clock = state.clock

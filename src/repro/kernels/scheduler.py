@@ -73,16 +73,12 @@ class StreamResult:
             "generic_applies": self.generic_applies,
             "touched": 0,
             "writes": 0,
-            "pops": 0,
-            "scanned": 0,
         }
         for entry in self.stats:
             totals["touched"] += entry.get("realized", 0)
             kernel = entry.get("kernel")
             if kernel:
-                totals["writes"] += kernel.get("writes", 0)
-                totals["pops"] += kernel.get("pops", 0)
-                totals["scanned"] += kernel.get("scanned", 0)
+                totals["writes"] += kernel["writes"]
         return totals
 
     def __repr__(self) -> str:

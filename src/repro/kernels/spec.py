@@ -143,19 +143,3 @@ def decode_value(kspec: KernelSpec, encoded: float, node_decode=None):
         return -encoded + 0.0  # + 0.0 normalizes -0.0 so decoded dicts compare clean
     return encoded
 
-
-def np_candidates(combine: str, values, weights):
-    """Vectorized :func:`candidate`: one numpy op over edge arrays.
-
-    ``values`` are the encoded source values gathered per edge and
-    ``weights`` the matching edge weights; the result is the encoded
-    candidate each edge offers its dependent.  Imported lazily so the
-    pure-scalar spec layer stays importable without numpy.
-    """
-    import numpy as np
-
-    if combine == ADD:
-        return values + weights
-    if combine == MAXNEG:
-        return np.maximum(values, -weights)
-    return values

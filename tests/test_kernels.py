@@ -263,6 +263,29 @@ class TestKernelIncremental:
         with pytest.raises(IncrementalizationError):
             algo.apply(g, state, Batch([EdgeDeletion(0, 2)]), 0, measure=True)
 
+    def test_forced_kernel_incremental_rejects_step_budget(self):
+        directed, _ = small_graphs()
+        g = directed.copy()
+        state = run_batch(SSSPSpec(), g, 0, engine="generic")
+        algo = IncSSSP(engine="kernel")
+        with pytest.raises(IncrementalizationError, match="max_evals") as budget:
+            algo.apply(g, state, Batch([EdgeDeletion(0, 2)]), 0, max_evals=100)
+        assert "measure/trace" not in str(budget.value)
+        with pytest.raises(IncrementalizationError, match="measure/trace") as counted:
+            algo.apply(g, state, Batch([EdgeDeletion(0, 2)]), 0, trace=True, max_evals=100)
+        assert "max_evals" not in str(counted.value)
+        assert g.has_edge(0, 2)  # both rejections left the graph untouched
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(FixpointError, match="unknown engine 'kernal'"):
+            IncSSSP(engine="kernal")
+        directed, _ = small_graphs()
+        g = directed.copy()
+        state = run_batch(SSSPSpec(), g, 0, engine="generic")
+        with pytest.raises(FixpointError, match="unknown engine 'kernal'"):
+            IncSSSP().apply(g, state, Batch([EdgeDeletion(0, 2)]), 0, engine="kernal")
+        assert g.has_edge(0, 2)
+
     def test_forced_kernel_incremental_raises_when_unsupported(self):
         directed, _ = small_graphs()
         g = directed.copy()
@@ -347,3 +370,28 @@ class TestPerApplyStats:
         per_apply = sum(entry.get("realized", 0) for entry in result.stats)
         assert totals["touched"] == per_apply
         assert totals["touched"] > 0
+
+
+class TestFlapStream:
+    """The ``kernels`` suite's flap stream: unit deletions/re-insertions of
+    the heaviest shortest-path-tree edges, whose repair cascades reach a
+    few hundred nodes on a 500-node graph (seed 6: the largest of seeds
+    1-11)."""
+
+    def test_kernel_matches_generic_per_op(self):
+        from repro.evalhub.kernels import flap_stream, sssp_graph
+
+        graph = sssp_graph(10_000, seed=6)
+        assert graph.num_nodes == 500
+        stream = flap_stream(graph, 0, 40)
+        runs = {}
+        for engine in ("generic", "kernel"):
+            work = graph.copy()
+            state = run_batch(SSSPSpec(), work, 0, engine="generic")
+            algo = IncSSSP(engine=engine)
+            results = [algo.apply(work, state, Batch([op]), 0) for op in stream]
+            runs[engine] = (dict(state.values), [dict(r.changes) for r in results], results)
+        assert runs["kernel"][0] == runs["generic"][0]
+        assert runs["kernel"][1] == runs["generic"][1]
+        touched = [r.kernel_stats["touched"] for r in runs["kernel"][2]]
+        assert max(touched) > 96

@@ -86,9 +86,9 @@ def test_kernel_incremental_equals_generic(params):
 
 
 @given(scenario)
-def test_drain_tiers_equal_generic(params):
-    """Sparse == dense == scalar == generic, per step, for all four
-    kernel specs — on streams that also grow/shrink the node set."""
+def test_kernel_mixed_stream_equals_generic(params):
+    """Kernel == generic, per step, for all four kernel specs — on
+    streams that also grow/shrink the node set."""
     n, m, directed, seed, batch_sizes = params
     from oracles import random_mixed_batch
 
@@ -97,12 +97,11 @@ def test_drain_tiers_equal_generic(params):
         base = random_graph(random.Random(seed), n, m, use_directed, weighted=weighted)
 
         runs = {}
-        for mode in ("generic", "scalar", "sparse", "dense"):
+        for engine in ("generic", "kernel"):
             rng_e = random.Random(seed + 7)
             work = base.copy()
             state = run_batch(spec_cls(), work, query, engine="generic")
-            algo = inc_cls(engine="generic" if mode == "generic" else "kernel")
-            algo.drain = mode
+            algo = inc_cls(engine=engine)
             steps = []
             protect = () if query is None else (query,)
             for size in batch_sizes:
@@ -111,16 +110,12 @@ def test_drain_tiers_equal_generic(params):
                 )
                 result = algo.apply(work, state, delta, query)
                 steps.append(dict(result.changes))
-                if mode not in ("generic",):
-                    assert result.kernel_stats is not None
-                    if mode != "auto":
-                        assert result.kernel_stats["drain"] in (mode, "scalar")
-            runs[mode] = (dict(state.values), steps)
+                assert (result.kernel_stats is not None) == (engine == "kernel")
+            runs[engine] = (dict(state.values), steps)
 
         name = spec_cls.__name__
-        for mode in ("scalar", "sparse", "dense"):
-            assert runs[mode][0] == runs["generic"][0], (name, mode)
-            assert runs[mode][1] == runs["generic"][1], (name, mode)
+        assert runs["kernel"][0] == runs["generic"][0], name
+        assert runs["kernel"][1] == runs["generic"][1], name
 
 
 @given(scenario)

@@ -120,16 +120,16 @@ class TestIncremental:
                 assert dict(state.values) == oracle_sswp(work, 0), f"trial {trial}"
 
 
-# (engine, drain) for the generic engine and each kernel drain tier.
-ENGINE_TIERS = [("generic", None), ("kernel", "scalar"), ("kernel", "sparse"), ("kernel", "dense")]
+# Ids name each engine's drain: the generic engine has none, the kernel's is scalar.
+INC_ENGINES = [pytest.param("generic", id="generic-None"), pytest.param("kernel", id="kernel-scalar")]
 
 
 class TestTieBrokenOrder:
     """Figure 4's <_C breaks width ties by old timestamp (docs/theory.md)."""
 
     @pytest.mark.parametrize("batch_engine", ["generic", "kernel"])
-    @pytest.mark.parametrize("engine,drain", ENGINE_TIERS)
-    def test_kept_tie_never_relies_on_a_repaired_input(self, batch_engine, engine, drain):
+    @pytest.mark.parametrize("engine", INC_ENGINES)
+    def test_kept_tie_never_relies_on_a_repaired_input(self, batch_engine, engine):
         # Trusting every processed input (instead of comparing its current
         # key) lets a kept node lean on a tied input repaired earlier in the
         # same pass, whose fresh timestamp is later than its own.  The
@@ -140,13 +140,13 @@ class TestTieBrokenOrder:
         state = WidestPath(engine=batch_engine).run(g.copy(), 0)
         inc = IncSSWP(engine=engine)
         for u, v in [(13, 18), (1, 14)]:
-            inc.apply(g, state, Batch([EdgeDeletion(u, v)]), 0, drain=drain)
+            inc.apply(g, state, Batch([EdgeDeletion(u, v)]), 0)
             assert dict(state.values) == oracle_sswp(g, 0)
         assert all(state.values[v] == 0.0 for v in (1, 13, 16, 18, 19))
 
     @pytest.mark.parametrize("batch_engine", ["generic", "kernel"])
-    @pytest.mark.parametrize("engine,drain", ENGINE_TIERS)
-    def test_deleted_hub_edge_does_not_reset_the_plateau(self, batch_engine, engine, drain):
+    @pytest.mark.parametrize("engine", INC_ENGINES)
+    def test_deleted_hub_edge_does_not_reset_the_plateau(self, batch_engine, engine):
         # Two hubs at width 3 feed a 200-node plateau at width 3; hub 1 is
         # also reachable through hub 2.  Deleting 0→1 changes no width, so
         # the repair must stay O(|ΔG|): hub 1 only, never the plateau.
@@ -154,7 +154,7 @@ class TestTieBrokenOrder:
         edges = [(0, 1), (0, 2), (2, 1)] + [(h, p) for p in plateau for h in (1, 2)]
         g = from_edges(edges, directed=True, weights=[3.0] * len(edges))
         state = WidestPath(engine=batch_engine).run(g.copy(), 0)
-        result = IncSSWP(engine=engine).apply(g, state, Batch([EdgeDeletion(0, 1)]), 0, drain=drain)
+        result = IncSSWP(engine=engine).apply(g, state, Batch([EdgeDeletion(0, 1)]), 0)
         assert dict(state.values) == oracle_sswp(g, 0)
         assert result.changes == {}
         assert result.scope == {1}

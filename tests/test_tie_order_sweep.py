@@ -9,8 +9,8 @@ fixpoint:
 
 * both batch engines (generic push loop, dense round sweeps) as the
   initial state — they write different timestamp linearizations;
-* the generic engine, every kernel drain tier, and generic/kernel
-  alternating per window;
+* the generic engine, the kernel engine, and generic/kernel alternating
+  per window;
 * a state checkpoint round trip (``core.persistence``) mid-stream, and a
   durable session that crashes and continues after ``recover``.
 
@@ -53,13 +53,11 @@ ALGORITHMS = {
     "CC": (CCfp, IncCC, False, None, True),
 }
 BATCH_ENGINES = ("generic", "kernel")
-# (label, engine, drain); "mixed" alternates generic and kernel per window.
+# (label, engine); "mixed" alternates generic and kernel per window.
 INC_CONFIGS = (
-    ("generic", "generic", None),
-    ("scalar", "kernel", "scalar"),
-    ("sparse", "kernel", "sparse"),
-    ("dense", "kernel", "dense"),
-    ("mixed", None, None),
+    ("generic", "generic"),
+    ("kernel", "kernel"),
+    ("mixed", None),
 )
 
 
@@ -149,7 +147,7 @@ def sweep_mismatches(seed: int):
 
         for batch_engine in BATCH_ENGINES:
             initial = batch_cls(engine=batch_engine).run(graph.copy(), query)
-            for label, engine, drain in INC_CONFIGS:
+            for label, engine in INC_CONFIGS:
                 work, state, inc = graph.copy(), initial.copy(), inc_cls()
                 for step, delta in enumerate(stream):
                     if step == WINDOWS // 2:
@@ -160,7 +158,7 @@ def sweep_mismatches(seed: int):
                         eng = "generic" if step % 2 else "kernel"
                     else:
                         eng = engine
-                    inc.apply(work, state, delta, query, engine=eng, drain=drain)
+                    inc.apply(work, state, delta, query, engine=eng)
                     if state.values != expected[step]:
                         failures.append((name, batch_engine, label, step))
                         break
