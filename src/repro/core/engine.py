@@ -334,20 +334,3 @@ def run_batch(
         )
     state = new_state(spec, graph, query, counter=counter)
     return run_fixpoint(spec, graph, query, state=state, scope=spec.initial_scope(graph, query))
-
-
-def estimate_affected(graph: Graph, delta) -> int:
-    """Cheap a-priori |AFF| estimate of a batch: anchor degree-sum.
-
-    The affected area of Eq. 3 starts from the updated edges' endpoints
-    and can only grow along their adjacency, so the degree-sum of the
-    touched nodes (plus |ΔG| itself, for endpoints not yet in ``G``)
-    upper-bounds the *first* repair wave.  It deliberately knows nothing
-    about cascades — the stream scheduler corrects for those with the
-    realized-|AFF| feedback it gets back from each apply.
-    """
-    est = len(delta)
-    for node in delta.touched_nodes():
-        if graph.has_node(node):
-            est += graph.degree(node)
-    return est

@@ -20,11 +20,11 @@ the split the paper reports in Exp-2(2d).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..errors import FixpointError, IncrementalizationError
 from ..graph.graph import Graph
-from ..graph.updates import Batch, apply_updates
+from ..graph.updates import Batch, Update, VertexDeletion, VertexInsertion, apply_updates
 from ..metrics.counters import AccessCounter, NullCounter
 from ..resilience.faults import inject
 from .engine import check_engine, run_batch, run_fixpoint
@@ -85,6 +85,42 @@ class IncrementalResult:
         )
 
 
+#: Coalescing window of :meth:`IncrementalAlgorithm.apply_stream`: unit
+#: ops buffered before one normalized apply.
+WINDOW = 16
+
+
+@dataclass
+class StreamResult:
+    """Outcome of one coalesced stream: the composed ``ΔO`` plus counts."""
+
+    changes: Dict[Hashable, Tuple[Any, Any]] = field(default_factory=dict)
+    ops: int = 0             #: raw updates consumed from the stream
+    applies: int = 0         #: coalesced applies actually executed
+    coalesced_away: int = 0  #: updates cancelled by normalization
+    touched: int = 0         #: realized |AFF| summed over the applies
+
+    def add(self, step: IncrementalResult) -> None:
+        """Fold one apply into the stream: first old value wins, last new
+        value wins, and keys whose value round-trips drop out."""
+        self.applies += 1
+        self.touched += step.affected_size
+        changes = self.changes
+        for key, (old, new) in step.changes.items():
+            if key in changes:
+                old = changes[key][0]
+            if old == new:
+                changes.pop(key, None)
+            else:
+                changes[key] = (old, new)
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamResult(ops={self.ops}, applies={self.applies}, "
+            f"|ΔO|={len(self.changes)})"
+        )
+
+
 class BatchAlgorithm:
     """A runnable batch algorithm ``A`` wrapping a :class:`FixpointSpec`.
 
@@ -139,8 +175,6 @@ class IncrementalAlgorithm:
         # Dense context reused across applies (kernels.incremental); None
         # until the first kernel apply, dropped when it goes stale.
         self._kernel_ctx = None
-        # Realized-|AFF| EWMA maintained by apply_stream's scheduler.
-        self._aff_ewma = 0.0
 
     @property
     def name(self) -> str:
@@ -169,8 +203,8 @@ class IncrementalAlgorithm:
         ``trace=True`` additionally records *which* variables were
         touched.  Both default off so timed runs carry no instrumentation
         overhead.  ``engine`` overrides the instance default for this
-        one apply — the stream scheduler uses this to pick the path per
-        op without reconfiguring the algorithm.
+        one apply; :meth:`apply_stream` uses it to stay on the generic
+        engine.
         ``max_evals`` bounds the resumed fixpoint's update-function
         evaluations (a runaway-drain budget; exceeding it raises
         :class:`~repro.errors.FixpointError`); budgeted applies take the
@@ -267,37 +301,69 @@ class IncrementalAlgorithm:
         self,
         graph: Graph,
         state: FixpointState,
-        stream,
+        stream: Iterable,
         query: Any = None,
-        window: int = None,
-        engine: str = None,
         max_evals: Optional[int] = None,
-    ):
-        """Apply a whole update stream through the coalescing scheduler.
+    ) -> StreamResult:
+        """Apply a whole update stream, coalescing it into windows.
 
         ``stream`` yields :class:`Batch` or unit :class:`Update` items.
-        Consecutive edge updates are coalesced into normalized windows
-        (``window`` ops, default :data:`repro.kernels.scheduler.WINDOW`)
-        and each flushed batch is routed kernel-vs-generic from the
-        estimated |AFF| plus realized-|AFF| feedback; pass ``engine`` to
-        force one path for every apply; ``max_evals`` is one budget for
-        the whole stream, as :meth:`apply` has for one batch.  Mutates ``graph`` and ``state`` like the
-        equivalent :meth:`apply` sequence and returns a
-        :class:`~repro.kernels.scheduler.StreamResult` with the composed
-        ``ΔO`` and per-apply routing stats.
+        Consecutive edge updates are buffered up to :data:`WINDOW` ops
+        and reduced to their net effect with
+        :meth:`~repro.graph.updates.Batch.normalized` against the live
+        graph, so insert/delete churn on one edge cancels and a window of
+        unit ops becomes one generic :meth:`apply`.  A vertex update
+        flushes the window and travels alone (normalization must not
+        reorder it past edge ops on its endpoints).  ``max_evals`` is one
+        budget for the whole stream, as :meth:`apply` has for one batch.
+        Mutates ``graph`` and ``state`` like the equivalent :meth:`apply`
+        sequence and returns the composed :class:`StreamResult`.
         """
-        from ..kernels.scheduler import WINDOW, schedule_stream
+        result = StreamResult()
+        pending: List[Update] = []
+        budget = max_evals
 
-        return schedule_stream(
-            self,
-            graph,
-            state,
-            stream,
-            query,
-            window=WINDOW if window is None else window,
-            engine=engine,
-            max_evals=max_evals,
-        )
+        def flush() -> None:
+            nonlocal budget
+            if not pending:
+                return
+            batch = Batch(list(pending))
+            pending.clear()
+            net = batch.normalized(directed=graph.directed, graph=graph)
+            result.coalesced_away += len(batch) - len(net)
+            if not net.updates:
+                return
+            inject("scheduler.mid-stream")
+            rounds = state.rounds
+            result.add(
+                self.apply(graph, state, net, query, engine="generic", max_evals=budget)
+            )
+            if budget is not None:
+                budget -= state.rounds - rounds  # evaluations this apply spent
+
+        for item in stream:
+            for update in item.updates if isinstance(item, Batch) else [item]:
+                result.ops += 1
+                vertex_op = isinstance(update, (VertexInsertion, VertexDeletion))
+                if vertex_op:
+                    flush()
+                pending.append(update)
+                if vertex_op or len(pending) >= WINDOW:
+                    flush()
+        flush()
+
+        # Each apply seeds (re-)created variables silently at their initial
+        # value, so a delete-then-recreate across applies would compose to
+        # ``(old, None)``.  Settle every new side against the live fixpoint
+        # so the returned ΔO really maps Q(G) onto Q(G ⊕ ΔG).
+        values = state.values
+        for key, (old, _new) in list(result.changes.items()):
+            live = values.get(key)
+            if old == live:
+                del result.changes[key]
+            else:
+                result.changes[key] = (old, live)
+        return result
 
 
 def incrementalize(spec: FixpointSpec) -> Tuple[BatchAlgorithm, IncrementalAlgorithm]:

@@ -4,8 +4,8 @@
 checks that the dense kernel path is selectable (no silent fallback)
 and that forced kernel runs, batch and incremental, produce exactly the
 generic engine's values and per-op ``ΔO``.  On a small random unit
-stream it also checks that the stream scheduler reaches the generic
-fixpoint.  Any failure raises :class:`SuiteError`.
+stream it also checks that the coalescing ``apply_stream`` reaches
+the generic fixpoint.  Any failure raises :class:`SuiteError`.
 
 :func:`run` is the timed comparison:
 
@@ -17,7 +17,7 @@ fixpoint.  Any failure raises :class:`SuiteError`.
   deleting/re-inserting the heaviest shortest-path-tree edges (large
   repair cascades, where the dense arrays pay off).  Each stream is
   timed under the generic engine, the kernel engine, and once more
-  through the coalescing stream scheduler (``apply_stream``); per-op
+  coalesced through ``apply_stream``; per-op
   touched-node counters from ``kernel_stats`` are recorded so
   |AFF|-proportionality is auditable next to the wall-clock numbers.
 
@@ -118,7 +118,7 @@ def run_stream(graph, query, stream, engine: str):
 
 
 def run_scheduled(graph, query, stream):
-    """Drive the same stream through the coalescing scheduler.
+    """Drive the same stream through the coalescing ``apply_stream``.
 
     Returns ``(seconds, final values, StreamResult)``.
     """
@@ -175,8 +175,8 @@ def bench_incremental(results, edges: int, ops: int):
                 "generic_ms": round(generic_s * 1e3, 2),
                 "kernel_ms": round(kernel_s * 1e3, 2),
                 "sched_ms": round(sched_s * 1e3, 2),
-                # Headline: generic per-op baseline vs the scheduler-driven
-                # pipeline (coalescing + AFF routing), the intended deployment.
+                # Headline: generic per-op baseline vs the coalesced
+                # stream (what a session runs), the intended deployment.
                 "speedup": round(generic_s / sched_s, 2),
                 "kernel_speedup": round(generic_s / kernel_s, 2),
                 "applies": sched.applies,
@@ -243,12 +243,12 @@ def smoke() -> None:
             f"{spec.name} incremental kernel diverges",
         )
 
-        # Scheduler gate: coalescing + AFF routing reaches the same
-        # fixpoint as the op-by-op applies above.
+        # Stream gate: coalescing reaches the same fixpoint as the
+        # op-by-op applies above.
         work = graph.copy()
         state = run_batch(spec, work, query, engine="generic")
         inc_cls().apply_stream(work, state, [Batch([op]) for op in stream], query)
         _require(
             dict(state.values) == outcomes["generic"][0],
-            f"{spec.name} scheduler stream diverges",
+            f"{spec.name} coalesced stream diverges",
         )

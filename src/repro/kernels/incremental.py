@@ -635,8 +635,7 @@ def kernel_apply(
     state.rounds += pops + len(eng_seeds)
 
     # Per-op boundedness evidence: every dense id the apply touched.  It
-    # scales with |ΔG| + |AFF|, never n — the counters the benchmarks and
-    # the scheduler's AFF feedback read.
+    # scales with |ΔG| + |AFF|, never n — the counters the benchmarks read.
     touched = {i for i, _v in writes}
     touched.update(h_scope)
     touched.update(eng_seeds)

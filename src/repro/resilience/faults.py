@@ -12,19 +12,20 @@ apply/phase boundaries, never inside the fixpoint hot loops).
 
 Sites instrumented across the library (see ``docs/robustness.md``):
 
-===========================  ====================================================
+===========================  =========================================================
 Site                         Fires
-===========================  ====================================================
+===========================  =========================================================
 ``session.pre-apply``        after validation, before any replica mutates
 ``session.mid-apply``        between two queries' incremental applies
 ``session.listener``         inside listener delivery (models a raising listener)
 ``incremental.mid-apply``    after ``G ⊕ ΔG``, before the generic state repair
-``kernel.mid-drain``         after ``G ⊕ ΔG``, before the kernel drain
+``kernel.mid-drain``         after ``G ⊕ ΔG``, before the kernel drain (one-shot
+                             kernel applies only; sessions never reach it)
 ``scheduler.mid-stream``     before a coalesced window is applied
 ``engine.fixpoint``          on entry to :func:`~repro.core.engine.run_fixpoint`
 ``wal.mid-append``           between the two halves of a WAL record (torn write)
 ``checkpoint.mid-write``     after the temp file is written, before the rename
-===========================  ====================================================
+===========================  =========================================================
 
 Plans can also be armed process-wide through the ``REPRO_FAULTS``
 environment variable: ``REPRO_FAULTS="wal.mid-append:2"`` arms the named

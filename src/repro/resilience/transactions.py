@@ -9,9 +9,7 @@ Graphs need no snapshot.  The session's reference graph absorbs a window
 only after every query's step has succeeded, so while the window runs it
 *is* the pre-window graph: a rollback rebuilds each replica as a copy of
 it.  Only states are snapshotted — an O(|D|) dict copy per query per
-window; kernel drains write states through array replays, so a copy is
-the one state undo record every engine path honours.  The O(|G|) replica
-copies are paid on failure only.
+window.  The O(|G|) replica copies are paid on failure only.
 """
 
 from __future__ import annotations

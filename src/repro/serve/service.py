@@ -6,9 +6,9 @@ with the serving discipline a standing-query deployment needs:
 * **single writer** — all mutations (updates, registrations) flow
   through one bounded queue drained by one writer thread, so the
   session below never needs internal locking and each window commits
-  through the stream scheduler
-  (:meth:`~repro.session.DynamicGraphSession.update_stream`) exactly as
-  a sequential caller would;
+  through one coalescing
+  :meth:`~repro.session.DynamicGraphSession.update_stream` call exactly
+  as a sequential caller would;
 * **snapshot-isolated readers** — after every committed window the
   writer publishes immutable per-query answer snapshots tagged with the
   WAL sequence number (:mod:`repro.serve.state`); reads are served from
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from time import monotonic
 from typing import Any, Dict, List, Optional, Union
 
+from ..core.incremental import StreamResult
 from ..errors import Deadline, Overloaded, ReproError, ServiceClosed
 from ..graph.updates import Batch, Update
 from ..metrics.latency import DepthGauge, LatencyRecorder
@@ -125,10 +126,7 @@ class QueryService:
             "ops": 0,            # update ops committed
             "windows": 0,        # writer cycles that committed something
             "applies": 0,        # coalesced applies across all queries
-            "kernel_applies": 0,
-            "generic_applies": 0,
             "touched": 0,        # realized |AFF| across queries/applies
-            "writes": 0,         # kernel value writes
             "shed_overloaded": 0,
             "shed_deadline": 0,
             "rejected": 0,       # typed per-op failures (validation, ...)
@@ -322,7 +320,7 @@ class QueryService:
         return snapshot
 
     def stats(self, reset_window: bool = True) -> Dict[str, Any]:
-        """Service health: queue, shed counts, latency, per-window kernel
+        """Service health: queue, shed counts, latency, per-window apply
         counters, and each query's published version/seq.
 
         ``reset_window=True`` (the default — scrape-and-reset) zeroes the
@@ -476,16 +474,13 @@ class QueryService:
 
     # ------------------------------------------------------------------
     def _absorb_stream_stats(self, results: Dict[str, Any], ops: int) -> None:
-        totals = {"applies": 0, "kernel_applies": 0, "generic_applies": 0,
-                  "touched": 0, "writes": 0}
+        totals = {"applies": 0, "touched": 0}
         for result in results.values():
-            if hasattr(result, "kernel_totals"):
-                kt = result.kernel_totals()
-                for key in totals:
-                    totals[key] += kt.get(key, 0)
-            elif hasattr(result, "affected_size"):  # plain IncrementalResult
+            if isinstance(result, StreamResult):
+                totals["applies"] += result.applies
+                totals["touched"] += result.touched
+            else:  # a quarantined query's batch recompute
                 totals["applies"] += 1
-                totals["generic_applies"] += 1
                 totals["touched"] += result.affected_size
         with self._stats_lock:
             for counters in (self._counters, self._lifetime):

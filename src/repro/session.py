@@ -64,7 +64,7 @@ from .algorithms import (
     Simfp,
     WidestPath,
 )
-from .core.incremental import IncrementalResult
+from .core.incremental import IncrementalResult, StreamResult
 from .core.state import FixpointState
 from .errors import (
     FixpointError,
@@ -134,15 +134,9 @@ class RegisteredQuery:
     quarantined: bool = False
 
     def reset(self, graph: Graph, state: FixpointState) -> None:
-        """Maintain ``state`` against the replica ``graph`` from now on.
-
-        The kernel mirror describes the old replica, and the scheduler
-        reads any mirror as warm, so it is dropped.
-        """
+        """Maintain ``state`` against the replica ``graph`` from now on."""
         self.graph = graph
         self.state = state
-        if hasattr(self.incremental, "_kernel_ctx"):
-            self.incremental._kernel_ctx = None
 
 
 def _diff_values(old: Dict, new: Dict) -> Dict[Hashable, Tuple[Any, Any]]:
@@ -265,14 +259,14 @@ class DynamicGraphSession:
         ``stream`` is an iterable of :class:`Batch` or unit updates; each
         item is one batch with its own WAL seq.  Every healthy query
         drives the window through its incremental algorithm (spec-backed
-        ones through the :meth:`apply_stream` scheduler: coalesced
-        windows, per-op kernel-vs-generic routing, and
-        ``SessionConfig.step_budget`` as one budget for the window); the
-        reference graph receives the raw window, so all replicas stay
-        identical.  Returns ``{query name: result}`` with each query's
-        composed ``ΔO``.  ``notify=True`` delivers each result to the
-        query's listeners once, after the window committed; a raising
-        listener is recorded as an incident and never starves the rest.
+        ones through :meth:`apply_stream`: coalesced windows on the
+        generic engine, with ``SessionConfig.step_budget`` as one budget
+        for the window); the reference graph receives the raw window, so
+        all replicas stay identical.  Returns ``{query name: result}``
+        with each query's ``ΔO`` composed across the window.
+        ``notify=True`` delivers each result to the query's listeners
+        once, after the window committed; a raising listener is recorded
+        as an incident and never starves the rest.
 
         One commit, in order: the whole window is validated by one
         O(|ΔG|) overlay (typed
@@ -354,7 +348,8 @@ class DynamicGraphSession:
 
         Each healthy query drives the window through its incremental
         algorithm; hand-written ones (IncDFS, IncCoreness) have no
-        evaluation counter and go batch by batch, unbudgeted.  A runaway
+        evaluation counter and go batch by batch, unbudgeted, with their
+        ``ΔO`` composed into one :class:`StreamResult`.  A runaway
         drain (step budget, divergence) is the query's own pathology and
         quarantines it; any other error fails the window until the query
         has faulted ``quarantine_after`` times in a row.  Quarantined
@@ -380,9 +375,11 @@ class DynamicGraphSession:
                         max_evals=self.config.step_budget,
                     )
                 else:
+                    result = StreamResult()
                     for batch in stream:
-                        result = inc.apply(
-                            registered.graph, registered.state, batch, registered.query
+                        result.ops += len(batch)
+                        result.add(
+                            inc.apply(registered.graph, registered.state, batch, registered.query)
                         )
             except InjectedFault:
                 raise

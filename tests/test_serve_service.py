@@ -111,7 +111,7 @@ class TestReadsAndWrites:
             assert window["ops"] == 1
             assert window["windows"] == 1
             assert window["applies"] == len(service.session.queries())
-            assert window["applies"] == window["kernel_applies"] + window["generic_applies"]
+            assert window["touched"] > 0
         finally:
             service.close(drain=False)
 

@@ -170,3 +170,30 @@ class TestSeqAndStreamNotify:
         assert session.seq == 0  # commit survived the listener
         kinds = [incident.kind for incident in session.incidents]
         assert "listener-error" in kinds
+
+
+class TestHandWrittenWindows:
+    """IncDFS and IncCoreness have no ``apply_stream``; the session applies
+    a window to them batch by batch and composes the ΔO."""
+
+    @pytest.mark.parametrize("algorithm", ["DFS", "Coreness"])
+    def test_two_batch_window_composes_delta_o(self, algorithm):
+        session = make_session()
+        session.register("q", algorithm)
+        before = dict(session._queries["q"].state.values)
+        # Node 5 appears in the first batch and changes again in the second.
+        stream = [Batch([EdgeInsertion(3, 5)]), Batch([EdgeInsertion(4, 5)])]
+        result = session.update_stream(stream)["q"]
+        after = session._queries["q"].state.values
+        changed = {
+            key for key in set(before) | set(after) if before.get(key) != after.get(key)
+        }
+        assert 5 in changed
+        assert set(result.changes) == changed
+        for key, (old, new) in result.changes.items():
+            assert new == after.get(key), key
+            # A variable created in the window may carry its creation seed
+            # as the old side, as a one-batch apply reports it.
+            if key in before:
+                assert old == before[key], key
+        assert result.applies == 2
