@@ -19,7 +19,11 @@ the generic fixpoint.  Any failure raises :class:`SuiteError`.
   timed under the generic engine, the kernel engine, and once more
   coalesced through ``apply_stream``; per-op
   touched-node counters from ``kernel_stats`` are recorded so
-  |AFF|-proportionality is auditable next to the wall-clock numbers.
+  |AFF|-proportionality is auditable next to the wall-clock numbers;
+* incremental SSSP and CC by |ΔG| (``inc_sssp_level``/``inc_cc_level``):
+  one mixed batch at 1%, 4% and 16% of |E| and the batch undoing it,
+  applied as warm round trips on each engine, interleaved — the median
+  apply per engine shows where the kernel wins and where it loses.
 
 Every timed configuration also asserts value equality between the
 engines, so the recorded speedups are for identical answers.
@@ -28,6 +32,7 @@ engines, so the recorded speedups are for identical answers.
 from __future__ import annotations
 
 from collections import defaultdict
+from statistics import median
 
 from ..algorithms.cc import CCSpec, IncCC
 from ..algorithms.reach import IncReach, ReachSpec
@@ -35,7 +40,7 @@ from ..algorithms.sssp import IncSSSP, SSSPSpec
 from ..algorithms.sswp import IncSSWP, SSWPSpec
 from ..core import run_batch
 from ..generators import assign_weights, erdos_renyi, random_updates
-from ..graph import Batch, EdgeDeletion, EdgeInsertion
+from ..graph import Batch, EdgeDeletion, EdgeInsertion, apply_updates
 from ..kernels.engine import unsupported_reason
 from ..metrics.timers import best_of, time_call
 from .suites import SuiteError
@@ -192,12 +197,81 @@ def bench_incremental(results, edges: int, ops: int):
         )
 
 
+#: The |ΔG| levels of the ``inc_*_level`` rows, as shares of |E|.
+LEVELS = (0.01, 0.04, 0.16)
+
+
+def undo_batch(graph, batch: Batch) -> Batch:
+    """The batch returning ``graph ⊕ batch`` to ``graph`` (deleted edges
+    come back with their weights)."""
+    work = graph.copy()
+    undo = []
+    for op in batch.updates:
+        if isinstance(op, EdgeDeletion):
+            undo.append(EdgeInsertion(op.u, op.v, weight=work.weight(op.u, op.v)))
+        else:
+            undo.append(EdgeDeletion(op.u, op.v))
+        apply_updates(work, [op])
+    return Batch(undo[::-1])
+
+
+def bench_levels(results, edges: int, round_trips: int):
+    for name, spec, inc_cls, graph, query in (
+        ("inc_sssp_level", SSSPSpec(), IncSSSP, sssp_graph(edges), 0),
+        ("inc_cc_level", CCSpec(), IncCC, cc_graph(edges), None),
+    ):
+        for level in LEVELS:
+            forward = random_updates(graph, int(level * graph.num_edges), seed=11)
+            trip = (forward, undo_batch(graph, forward))
+            sides = {}
+            for engine in ("generic", "kernel"):
+                work = graph.copy()
+                state = run_batch(spec, work, query, engine="generic")
+                algo = inc_cls(engine=engine)
+                for batch in trip:  # warm: the kernel side builds its mirror
+                    algo.apply(work, state, batch, query)
+                sides[engine] = (work, state, algo, [], [])
+            for r in range(round_trips):
+                # Alternate which engine goes first, so drift hits both.
+                for engine in ("generic", "kernel") if r % 2 else ("kernel", "generic"):
+                    work, state, algo, seconds, outcomes = sides[engine]
+                    for batch in trip:
+                        result, s = time_call(algo.apply, work, state, batch, query)
+                        seconds.append(s)
+                        outcomes.append((dict(result.changes), result.affected_size))
+            _, g_state, _, g_seconds, g_outcomes = sides["generic"]
+            _, k_state, _, k_seconds, k_outcomes = sides["kernel"]
+            assert k_state.values == g_state.values, f"{name}@{level:.0%}: values diverge"
+            assert [c for c, _ in k_outcomes] == [c for c, _ in g_outcomes], (
+                f"{name}@{level:.0%}: ΔO diverges"
+            )
+            generic_ms, kernel_ms = median(g_seconds) * 1e3, median(k_seconds) * 1e3
+            results.append(
+                {
+                    "name": name,
+                    "edges": edges,
+                    "nodes": graph.num_nodes,
+                    "delta_pct": round(level * 100, 2),
+                    "ops": forward.size,
+                    "applies": len(k_seconds),
+                    "generic_ms": round(generic_ms, 2),
+                    "kernel_ms": round(kernel_ms, 2),
+                    "kernel_speedup": round(generic_ms / kernel_ms, 2),
+                    "changed_mean": round(
+                        sum(len(c) for c, _ in k_outcomes) / len(k_outcomes), 1
+                    ),
+                    "aff_mean": round(sum(a for _, a in k_outcomes) / len(k_outcomes), 1),
+                }
+            )
+
+
 def run(edges_sweep, ops: int, repeats: int):
     """The timed suite at the given sweep; returns registry rows."""
     results = []
     for edges in edges_sweep:
         bench_batch(results, edges, repeats)
         bench_incremental(results, edges, ops=ops)
+        bench_levels(results, edges, round_trips=5 * repeats)
     return results
 
 

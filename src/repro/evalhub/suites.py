@@ -202,11 +202,12 @@ SUITES: Dict[str, Suite] = {
     for suite in (
         Suite(
             "kernels",
-            "generic vs CSR kernel engine (batch + incremental streams)",
+            "generic vs CSR kernel engine (batch, incremental streams, incremental by |ΔG|)",
             _kernels_runner,
             trends=(
                 TrendSpec("speedup", ("name", "edges")),
                 TrendSpec("touched_mean", ("name", "edges"), direction="lower"),
+                TrendSpec("kernel_speedup", ("name", "edges", "delta_pct")),
             ),
         ),
         Suite(

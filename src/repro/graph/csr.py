@@ -1,27 +1,26 @@
-"""CSR (compressed sparse row) snapshots and their mutable overlay.
+"""CSR (compressed sparse row) snapshots of a graph.
 
 Batch algorithms in the paper run on static graphs; the authors' C++
 implementation stores them in compressed adjacency arrays.  This module
 provides the Python analogue: a flat-array CSR view of a
-:class:`~repro.graph.graph.Graph`, used by the dense kernel engine where
-neighbor scans dominate.  The arrays are plain Python lists, not numpy:
-the kernel loops index them element-wise, and a list index returns an
-unboxed ``int``/``float`` where a numpy index would allocate a scalar —
-lists are both faster to build (C-speed ``extend`` straight off the
-adjacency dicts) and faster to read at these sizes.
+:class:`~repro.graph.graph.Graph`, used by the dense batch engine
+(:mod:`repro.kernels.engine`) where neighbor scans dominate.  The arrays
+are plain Python lists, not numpy: the kernel loops index them
+element-wise, and a list index returns an unboxed ``int``/``float`` where
+a numpy index would allocate a scalar — lists are both faster to build
+(C-speed ``extend`` straight off the adjacency dicts) and faster to read
+at these sizes.
 
-The CSR snapshot itself is read-only.  Incremental algorithms that want
-array-backed adjacency use :class:`CSROverlay`: the immutable snapshot
-plus a small delta adjacency (inserted edges, a tombstone set for
-deleted ones, appended nodes).  The kernel engine rebuilds the snapshot
-once the overlay outgrows a threshold (see ``docs/performance.md``).
+A snapshot is read-only.  The incremental kernel does not use one: it
+keeps its own mutable row dicts in dense ids (see
+:mod:`repro.kernels.incremental`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from ..errors import EdgeNotFoundError, NodeNotFoundError
+from ..errors import NodeNotFoundError
 from .graph import Graph, Node
 
 
@@ -39,23 +38,6 @@ def _rows_from_dicts(
         row = adj[v]
         indices.extend(map(get_index, row))
         weights.extend(row.values())
-        indptr.append(len(indices))
-    return indptr, indices, weights
-
-
-def _rows_from_items(
-    node_of: List[Node],
-    index_of: Dict[Node, int],
-    items,
-) -> Tuple[List[int], List[int], List[float]]:
-    """Fallback CSR rows via the ``(neighbor, weight)`` item iterators."""
-    indptr: List[int] = [0]
-    indices: List[int] = []
-    weights: List[float] = []
-    for v in node_of:
-        for u, w in items(v):
-            indices.append(index_of[u])
-            weights.append(w)
         indptr.append(len(indices))
     return indptr, indices, weights
 
@@ -114,26 +96,15 @@ class CSRGraph:
         For undirected graphs each edge appears in both rows, so the
         forward arrays double as the reverse arrays.
 
-        The hot path reads the graph's adjacency dicts wholesale
-        (``extend`` + ``map`` run the per-edge work in C); graphs that
-        don't expose dict adjacency fall back to the item iterators.
+        The rows are read off the graph's adjacency dicts wholesale
+        (``extend`` + ``map`` run the per-edge work in C).
         """
         node_of = list(graph.nodes())
         index_of = {v: i for i, v in enumerate(node_of)}
-
-        succ = getattr(graph, "_succ", None)
-        pred = getattr(graph, "_pred", None)
-        if isinstance(succ, dict) and isinstance(pred, dict):
-            indptr, indices, weights = _rows_from_dicts(node_of, index_of, succ)
-            if not graph.directed:
-                return cls(False, indptr, indices, weights, indptr, indices, weights, node_of, index_of)
-            rindptr, rindices, rweights = _rows_from_dicts(node_of, index_of, pred)
-            return cls(True, indptr, indices, weights, rindptr, rindices, rweights, node_of, index_of)
-
-        indptr, indices, weights = _rows_from_items(node_of, index_of, graph.out_items)
+        indptr, indices, weights = _rows_from_dicts(node_of, index_of, graph._succ)
         if not graph.directed:
             return cls(False, indptr, indices, weights, indptr, indices, weights, node_of, index_of)
-        rindptr, rindices, rweights = _rows_from_items(node_of, index_of, graph.in_items)
+        rindptr, rindices, rweights = _rows_from_dicts(node_of, index_of, graph._pred)
         return cls(True, indptr, indices, weights, rindptr, rindices, rweights, node_of, index_of)
 
     # ------------------------------------------------------------------
@@ -196,180 +167,3 @@ class CSRGraph:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"CSRGraph({kind}, |V|={self.num_nodes}, nnz={len(self.indices)})"
-
-
-class CSROverlay:
-    """A CSR snapshot plus a small mutable delta, in dense node ids.
-
-    The overlay keeps edge updates O(1) while preserving the snapshot's
-    array layout for the untouched majority of nodes: a node whose row
-    never changed is read straight from the base arrays; a *dirty* node
-    merges the base row with its extra adjacency and tombstones.
-
-    Semantics of the delta structures:
-
-    * ``_extra_out[i][j] = w`` — edge ``(i, j)`` inserted since the
-      snapshot (its weight lives here even if a same-endpoint base edge
-      was deleted earlier: tombstones are never resurrected, so a
-      delete + re-insert cannot leak the stale base weight);
-    * ``_dead`` — directed pairs ``(i, j)`` of deleted base edges;
-    * dense ids ``>= base.num_nodes`` are appended nodes whose adjacency
-      lives entirely in the extras.
-
-    For undirected bases each mutation mirrors both directions, matching
-    the doubled forward rows of :meth:`CSRGraph.from_graph`.
-
-    ``out_edges``/``in_edges`` return plain Python lists of ``(j, w)``
-    pairs (memoized per dirty node) so hot loops avoid numpy scalar
-    boxing; callers iterating clean nodes should use the base arrays
-    directly via :attr:`dirty_out`/:attr:`dirty_in` fast-path checks.
-    """
-
-    __slots__ = (
-        "base",
-        "num_nodes",
-        "indptr",
-        "indices",
-        "weights",
-        "rindptr",
-        "rindices",
-        "rweights",
-        "_extra_out",
-        "_extra_in",
-        "_dead",
-        "dirty_out",
-        "dirty_in",
-        "delta_ops",
-        "_out_cache",
-        "_in_cache",
-    )
-
-    def __init__(self, base: CSRGraph) -> None:
-        self.base = base
-        self.num_nodes = base.num_nodes
-        # Aliases of the (immutable) snapshot lists: all mutations live in
-        # the delta structures below, so no copy is needed.
-        self.indptr: List[int] = base.indptr
-        self.indices: List[int] = base.indices
-        self.weights: List[float] = base.weights
-        self.rindptr: List[int] = base.rindptr
-        self.rindices: List[int] = base.rindices
-        self.rweights: List[float] = base.rweights
-        self._extra_out: Dict[int, Dict[int, float]] = {}
-        self._extra_in: Dict[int, Dict[int, float]] = {}
-        self._dead: Set[Tuple[int, int]] = set()
-        #: Dense ids whose out- (in-) rows differ from the base snapshot.
-        self.dirty_out: Set[int] = set()
-        self.dirty_in: Set[int] = set()
-        #: Mutations applied since the snapshot — the rebuild trigger.
-        self.delta_ops = 0
-        self._out_cache: Dict[int, List[Tuple[int, float]]] = {}
-        self._in_cache: Dict[int, List[Tuple[int, float]]] = {}
-
-    # ------------------------------------------------------------------
-    def add_node(self) -> int:
-        """Append a node with no edges; returns its dense id."""
-        i = self.num_nodes
-        self.num_nodes += 1
-        self.delta_ops += 1
-        return i
-
-    def _touch(self, i: int, j: int) -> None:
-        self.dirty_out.add(i)
-        self.dirty_in.add(j)
-        self._out_cache.pop(i, None)
-        self._in_cache.pop(j, None)
-        self.delta_ops += 1
-
-    def insert_edge(self, i: int, j: int, weight: float) -> None:
-        """Insert edge ``(i, j)`` (both directions for undirected bases)."""
-        self._extra_out.setdefault(i, {})[j] = weight
-        self._extra_in.setdefault(j, {})[i] = weight
-        self._touch(i, j)
-        if not self.base.directed and i != j:
-            self._extra_out.setdefault(j, {})[i] = weight
-            self._extra_in.setdefault(i, {})[j] = weight
-            self._touch(j, i)
-
-    def delete_edge(self, i: int, j: int) -> None:
-        """Delete edge ``(i, j)``; raises if it is not present."""
-        self._delete_one(i, j)
-        if not self.base.directed and i != j:
-            self._delete_one(j, i)
-
-    def _delete_one(self, i: int, j: int) -> None:
-        extra = self._extra_out.get(i)
-        if extra is not None and j in extra:
-            del extra[j]
-            del self._extra_in[j][i]
-        elif self._in_base(i, j) and (i, j) not in self._dead:
-            self._dead.add((i, j))
-        else:
-            raise EdgeNotFoundError(i, j)
-        self._touch(i, j)
-
-    def _in_base(self, i: int, j: int) -> bool:
-        if i >= self.base.num_nodes:
-            return False
-        for k in range(self.indptr[i], self.indptr[i + 1]):
-            if self.indices[k] == j:
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    def out_edges(self, i: int) -> List[Tuple[int, float]]:
-        """``(j, w)`` pairs of the current out-row of dense node ``i``."""
-        cached = self._out_cache.get(i)
-        if cached is not None:
-            return cached
-        pairs = self._merge_row(
-            i, self.indptr, self.indices, self.weights,
-            self._extra_out.get(i), out=True,
-        )
-        self._out_cache[i] = pairs
-        return pairs
-
-    def in_edges(self, i: int) -> List[Tuple[int, float]]:
-        """``(j, w)`` pairs of the current in-row of dense node ``i``."""
-        cached = self._in_cache.get(i)
-        if cached is not None:
-            return cached
-        pairs = self._merge_row(
-            i, self.rindptr, self.rindices, self.rweights,
-            self._extra_in.get(i), out=False,
-        )
-        self._in_cache[i] = pairs
-        return pairs
-
-    def _merge_row(
-        self,
-        i: int,
-        indptr: List[int],
-        indices: List[int],
-        weights: List[float],
-        extra: Optional[Dict[int, float]],
-        out: bool,
-    ) -> List[Tuple[int, float]]:
-        pairs: List[Tuple[int, float]] = []
-        if i < self.base.num_nodes:
-            dead = self._dead
-            for k in range(indptr[i], indptr[i + 1]):
-                j = indices[k]
-                pair = (i, j) if out else (j, i)
-                if pair in dead or (extra is not None and j in extra):
-                    continue
-                pairs.append((j, weights[k]))
-        if extra:
-            pairs.extend(extra.items())
-        return pairs
-
-    @property
-    def delta_nnz(self) -> int:
-        """Current size of the delta adjacency (extras + tombstones)."""
-        return sum(len(d) for d in self._extra_out.values()) + len(self._dead)
-
-    def __repr__(self) -> str:
-        return (
-            f"CSROverlay(base={self.base!r}, |V|={self.num_nodes}, "
-            f"delta_ops={self.delta_ops}, delta_nnz={self.delta_nnz})"
-        )

@@ -1,14 +1,15 @@
-"""Dense CSR kernel engines for hot fixpoint loops.
+"""Dense kernel engines for hot fixpoint loops.
 
 This package lowers push-capable node-keyed specs onto flat arrays: a
 :class:`~repro.kernels.spec.KernelSpec` declares the scalar combine a
 spec's ``edge_candidate`` reduces to, :mod:`repro.kernels.engine` runs
 batch fixpoints over a :class:`~repro.graph.csr.CSRGraph` snapshot, and
-:mod:`repro.kernels.incremental` resumes them across update batches on a
-:class:`~repro.graph.csr.CSROverlay`.  Selection is automatic (the
-``engine="auto"`` default of the core drivers); everything here falls
-back to the generic interpreter rather than guess — see
-``docs/performance.md``.
+:mod:`repro.kernels.incremental` resumes them across update batches on
+mutable row dicts in dense ids that each apply edits in place.  Both
+share one lowering (:func:`~repro.kernels.engine.lower`).  Selection is
+automatic (the ``engine="auto"`` default of the core drivers);
+everything here falls back to the generic interpreter rather than guess
+— see ``docs/performance.md``.
 """
 
 from .engine import try_run_batch, unsupported_reason

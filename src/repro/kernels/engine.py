@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import chain
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from ..core.spec import FixpointSpec
 from ..core.state import FixpointState
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
-from .spec import ADD, BOOL, MAXNEG, NODE, KernelSpec, encode_value
+from .spec import ADD, BOOL, MAXNEG, NODE, KernelSpec
 
 
 def build_node_decode(kspec: KernelSpec, node_of) -> Optional[Dict[float, Any]]:
@@ -74,43 +74,68 @@ def build_node_decode(kspec: KernelSpec, node_of) -> Optional[Dict[float, Any]]:
     return decode
 
 
+def dense_ids(node_of) -> bool:
+    """True when the node ids already are the dense ids ``0..n-1``, in order."""
+    return node_of == list(range(len(node_of))) and set(map(type, node_of)) <= {int}
+
+
+def encode_values(kspec: KernelSpec, raw) -> List[float]:
+    """:func:`~repro.kernels.spec.encode_value` over a sequence, inlined per domain.
+
+    One listcomp instead of an ``encode_value`` call per value; raises
+    the same ``TypeError``/``ValueError``/``OverflowError``.
+    """
+    if kspec.domain == BOOL:
+        return [-1.0 if v else 0.0 for v in raw]
+    if kspec.combine == MAXNEG:
+        return [-float(v) for v in raw]
+    return list(map(float, raw))
+
+
 def encode_initial(
     spec: FixpointSpec, kspec: KernelSpec, graph: Graph, query: Any, node_of
 ) -> Optional[List[float]]:
-    """Encoded ``x^⊥`` per dense node, or ``None`` if unencodable.
-
-    The encoding is inlined per domain (one listcomp instead of an
-    ``encode_value`` call per node); :func:`encode_value` remains the
-    single-value reference implementation these branches mirror.
-    """
+    """Encoded ``x^⊥`` per dense node, or ``None`` if unencodable."""
     try:
-        raw = [spec.initial_value(node, graph, query) for node in node_of]
-        if kspec.domain == BOOL:
-            return [-1.0 if v else 0.0 for v in raw]
-        if kspec.combine == MAXNEG:
-            return [-float(v) for v in raw]
-        return list(map(float, raw))
+        return encode_values(kspec, [spec.initial_value(node, graph, query) for node in node_of])
     except (TypeError, ValueError, OverflowError):
         return None
 
 
-def unsupported_reason(spec: FixpointSpec, graph: Graph, query: Any) -> Optional[str]:
-    """Why this run cannot take the kernel path, or ``None`` if it can."""
+def lower(
+    spec: FixpointSpec, graph: Graph, query: Any, node_of
+) -> Union[str, Tuple[KernelSpec, Optional[Dict[float, Any]], List[float]]]:
+    """The lowering both kernel engines share.
+
+    Returns ``(kspec, decode_map, init)`` — the declared kernel, the
+    ``node``-domain decode map (``None`` for other domains) and the
+    encoded ``x^⊥`` of each node in ``node_of`` order — or, when the run
+    cannot take the kernel path, a string saying why.
+    """
     kspec = spec.kernel()
     if kspec is None:
         return f"{spec.name} declares no kernel"
     if spec.order is None:
+        # The encoding lowers ⪯ onto numeric ≤; a spec without a declared
+        # order keeps the generic engine (and its push-precondition errors).
         return f"{spec.name} declares no partial order"
     if kspec.undirected_only and graph.directed:
         return f"{spec.name} kernel requires an undirected graph"
     if kspec.has_source and not graph.has_node(query):
         return "source node is not in the graph"
-    node_of = list(graph.nodes())
-    if kspec.domain == NODE and build_node_decode(kspec, node_of) is None:
+    decode_map = build_node_decode(kspec, node_of)
+    if kspec.domain == NODE and decode_map is None:
         return "node ids have no exact float encoding"
-    if encode_initial(spec, kspec, graph, query, node_of) is None:
+    init = encode_initial(spec, kspec, graph, query, node_of)
+    if init is None:
         return "initial values are not float-encodable"
-    return None
+    return kspec, decode_map, init
+
+
+def unsupported_reason(spec: FixpointSpec, graph: Graph, query: Any) -> Optional[str]:
+    """Why this run cannot take the kernel path, or ``None`` if it can."""
+    lowered = lower(spec, graph, query, list(graph.nodes()))
+    return lowered if isinstance(lowered, str) else None
 
 
 #: Synchronous numpy rounds beyond this count mean a high-diameter graph
@@ -121,31 +146,16 @@ _BF_ROUND_CAP = 64
 
 def try_run_batch(spec: FixpointSpec, graph: Graph, query: Any) -> Optional[FixpointState]:
     """A full batch run on dense arrays, or ``None`` to fall back."""
-    kspec = spec.kernel()
-    if kspec is None or spec.order is None:
-        # The encoding lowers ⪯ onto numeric ≤; a spec without a declared
-        # order keeps the generic engine (and its push-precondition errors).
-        return None
-    if kspec.undirected_only and graph.directed:
-        return None
-    if kspec.has_source and not graph.has_node(query):
-        return None
-
     node_of = list(graph.nodes())
+    lowered = lower(spec, graph, query, node_of)
+    if isinstance(lowered, str):
+        return None
+    kspec, decode_map, init = lowered
     n = len(node_of)
     # Graphs built with dense int ids (0..n-1 in order) need no index map.
-    dense_ids = node_of == list(range(n))
-    index_of = None if dense_ids else {v: i for i, v in enumerate(node_of)}
-    decode_map = None
-    if kspec.domain == NODE:
-        decode_map = build_node_decode(kspec, node_of)
-        if decode_map is None:
-            return None
-    init = encode_initial(spec, kspec, graph, query, node_of)
-    if init is None:
-        return None
+    index_of = None if dense_ids(node_of) else {v: i for i, v in enumerate(node_of)}
     if kspec.has_source:
-        src = query if dense_ids else index_of[query]
+        src = query if index_of is None else index_of[query]
     else:
         src = -1
 
@@ -235,43 +245,22 @@ def _in_arrays(graph: Graph, node_of, index_of):
     """Reverse-CSR numpy arrays ``(rindptr, rindices, rweights)``.
 
     ``index_of`` is ``None`` when node ids are already dense ints (the
-    index map is then the identity).  Reads the graph's adjacency dicts
-    wholesale when available (the per-edge work then runs in C inside
-    ``fromiter``/``chain``); falls back to the ``in_items`` iterator
-    otherwise.  For undirected graphs the predecessor dicts alias the
-    successors, whose rows already hold both directions.
+    index map is then the identity).  Reads the graph's predecessor dicts
+    wholesale, so the per-edge work runs in C inside ``fromiter``/``chain``.
+    For undirected graphs the predecessor dicts alias the successors,
+    whose rows already hold both directions.
     """
-    n = len(node_of)
-    pred = getattr(graph, "_pred", None)
-    if isinstance(pred, dict) and len(pred) == n:
-        rows = list(map(pred.__getitem__, node_of))
-        rindptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(list(map(len, rows)), out=rindptr[1:])
-        m = int(rindptr[-1])
-        tails = chain.from_iterable(rows)
-        if index_of is None:
-            rindices = np.fromiter(tails, np.int64, count=m)
-        else:
-            rindices = np.fromiter(map(index_of.__getitem__, tails), np.int64, count=m)
-        rweights = np.fromiter(
-            chain.from_iterable(map(dict.values, rows)), np.float64, count=m
-        )
-        return rindptr, rindices, rweights
-
+    rows = list(map(graph._pred.__getitem__, node_of))
+    rindptr = np.zeros(len(node_of) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, rows)), out=rindptr[1:])
+    m = int(rindptr[-1])
+    tails = chain.from_iterable(rows)
     if index_of is None:
-        index_of = {v: i for i, v in enumerate(node_of)}
-    deg_l: List[int] = []
-    idx: List[int] = []
-    wts: List[float] = []
-    for v in node_of:
-        before = len(idx)
-        for u, w in graph.in_items(v):
-            idx.append(index_of[u])
-            wts.append(w)
-        deg_l.append(len(idx) - before)
-    rindptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg_l, out=rindptr[1:])
-    return rindptr, np.array(idx, dtype=np.int64), np.array(wts, dtype=np.float64)
+        rindices = np.fromiter(tails, np.int64, count=m)
+    else:
+        rindices = np.fromiter(map(index_of.__getitem__, tails), np.int64, count=m)
+    rweights = np.fromiter(chain.from_iterable(map(dict.values, rows)), np.float64, count=m)
+    return rindptr, rindices, rweights
 
 
 def _propagate_csr(
@@ -284,7 +273,7 @@ def _propagate_csr(
     weights: List[float],
     src: int,
 ) -> int:
-    """Drain the worklist over a pure CSR (no overlay).  Returns pops."""
+    """Drain the worklist over CSR arrays.  Returns pops."""
     combine = kspec.combine
     pops = 0
     if kspec.prioritized:

@@ -3,13 +3,13 @@
 :func:`kernel_apply` is the array-level counterpart of
 :meth:`repro.core.incremental.IncrementalAlgorithm.apply` for specs that
 declare a :class:`~repro.kernels.spec.KernelSpec`.  It keeps a
-:class:`KernelContext` alive across update batches: an immutable
-:class:`~repro.graph.csr.CSRGraph` snapshot wrapped in a
-:class:`~repro.graph.csr.CSROverlay` for the delta adjacency, plus the
-fixpoint values mirrored into flat encoded arrays.  Each apply then runs
+:class:`KernelContext` alive across update batches: the adjacency as one
+mutable row dict per dense id (``out_rows``/``in_rows``, the same list
+on undirected graphs), plus the fixpoint values mirrored into flat
+encoded arrays.  Each apply then runs
 
-1. the delta mirror — sequential edge ops into the overlay, net vertex
-   retirement/creation via the spec's ``removed_variables`` /
+1. the delta mirror — each edge op written into both row dicts, net
+   vertex retirement/creation via the spec's ``removed_variables`` /
    ``new_variables`` hooks (so delete-then-reinsert churn keeps old
    values, exactly like the generic driver);
 2. the Figure-4 repair queue over dense ids, ordered by the spec's
@@ -19,14 +19,17 @@ fixpoint values mirrored into flat encoded arrays.  Each apply then runs
    trusted iff its current key is strictly below the popped node's old
    key; a node repaired in this pass counts as freshly timestamped) and
    per-spec anchor enumeration, all reading *old* values through a lazy
-   overlay dict;
+   old-value dict;
 3. seed evaluations, per-edge insertion relaxations, and the resumed
-   push drain, with the scalar combine inlined over the overlay rows
-   (clean base nodes read the snapshot arrays directly);
+   push drain, with the scalar combine inlined over the rows;
 4. the mirror protocol: retired variables dropped, fresh ones seeded,
    and the ordered write log replayed into the dict state — so ``ΔO``,
    and a valid timestamp linearization of ``<_C``, come out exactly as
    the generic engine's.
+
+Every row read is ``rows[i].items()`` (or the bare dict where weights do
+not matter), so an apply's work scales with |ΔG| + |AFF| however many
+ops the context has absorbed.
 
 Every check that could force a fallback runs *before* the graph is
 mutated; once ``apply_updates`` has run, the kernel path is committed.
@@ -35,8 +38,8 @@ untouched, and the caller can re-run the generic path idempotently.
 
 The context assumes all graph mutations flow through ``apply``; it
 revalidates cheaply (object identity, state clock, node/edge counts) and
-rebuilds from a fresh snapshot when the overlay outgrows
-``max(64, base_nnz / 4)``.
+is dropped once the dense ids retired by vertex churn outnumber the live
+ones.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ from ..core.incremental import IncrementalResult
 from ..core.spec import FixpointSpec
 from ..resilience.faults import inject
 from ..core.state import FixpointState
-from ..graph.csr import CSRGraph, CSROverlay
-from ..graph.graph import Graph
+from ..graph.graph import Graph, Node
 from ..graph.updates import (
     Batch,
     EdgeDeletion,
@@ -60,6 +62,7 @@ from ..graph.updates import (
     apply_updates,
 )
 from ..metrics.counters import NullCounter
+from .engine import dense_ids, encode_values, lower
 from .spec import (
     ADD,
     BOOL,
@@ -82,7 +85,8 @@ class KernelContext:
         "graph",
         "state",
         "query",
-        "overlay",
+        "out_rows",
+        "in_rows",
         "node_of",
         "index_of",
         "init",
@@ -94,7 +98,6 @@ class KernelContext:
         "state_clock",
         "g_nodes",
         "g_edges",
-        "rebuild_threshold",
     )
 
     def matches(self, graph: Graph, state: FixpointState, query: Any) -> bool:
@@ -109,76 +112,68 @@ class KernelContext:
         )
 
 
+def _dense_rows(
+    adj: Dict[Node, Dict[Node, float]], node_of: List[Node], index_of: Optional[Dict[Node, int]]
+) -> List[Dict[int, float]]:
+    """One ``{dense neighbor: weight}`` dict per node, in ``node_of`` order.
+
+    ``index_of`` is ``None`` when the node ids are already the dense ids;
+    the rows are then plain copies (C-level, no per-edge lookup).
+    """
+    rows = map(adj.__getitem__, node_of)
+    if index_of is None:
+        return [row.copy() for row in rows]
+    get_index = index_of.__getitem__
+    return [dict(zip(map(get_index, row), row.values())) for row in rows]
+
+
 def build_context(
     spec: FixpointSpec, graph: Graph, state: FixpointState, query: Any
 ) -> Optional[KernelContext]:
-    """Snapshot ``(graph, state)`` into a dense context, or ``None``."""
-    kspec = spec.kernel()
-    if kspec is None or spec.order is None:
-        return None
-    if kspec.undirected_only and graph.directed:
-        return None
-    if kspec.has_source and not graph.has_node(query):
-        return None
-
-    csr = CSRGraph.from_graph(graph)
-    node_of = list(csr.node_of)
-    index_of = dict(csr.index_of)
+    """Mirror ``(graph, state)`` into a dense context, or ``None``."""
+    node_of = list(graph.nodes())
     if len(state.values) != len(node_of):
         return None
-
-    decode_map: Optional[Dict[float, Any]] = None
-    if kspec.domain == NODE:
-        decode_map = {}
-        try:
-            for node in node_of:
-                enc = float(node)
-                if enc in decode_map and decode_map[enc] != node:
-                    return None
-                decode_map[enc] = node
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if len(decode_map) != len(node_of):
-            return None
-
-    init: List[float] = []
-    val: List[float] = []
-    ts: List[int] = []
+    lowered = lower(spec, graph, query, node_of)
+    if isinstance(lowered, str):
+        return None
+    kspec, decode_map, init = lowered
     try:
-        for node in node_of:
-            init.append(encode_value(kspec, spec.initial_value(node, graph, query)))
-            value = state.values[node]
-            enc = encode_value(kspec, value)
-            if decode_map is not None:
-                # A label must decode back to exactly the object it encodes
-                # (stale labels of long-gone nodes included).
-                known = decode_map.setdefault(enc, value)
-                if known != value:
-                    return None
-            val.append(enc)
-            ts.append(state.timestamps.get(node, -1))
+        raw = [state.values[node] for node in node_of]
+        val = encode_values(kspec, raw)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
+    if decode_map is not None:
+        # A label must decode back to exactly the object it encodes
+        # (stale labels of long-gone nodes included).
+        for enc, value in zip(val, raw):
+            if decode_map.setdefault(enc, value) != value:
+                return None
 
+    index_of = {v: i for i, v in enumerate(node_of)}
+    # Graphs built with dense int ids (0..n-1 in order) need no row remap.
+    remap = None if dense_ids(node_of) else index_of
+    timestamps = state.timestamps
     ctx = KernelContext()
     ctx.spec = spec
     ctx.kspec = kspec
     ctx.graph = graph
     ctx.state = state
     ctx.query = query
-    ctx.overlay = CSROverlay(csr)
+    ctx.out_rows = _dense_rows(graph._succ, node_of, remap)
+    # Undirected graphs share one row list, as Graph._pred is Graph._succ.
+    ctx.in_rows = _dense_rows(graph._pred, node_of, remap) if graph.directed else ctx.out_rows
     ctx.node_of = node_of
     ctx.index_of = index_of
     ctx.init = init
     ctx.val = val
-    ctx.ts = ts
+    ctx.ts = [timestamps.get(node, -1) for node in node_of]
     ctx.decode_map = decode_map
     ctx.src = index_of[query] if kspec.has_source else -1
     ctx.dead = set()
     ctx.state_clock = state.clock
     ctx.g_nodes = graph.num_nodes
     ctx.g_edges = graph.num_edges
-    ctx.rebuild_threshold = max(64, len(csr.indices) // 4)
     return ctx
 
 
@@ -194,9 +189,9 @@ def kernel_apply(
 
     Returns ``(result, context)``; ``(None, None)`` means the apply could
     not be lowered — nothing was mutated and the caller must fall back to
-    the generic path.  A returned context of ``None`` alongside a real
-    result means the overlay crossed the rebuild threshold and the next
-    apply should snapshot afresh.
+    the generic path.  A real result comes back with its context, unless
+    the dense ids retired by vertex churn now outnumber the live ones;
+    the next apply then mirrors the graph afresh.
 
     The engine phase drains one scalar worklist — a heap for prioritized
     specs, a FIFO otherwise — so its work scales with |AFF|, never n.
@@ -234,7 +229,7 @@ def kernel_apply(
     apply_updates(graph, expanded)
     inject("kernel.mid-drain")  # graph committed, mirror/state not yet drained
 
-    overlay = ctx.overlay
+    out_rows, in_rows = ctx.out_rows, ctx.in_rows
     node_of = ctx.node_of
     init = ctx.init
     val = ctx.val
@@ -245,11 +240,18 @@ def kernel_apply(
     created: List[Tuple[Hashable, int]] = []
     for u in expanded.updates:
         if isinstance(u, EdgeInsertion):
-            overlay.insert_edge(index_of[u.u], index_of[u.v], u.weight)
+            a, b = index_of[u.u], index_of[u.v]
+            out_rows[a][b] = u.weight
+            in_rows[b][a] = u.weight
         elif isinstance(u, EdgeDeletion):
-            overlay.delete_edge(index_of[u.u], index_of[u.v])
+            a, b = index_of[u.u], index_of[u.v]
+            del out_rows[a][b]
+            in_rows[b].pop(a, None)  # an undirected self-loop is one entry
         elif isinstance(u, VertexInsertion) and u.v not in index_of:
-            i = overlay.add_node()
+            i = len(node_of)
+            out_rows.append({})
+            if in_rows is not out_rows:
+                in_rows.append({})
             index_of[u.v] = i
             node_of.append(u.v)
             enc = encode_value(kspec, spec.initial_value(u.v, graph, query))
@@ -272,13 +274,6 @@ def kernel_apply(
 
     fresh: Set[int] = {i for _k, i in created if i not in dead}
 
-    # ------------------------------------------------------------------
-    # Shared row access.  Clean base nodes read the snapshot lists
-    # directly; dirty or appended nodes go through the memoized overlay.
-    indptr, indices, weights = overlay.indptr, overlay.indices, overlay.weights
-    rindptr, rindices, rweights = overlay.rindptr, overlay.rindices, overlay.rweights
-    dirty_out, dirty_in = overlay.dirty_out, overlay.dirty_in
-    base_n = overlay.base.num_nodes
     combine = kspec.combine
 
     writes: List[Tuple[int, float]] = []
@@ -290,7 +285,7 @@ def kernel_apply(
 
     # ------------------------------------------------------------------
     # Phase h — the Figure-4 repair queue over dense ids, reading old
-    # values/timestamps through a lazy overlay (ts[] itself stays
+    # values/timestamps through the lazy old_val dict (ts[] itself stays
     # pre-apply until the final resync, so it *is* the old clock).  The
     # heap orders by (okey, ts): the old timestamp breaks okey ties, the
     # same lexicographic <_C as core.scope.
@@ -340,14 +335,10 @@ def kernel_apply(
             new = init[x]
         else:
             best = init[x]
-            if x < base_n and x not in dirty_in:
-                lo, hi = rindptr[x], rindptr[x + 1]
-                jw = zip(rindices[lo:hi], rweights[lo:hi])
-            else:
-                jw = overlay.in_edges(x)
+            row = in_rows[x]
             if not anchor_ts:
                 if combine == ADD:
-                    for j, w in jw:
+                    for j, w in row.items():
                         vj = val[j]
                         if not (
                             vj < x_okey
@@ -358,7 +349,7 @@ def kernel_apply(
                         if cand < best:
                             best = cand
                 else:  # MAXNEG
-                    for j, w in jw:
+                    for j, w in row.items():
                         vj = val[j]
                         if not (
                             vj < x_okey
@@ -370,7 +361,7 @@ def kernel_apply(
                         if cand < best:
                             best = cand
             elif boolean:
-                for j, _w in jw:
+                for j in row:
                     vj = val[j]
                     if j in old_val or (
                         (float(ts[j]) if vj != 0.0 else INF), ts[j]
@@ -379,7 +370,7 @@ def kernel_apply(
                     if vj < best:
                         best = vj
             else:  # CC: okey is the raw timestamp
-                for j, _w in jw:
+                for j in row:
                     if j in old_val or ts[j] >= x_okey:
                         vj = init[j]
                     else:
@@ -399,14 +390,10 @@ def kernel_apply(
 
         # Enqueue every z whose anchor set contains x, judged on the old
         # fixpoint (per-spec mirrors of anchor_dependents).
-        if x < base_n and x not in dirty_out:
-            olo, ohi = indptr[x], indptr[x + 1]
-            zw = zip(indices[olo:ohi], weights[olo:ohi])
-        else:
-            zw = overlay.out_edges(x)
+        row = out_rows[x]
         if combine == ADD:
             if oldv != INF:
-                for z, w in zw:
+                for z, w in row.items():
                     if z != src and z not in processed and z not in queued:
                         ovz = old_val[z] if z in old_val else val[z]
                         if ovz == oldv + w:
@@ -415,7 +402,7 @@ def kernel_apply(
                             queued.add(z)
         elif combine == MAXNEG:
             if oldv != 0.0:
-                for z, w in zw:
+                for z, w in row.items():
                     if z != src and z not in processed and z not in queued:
                         nw = -w
                         ovz = old_val[z] if z in old_val else val[z]
@@ -426,7 +413,7 @@ def kernel_apply(
         elif boolean:
             if oldv != 0.0:
                 tsx = ts[x]
-                for z, _w in zw:
+                for z in row:
                     if z != src and z not in processed and z not in queued:
                         ovz = old_val[z] if z in old_val else val[z]
                         if ovz != 0.0 and ts[z] > tsx:
@@ -436,7 +423,7 @@ def kernel_apply(
                             queued.add(z)
         else:  # CC: neighbors whose last change came later
             tsx = ts[x]
-            for z, _w in zw:
+            for z in row:
                 if z not in processed and z not in queued and ts[z] > tsx:
                     tick += 1
                     heappush(que, (ts[z], ts[z], tick, z))  # okey(z) == ts[z]
@@ -461,25 +448,21 @@ def kernel_apply(
         if i == src:
             continue  # the source's pinned statement cannot improve
         best = init[i]
-        if i < base_n and i not in dirty_in:
-            lo, hi = rindptr[i], rindptr[i + 1]
-            jw = zip(rindices[lo:hi], rweights[lo:hi])
-        else:
-            jw = overlay.in_edges(i)
+        row = in_rows[i]
         if combine == ADD:
-            for j, w in jw:
+            for j, w in row.items():
                 cand = val[j] + w
                 if cand < best:
                     best = cand
         elif combine == MAXNEG:
-            for j, w in jw:
+            for j, w in row.items():
                 vj = val[j]
                 nw = -w
                 cand = nw if nw > vj else vj
                 if cand < best:
                     best = cand
         else:
-            for j, _w in jw:
+            for j in row:
                 vj = val[j]
                 if vj < best:
                     best = vj
@@ -523,63 +506,34 @@ def kernel_apply(
             if d > val[i]:
                 continue
             pops += 1
-            if i < base_n and i not in dirty_out:
-                if combine == ADD:
-                    for k in range(indptr[i], indptr[i + 1]):
-                        j = indices[k]
-                        cand = d + weights[k]
-                        if cand < val[j] and j != src:
-                            val[j] = cand
-                            writes.append((j, cand))
-                            heappush(heap, (cand, j))
-                else:  # MAXNEG
-                    for k in range(indptr[i], indptr[i + 1]):
-                        j = indices[k]
-                        nw = -weights[k]
-                        cand = nw if nw > d else d
-                        if cand < val[j] and j != src:
-                            val[j] = cand
-                            writes.append((j, cand))
-                            heappush(heap, (cand, j))
-            else:
-                if combine == ADD:
-                    for j, w in overlay.out_edges(i):
-                        cand = d + w
-                        if cand < val[j] and j != src:
-                            val[j] = cand
-                            writes.append((j, cand))
-                            heappush(heap, (cand, j))
-                else:  # MAXNEG
-                    for j, w in overlay.out_edges(i):
-                        nw = -w
-                        cand = nw if nw > d else d
-                        if cand < val[j] and j != src:
-                            val[j] = cand
-                            writes.append((j, cand))
-                            heappush(heap, (cand, j))
+            if combine == ADD:
+                for j, w in out_rows[i].items():
+                    cand = d + w
+                    if cand < val[j] and j != src:
+                        val[j] = cand
+                        writes.append((j, cand))
+                        heappush(heap, (cand, j))
+            else:  # MAXNEG
+                for j, w in out_rows[i].items():
+                    nw = -w
+                    cand = nw if nw > d else d
+                    if cand < val[j] and j != src:
+                        val[j] = cand
+                        writes.append((j, cand))
+                        heappush(heap, (cand, j))
     else:
         while dq:
             i = dq.popleft()
             inq.discard(i)
             pops += 1
             v = val[i]
-            if i < base_n and i not in dirty_out:
-                for k in range(indptr[i], indptr[i + 1]):
-                    j = indices[k]
-                    if v < val[j] and j != src:
-                        val[j] = v
-                        writes.append((j, v))
-                        if j not in inq:
-                            inq.add(j)
-                            dq.append(j)
-            else:
-                for j, _w in overlay.out_edges(i):
-                    if v < val[j] and j != src:
-                        val[j] = v
-                        writes.append((j, v))
-                        if j not in inq:
-                            inq.add(j)
-                            dq.append(j)
+            for j in out_rows[i]:
+                if v < val[j] and j != src:
+                    val[j] = v
+                    writes.append((j, v))
+                    if j not in inq:
+                        inq.add(j)
+                        dq.append(j)
 
     # ------------------------------------------------------------------
     # Finalize — the mirror protocol: drops, fresh seeds, ordered write
@@ -649,6 +603,4 @@ def kernel_apply(
     ctx.state_clock = state.clock
     ctx.g_nodes = graph.num_nodes
     ctx.g_edges = graph.num_edges
-    if overlay.delta_ops > ctx.rebuild_threshold:
-        return result, None  # overlay outgrew the snapshot; rebuild next time
-    return result, ctx
+    return result, (ctx if len(dead) <= len(index_of) else None)

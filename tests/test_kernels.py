@@ -9,9 +9,15 @@ from repro.algorithms.reach import ReachSpec
 from repro.algorithms.sssp import IncSSSP, SSSPSpec
 from repro.algorithms.sswp import SSWPSpec
 from repro.core import run_batch
-from repro.errors import EdgeNotFoundError, FixpointError, IncrementalizationError
-from repro.graph import Batch, EdgeDeletion, EdgeInsertion, CSRGraph, from_edges
-from repro.graph.csr import CSROverlay
+from repro.errors import FixpointError, IncrementalizationError
+from repro.graph import (
+    Batch,
+    EdgeDeletion,
+    EdgeInsertion,
+    VertexDeletion,
+    VertexInsertion,
+    from_edges,
+)
 from repro.kernels.engine import build_node_decode, unsupported_reason
 from repro.kernels.spec import (
     ADD,
@@ -97,76 +103,6 @@ class TestEncoding:
         assert encode_value(self.reach, True) < encode_value(self.reach, False)
 
 
-class TestCSROverlay:
-    def base(self):
-        g = from_edges([(0, 1), (1, 2)], directed=True, weights=[1.0, 2.0])
-        return CSRGraph.from_graph(g)
-
-    def test_clean_nodes_read_base_arrays(self):
-        ov = CSROverlay(self.base())
-        assert ov.indptr is ov.base.indptr  # aliased, not copied
-        assert ov.out_edges(0) == [(1, 1.0)]
-        assert ov.in_edges(2) == [(1, 2.0)]
-
-    def test_insert_edge_merges_into_rows(self):
-        ov = CSROverlay(self.base())
-        ov.insert_edge(0, 2, 5.0)
-        assert sorted(ov.out_edges(0)) == [(1, 1.0), (2, 5.0)]
-        assert sorted(ov.in_edges(2)) == [(0, 5.0), (1, 2.0)]
-        assert 0 in ov.dirty_out and 2 in ov.dirty_in
-
-    def test_delete_base_edge_tombstones(self):
-        ov = CSROverlay(self.base())
-        ov.delete_edge(0, 1)
-        assert ov.out_edges(0) == []
-        assert ov.in_edges(1) == []
-        assert ov.delta_nnz == 1  # one tombstone
-
-    def test_delete_then_reinsert_uses_new_weight(self):
-        ov = CSROverlay(self.base())
-        ov.delete_edge(0, 1)
-        ov.insert_edge(0, 1, 9.0)
-        assert ov.out_edges(0) == [(1, 9.0)]  # stale base weight cannot leak
-        assert ov.in_edges(1) == [(0, 9.0)]
-
-    def test_delete_missing_edge_raises(self):
-        ov = CSROverlay(self.base())
-        with pytest.raises(EdgeNotFoundError):
-            ov.delete_edge(2, 0)
-
-    def test_appended_node_lives_in_extras(self):
-        ov = CSROverlay(self.base())
-        i = ov.add_node()
-        assert i == 3
-        assert ov.out_edges(i) == []
-        ov.insert_edge(2, i, 4.0)
-        assert ov.out_edges(2) == [(i, 4.0)]
-        assert ov.in_edges(i) == [(2, 4.0)]
-
-    def test_undirected_base_mirrors_mutations(self):
-        g = from_edges([(0, 1)], weights=[1.0])
-        ov = CSROverlay(CSRGraph.from_graph(g))
-        ov.insert_edge(0, 2, 3.0)  # node 2 exists in the base graph? no — append
-        assert (2, 3.0) in ov.out_edges(0)
-        assert (0, 3.0) in ov.out_edges(2)
-        ov.delete_edge(0, 1)
-        assert ov.out_edges(0) == [(2, 3.0)]
-        assert ov.out_edges(1) == []
-
-    def test_row_cache_invalidated_by_mutation(self):
-        ov = CSROverlay(self.base())
-        assert ov.out_edges(0) == [(1, 1.0)]
-        ov.insert_edge(0, 2, 5.0)
-        assert sorted(ov.out_edges(0)) == [(1, 1.0), (2, 5.0)]
-
-    def test_delta_ops_counts_mutations(self):
-        ov = CSROverlay(self.base())
-        before = ov.delta_ops
-        ov.insert_edge(0, 2, 1.0)
-        ov.delete_edge(0, 1)
-        assert ov.delta_ops > before
-
-
 def small_graphs():
     directed = from_edges(
         [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)],
@@ -190,6 +126,13 @@ class TestForcedKernelBatch:
             got = run_batch(spec, g, query, engine="kernel")
             want = run_batch(spec, g, query, engine="generic")
             assert got.values == want.values, spec.name
+
+    def test_float_ids_equal_to_dense_ids_are_remapped(self):
+        # 0.0, 1.0, 2.0 compare equal to 0, 1, 2 but cannot index arrays.
+        g = from_edges([(0.0, 1.0), (1.0, 2.0)], directed=True, weights=[1.0, 2.0])
+        want = run_batch(SSSPSpec(), g, 0.0, engine="generic").values
+        for engine in ("kernel", "auto"):
+            assert run_batch(SSSPSpec(), g, 0.0, engine=engine).values == want
 
     def test_forced_kernel_raises_on_directed_cc(self):
         directed, _ = small_graphs()
@@ -322,30 +265,161 @@ class TestKernelIncremental:
         assert dict(state.values) == dict(want.values)
         assert got.changes == expected.changes
 
-    def test_overlay_outgrowth_triggers_rebuild(self):
-        # A single apply whose batch exceeds the rebuild threshold must
-        # signal a context rebuild (ctx dropped) and still be correct.
+
+def run_mirrored(spec_cls, inc_cls, graph, query, batches):
+    """Apply ``batches`` on the generic and the kernel engine from one
+    start; assert equal values and equal ΔO per apply.  Returns the kernel
+    side's algorithm (holding its dense mirror) and graph."""
+    runs = {}
+    for engine in ("generic", "kernel"):
+        g = graph.copy()
+        state = run_batch(spec_cls(), g, query, engine="generic")
+        algo = inc_cls(engine=engine)
+        changes = [dict(algo.apply(g, state, batch, query).changes) for batch in batches]
+        runs[engine] = (dict(state.values), changes, algo, g)
+    assert runs["kernel"][0] == runs["generic"][0]
+    assert runs["kernel"][1] == runs["generic"][1]
+    return runs["kernel"][2], runs["kernel"][3]
+
+
+def assert_rows_mirror(ctx, graph):
+    """The context's dense rows hold exactly the graph's adjacency."""
+    node_of = ctx.node_of
+    for node, i in ctx.index_of.items():
+        assert {node_of[j]: w for j, w in ctx.out_rows[i].items()} == dict(graph.out_items(node))
+        assert {node_of[j]: w for j, w in ctx.in_rows[i].items()} == dict(graph.in_items(node))
+
+
+class TestDenseRows:
+    """The kernel's row dicts follow every edge and vertex op, so a warm
+    context keeps matching the generic engine."""
+
+    def weighted(self, directed):
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 2)]
+        return from_edges(edges, directed=directed, weights=[1.0, 2.0, 5.0, 1.0, 1.0, 3.0])
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_reinsert_with_new_weight_in_one_batch(self, directed):
+        batch = Batch(
+            [
+                EdgeDeletion(0, 1),
+                EdgeInsertion(0, 1, weight=4.0),
+                EdgeDeletion(2, 2),
+                EdgeInsertion(2, 2, weight=0.5),
+                EdgeDeletion(2, 3),
+                EdgeInsertion(2, 3, weight=0.25),
+            ]
+        )
+        algo, g = run_mirrored(SSSPSpec, IncSSSP, self.weighted(directed), 0, [batch])
+        assert_rows_mirror(algo._kernel_ctx, g)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_reinsert_with_new_weight_across_applies(self, directed):
+        batches = [
+            Batch([EdgeDeletion(0, 1), EdgeDeletion(2, 2)]),
+            Batch([EdgeInsertion(0, 1, weight=4.0), EdgeInsertion(2, 2, weight=0.5)]),
+            Batch([EdgeDeletion(0, 1)]),
+            Batch([EdgeInsertion(0, 1, weight=0.5)]),
+        ]
+        algo, g = run_mirrored(SSSPSpec, IncSSSP, self.weighted(directed), 0, batches)
+        assert_rows_mirror(algo._kernel_ctx, g)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_ids_that_are_not_dense_are_remapped(self, directed):
+        # Ids 3, 13, 23, ... are not their dense ids: the rows are remapped.
+        g = from_edges(
+            [(10 * u + 3, 10 * v + 3) for u, v in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 2)]],
+            directed=directed,
+            weights=[1.0, 2.0, 5.0, 1.0, 1.0, 3.0],
+        )
+        batches = [
+            Batch([EdgeDeletion(3, 13), EdgeInsertion(3, 13, weight=4.0), EdgeDeletion(23, 23)]),
+            Batch([EdgeInsertion(43, 99, weight=1.0), EdgeDeletion(23, 33)]),
+            Batch([EdgeInsertion(99, 13, weight=0.5)]),
+        ]
+        algo, g = run_mirrored(SSSPSpec, IncSSSP, g, 3, batches)
+        assert algo._kernel_ctx.index_of[13] == 1
+        assert_rows_mirror(algo._kernel_ctx, g)
+
+    def test_cc_reinsert_and_self_loop(self):
+        g = from_edges([(0, 1), (1, 2), (2, 3), (4, 5), (3, 3)])
+        batches = [
+            Batch([EdgeDeletion(1, 2), EdgeInsertion(1, 2, weight=2.0), EdgeDeletion(3, 3)]),
+            Batch([EdgeDeletion(1, 2)]),  # splits {0, 1} from {2, 3}
+            Batch([EdgeInsertion(3, 3, weight=1.0), EdgeInsertion(1, 2, weight=3.0)]),
+            Batch([EdgeDeletion(2, 3), EdgeInsertion(3, 4, weight=1.0)]),
+        ]
+        algo, g = run_mirrored(CCSpec, IncCC, g, None, batches)
+        assert_rows_mirror(algo._kernel_ctx, g)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_edges_to_a_vertex_appended_earlier(self, directed):
+        batches = [
+            Batch([EdgeInsertion(4, 9, weight=1.0)]),  # appends node 9
+            Batch([EdgeInsertion(9, 1, weight=0.5), EdgeInsertion(0, 9, weight=1.0)]),
+            Batch([EdgeDeletion(4, 9), EdgeInsertion(9, 3, weight=0.25)]),
+            Batch([EdgeDeletion(0, 9)]),
+        ]
+        algo, g = run_mirrored(SSSPSpec, IncSSSP, self.weighted(directed), 0, batches)
+        ctx = algo._kernel_ctx
+        assert ctx.index_of[9] == 5  # the appended dense id, not a rebuilt one
+        assert_rows_mirror(ctx, g)
+
+    def test_cc_edges_to_a_vertex_appended_earlier(self):
+        g = from_edges([(1, 2), (3, 4)])
+        batches = [
+            Batch([EdgeInsertion(4, 0, weight=1.0)]),  # appends node 0, a new minimum
+            Batch([EdgeInsertion(0, 2, weight=1.0)]),
+            Batch([EdgeDeletion(4, 0)]),
+        ]
+        algo, g = run_mirrored(CCSpec, IncCC, g, None, batches)
+        assert_rows_mirror(algo._kernel_ctx, g)
+
+    def test_one_context_outlives_many_edge_ops(self):
+        # 200 chain edges and 197 edge ops after the first apply: the
+        # same context object absorbs them all.
         edges = [(i, i + 1) for i in range(200)]
         g = from_edges(edges, directed=True, weights=[1.0] * len(edges))
-        state = run_batch(SSSPSpec(), g, 0, engine="generic")
+        shortcuts = [EdgeInsertion(i, i + 2, weight=0.25) for i in range(0, 130)]
+        batches = [
+            Batch([EdgeInsertion(0, 5, weight=0.5)]),
+            Batch(shortcuts),
+            Batch([op.inverted() for op in shortcuts[::2]]),
+            Batch([EdgeDeletion(0, 5), EdgeDeletion(3, 4)]),
+        ]
+        work = g.copy()
+        state = run_batch(SSSPSpec(), work, 0, engine="generic")
         algo = IncSSSP(engine="kernel")
-        algo.apply(g, state, Batch([EdgeInsertion(0, 5, weight=0.5)]), 0)
-        assert algo._kernel_ctx is not None  # warm mirror after a small apply
+        algo.apply(work, state, batches[0], 0)
+        ctx = algo._kernel_ctx
+        for batch in batches[1:]:
+            algo.apply(work, state, batch, 0)
+            assert algo._kernel_ctx is ctx
+        assert_rows_mirror(ctx, work)
+        run_mirrored(SSSPSpec, IncSSSP, g, 0, batches)
 
-        big = Batch(
-            [EdgeInsertion(i, i + 2, weight=0.25) for i in range(0, 130)]
-        )
-        algo.apply(g, state, big, 0)
-        assert algo._kernel_ctx is None  # overlay outgrew the snapshot
+    def test_retired_ids_past_live_ids_drop_the_context(self):
+        # Each delete/re-insert of a vertex retires one dense id.  The 4th
+        # deletion leaves 4 retired ids against 3 live ones: that apply
+        # drops the mirror, and the next one builds a fresh context.
+        g = from_edges([(0, 1), (1, 2), (2, 3)])
+        churn = []
+        for _ in range(5):
+            churn.append(Batch([VertexDeletion(3)]))
+            churn.append(Batch([VertexInsertion(3, edges=(EdgeInsertion(3, 0, weight=1.0),))]))
+        tail = Batch([EdgeDeletion(1, 2), EdgeInsertion(3, 1, weight=1.0)])
+        algo, work = run_mirrored(CCSpec, IncCC, g, None, churn + [tail])
+        assert_rows_mirror(algo._kernel_ctx, work)
 
-        algo.apply(g, state, Batch([EdgeDeletion(0, 5)]), 0)
-        assert algo._kernel_ctx is not None  # rebuilt on the next apply
-
-        g2 = from_edges(edges, directed=True, weights=[1.0] * len(edges))
-        want = run_batch(SSSPSpec(), g2, 0, engine="generic")
-        for op in [EdgeInsertion(0, 5, weight=0.5), *big.updates, EdgeDeletion(0, 5)]:
-            IncSSSP(engine="generic").apply(g2, want, Batch([op]), 0)
-        assert dict(state.values) == dict(want.values)
+        work = g.copy()
+        state = run_batch(CCSpec(), work, None, engine="generic")
+        algo = IncCC(engine="kernel")
+        retired = []
+        for batch in churn:
+            assert algo.apply(work, state, batch, None).kernel_stats is not None
+            ctx = algo._kernel_ctx
+            retired.append(None if ctx is None else len(ctx.dead))
+        assert retired == [1, 1, 2, 2, 3, 3, None, 0, 1, 1]
 
 
 class TestPerApplyStats:
