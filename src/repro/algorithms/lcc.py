@@ -16,7 +16,9 @@ Cost of one recount
 ``λ_v`` intersects ``N(v) ∖ {v}`` with ``N(u)`` for each neighbor ``u``
 (:meth:`~repro.graph.Graph.neighbor_set`): ``deg(v)`` interpreter steps,
 each a C-level set intersection that walks the smaller side.  ``d_v`` is
-O(1) on an undirected graph.
+O(1) on an undirected graph.  The batch run pays this once per node; an
+incremental apply pays none of it (see below): one edge update costs one
+intersection ``N(u) ∩ N(v)`` plus one increment per common neighbor.
 
 Batch algorithm (LCC_fp)
 ------------------------
@@ -29,11 +31,20 @@ triangle counts.  Its incrementalization therefore relies on Theorem 1
 
 Incremental algorithm (IncLCC, Example 8)
 ------------------------------------------
-*Deducible*, no auxiliary structures: for each updated edge ``(u, v)``,
+*Deducible*, no auxiliary structures.  For each updated edge ``(u, v)``
 the PE variables are ``d_u``, ``d_v``, and ``λ_w`` for every ``w`` within
-one hop of ``u`` or ``v``.  The scope function recomputes exactly those,
-and since update functions depend on the graph alone, the resumed step
-function has nothing left to propagate — ``H⁰ = AFF``-tight behaviour.
+one hop of ``u`` or ``v``; Example 8 recomputes them all.  IncLCC keeps
+the same PE set but derives the new values instead of recounting them —
+DynLCC's rule, as :meth:`LCCSpec.derivative`: with ``C = N(u) ∩ N(v) ∖
+{u, v}`` on the graph with the edge applied, an insertion (deletion)
+moves ``d_u`` and ``d_v`` by ±1, ``λ_u`` and ``λ_v`` by ±|C|, and
+``λ_w`` by ±1 for each ``w ∈ C``.  ``IncrementalAlgorithm.apply``
+applies the expanded ``ΔG`` one op at a time and sums these increments,
+so a triangle closed by two or three new edges is counted once, by the
+last of them (see ``docs/theory.md``); no step function runs, and
+``H⁰`` is exactly the variables whose values changed, plus those of
+inserted nodes.  On a directed graph an arc whose reverse arc exists
+changes no adjacency, and a self-loop changes nothing.
 
 >>> from repro.graph import from_edges
 >>> g = from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
@@ -43,12 +54,12 @@ function has nothing left to propagate — ``H⁰ = AFF``-tight behaviour.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Set, Tuple
 
 from ..core.incremental import BatchAlgorithm, IncrementalAlgorithm
 from ..core.spec import FixpointSpec
 from ..graph.graph import Graph, Node
-from ..graph.updates import Batch
+from ..graph.updates import Batch, EdgeDeletion, EdgeInsertion, Update
 from ._common import edge_updates, nodes_inserted, nodes_removed
 
 Key = Tuple[str, Node]
@@ -75,8 +86,9 @@ class LCCSpec(FixpointSpec):
     name = "LCC"
     order = None  # not contracting: Theorem 1 territory
     uses_timestamps = False
-    # Update functions read the graph only: seeding the scope is the whole
-    # of h, and the step function recomputes each PE variable once.
+    # Update functions read the graph only: there is nothing for the
+    # Figure-4 repair loop to do, and IncLCC derives its PE variables
+    # through ``derivative`` rather than recomputing them.
     repair_with_scope_function = False
 
     # -- model ----------------------------------------------------------
@@ -134,6 +146,30 @@ class LCCSpec(FixpointSpec):
     ) -> Iterable[Key]:
         # No status-variable dependencies: repairs never cascade.
         return ()
+
+    def derivative(
+        self, update: Update, graph_new: Graph, query: Any
+    ) -> List[Tuple[Key, int]]:
+        # DynLCC's rule in the underlying simple graph: only an op that
+        # makes or breaks the adjacency of two distinct nodes counts.
+        if isinstance(update, EdgeInsertion):
+            sign = 1
+        elif isinstance(update, EdgeDeletion):
+            sign = -1
+        else:
+            return []  # bare vertex ops: apply seeds and retires
+        u, v = update.u, update.v
+        if u == v or (graph_new.directed and graph_new.has_edge(v, u)):
+            return []
+        common = graph_new.neighbor_set(u) & graph_new.neighbor_set(v)
+        common.discard(u)
+        common.discard(v)
+        triangles = sign * len(common)
+        return [
+            ((D, u), sign), ((D, v), sign),
+            ((LAMBDA, u), triangles), ((LAMBDA, v), triangles),
+            *(((LAMBDA, w), sign) for w in common),
+        ]
 
     def new_variables(self, delta: Batch, graph_new: Graph, query: Any) -> Iterable[Key]:
         for v in nodes_inserted(delta, graph_new):

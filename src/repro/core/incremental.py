@@ -11,6 +11,12 @@ the fixpoint state of a batch run of ``A`` on ``G`` and updates ``ΔG``,
    new fixpoint (Lemma 2 guarantees convergence to the same result as a
    from-scratch batch run).
 
+A spec that declares a :meth:`~repro.core.spec.FixpointSpec.derivative`
+(LCC) replaces steps 1–3 by finite differencing: ``ΔG`` is applied one
+op at a time, each op's additive increments are summed, vertex
+variables are retired and seeded, and every non-zero net increment is
+written; no step function runs.
+
 The result records the output changes ``ΔO`` such that
 ``Q(G ⊕ ΔG) = Q(G) ⊕ ΔO`` (the correctness equation of Section 2), plus
 separate access counters for the ``h`` phase and the resumed fixpoint —
@@ -28,8 +34,8 @@ from ..graph.updates import Batch, Update, VertexDeletion, VertexInsertion, appl
 from ..metrics.counters import AccessCounter, NullCounter
 from ..resilience.faults import inject
 from .engine import check_engine, run_batch, run_fixpoint
-from .scope import initial_scope
-from .spec import FixpointSpec
+from .scope import initial_scope, vertex_variables
+from .spec import FixpointSpec, defines_derivative
 from .state import FixpointState
 
 
@@ -208,7 +214,8 @@ class IncrementalAlgorithm:
         ``max_evals`` bounds the resumed fixpoint's update-function
         evaluations (a runaway-drain budget; exceeding it raises
         :class:`~repro.errors.FixpointError`); budgeted applies take the
-        generic path, where evaluations are countable.
+        generic path, where evaluations are countable.  A spec with a
+        derivative evaluates no update function, so the budget is moot.
         """
         if engine is None:
             engine = self.engine
@@ -254,39 +261,64 @@ class IncrementalAlgorithm:
             engine_counter=AccessCounter(trace=trace) if counting else NullCounter(),
         )
         delta = delta.expanded(graph)
-        apply_updates(graph, delta)
+        derivative = self.spec.derivative if defines_derivative(self.spec) else None
+        if derivative is None:
+            apply_updates(graph, delta)
+        else:
+            # Finite differencing: each op's increments are taken on the
+            # graph with exactly that op applied, so a triangle closed by
+            # several new edges is counted once, by the last of them.
+            increments: Dict[Hashable, Any] = {}
+            for op in delta.updates:
+                apply_updates(graph, (op,))
+                for key, step in derivative(op, graph, query):
+                    increments[key] = increments.get(key, 0) + step
         inject("incremental.mid-apply")  # ΔG committed, fixpoint not yet resumed
         changelog = state.start_changelog()
 
         saved_counter = state.counter
         try:
             state.counter = result.h_counter
-            scope = initial_scope(self.spec, graph, query, state, delta)
-            result.scope = scope
-
-            state.counter = result.engine_counter
-            relaxations = self.spec.relaxation_pairs(delta, graph, query)
-            if relaxations is None:
-                engine_scope = scope
+            if derivative is not None:
+                # H⁰: the seeded variables plus every one an increment moved.
+                scope = vertex_variables(self.spec, graph, query, state, delta)
+                state.counter = result.engine_counter
+                values = state.values
+                for key, step in increments.items():
+                    if step and key in values:
+                        state.set(key, values[key] + step)
+                        scope.add(key)
+                if counting:
+                    for key in scope:
+                        result.h_counter.on_scope_push(key)
+                result.scope = scope
             else:
-                # Insertion seeds are relaxed per edge; only variables the
-                # repair pass touched — plus deletion-derived seeds — need
-                # a full evaluation by the resumed step function.
-                engine_scope = {
-                    key
-                    for key in self.spec.repair_seed_keys(delta, graph, query)
-                    if key in state.values
-                }
-                engine_scope.update(key for key in changelog if key in state.values)
-            run_fixpoint(
-                self.spec,
-                graph,
-                query,
-                state=state,
-                scope=engine_scope,
-                max_evals=max_evals,
-                relaxations=relaxations,
-            )
+                scope = initial_scope(self.spec, graph, query, state, delta)
+                result.scope = scope
+
+                state.counter = result.engine_counter
+                relaxations = self.spec.relaxation_pairs(delta, graph, query)
+                if relaxations is None:
+                    engine_scope = scope
+                else:
+                    # Insertion seeds are relaxed per edge; only variables the
+                    # repair pass touched — plus deletion-derived seeds — need
+                    # a full evaluation by the resumed step function.
+                    engine_scope = {
+                        key
+                        for key in self.spec.repair_seed_keys(delta, graph, query)
+                        if key in state.values
+                    }
+                    engine_scope.update(key for key in changelog if key in state.values)
+                run_fixpoint(
+                    self.spec,
+                    graph,
+                    query,
+                    state=state,
+                    scope=engine_scope,
+                    max_evals=max_evals,
+                    relaxations=relaxations,
+                )
         finally:
             state.counter = saved_counter
             state.stop_changelog()

@@ -155,6 +155,29 @@ def repair_pass(
     return h_scope
 
 
+def vertex_variables(
+    spec: FixpointSpec,
+    graph_new: Graph,
+    query: Any,
+    state: FixpointState,
+    delta: Batch,
+) -> Set[Hashable]:
+    """Vertex updates (Section 4): retire the variables of deleted nodes
+    and seed those of inserted ones at ``x^⊥``; return the seeded keys.
+
+    A variable that is already live (delete-then-reinsert churn within
+    ``ΔG``) keeps its value.
+    """
+    for key in spec.removed_variables(delta, graph_new, query):
+        state.drop(key)
+    fresh_keys = set()
+    for key in spec.new_variables(delta, graph_new, query):
+        if key not in state.values:
+            state.seed(key, spec.initial_value(key, graph_new, query))
+            fresh_keys.add(key)
+    return fresh_keys
+
+
 def initial_scope(
     spec: FixpointSpec,
     graph_new: Graph,
@@ -169,16 +192,7 @@ def initial_scope(
     """
     counter = state.counter
     counting = not isinstance(counter, NullCounter)
-
-    # Vertex updates (Section 4): retire variables of deleted nodes,
-    # seed variables of inserted ones at x^⊥.
-    for key in spec.removed_variables(delta, graph_new, query):
-        state.drop(key)
-    fresh_keys = set()
-    for key in spec.new_variables(delta, graph_new, query):
-        if key not in state.values:
-            state.seed(key, spec.initial_value(key, graph_new, query))
-            fresh_keys.add(key)
+    fresh_keys = vertex_variables(spec, graph_new, query, state, delta)
 
     # Line 1: variables with evolved input sets.
     seeds = {

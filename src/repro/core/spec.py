@@ -17,10 +17,10 @@ initial scope function of Figure 4.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Hashable, Iterable, Optional
+from typing import Any, Callable, Hashable, Iterable, Optional, Tuple
 
 from ..graph.graph import Graph
-from ..graph.updates import Batch
+from ..graph.updates import Batch, Update
 from .orders import PartialOrder
 
 Key = Hashable
@@ -232,6 +232,31 @@ class FixpointSpec(ABC):
             "it cannot be incrementalized with the generic scope function"
         )
 
+    def derivative(
+        self, update: Update, graph_new: Graph, query: Any
+    ) -> Optional[Iterable[Tuple[Key, Value]]]:
+        """Additive changes one update makes to the fixpoint, or ``None``.
+
+        ``update`` is one op of the *expanded* ``ΔG``
+        (:meth:`~repro.graph.updates.Batch.expanded`) and ``graph_new``
+        the graph with that op, and every op before it, applied.  Return
+        ``(key, increment)`` pairs; ``IncrementalAlgorithm.apply`` sums them over the batch
+        and adds each non-zero net increment to the stored value, instead
+        of re-evaluating the PE variables of Theorem 1 (finite
+        differencing).  Only variables whose update functions read the
+        graph alone can be derived this way: the increments must add up
+        to what a full :meth:`update` would give after the op, and every
+        key must be one :meth:`changed_input_keys` names for it (lint
+        rule C110 checks both).  Variables created or retired by the
+        batch are seeded and dropped by ``apply``, so increments to
+        them need no special casing.
+
+        The default returns ``None``: the spec has no derivative, and the
+        incremental apply runs the scope function and the resumed step
+        function.
+        """
+        return None
+
     def new_variables(self, delta: Batch, graph_new: Graph, query: Any) -> Iterable[Key]:
         """Variables introduced by vertex insertions in ``ΔG``.
 
@@ -254,3 +279,8 @@ class FixpointSpec(ABC):
         Defaults to returning the raw variable map.
         """
         return dict(values)
+
+
+def defines_derivative(spec: FixpointSpec) -> bool:
+    """Whether ``spec`` overrides :meth:`FixpointSpec.derivative`."""
+    return type(spec).derivative is not FixpointSpec.derivative

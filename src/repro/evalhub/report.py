@@ -37,9 +37,14 @@ def _bin_label(changed: float) -> str:
     return CHANGED_BINS[-1][1]
 
 
+def _or_dash(value: Any) -> Any:
+    """A missing field renders as ``-``, like a missing run."""
+    return "-" if value is None else value
+
+
 def _host_label(host: Dict[str, Any]) -> str:
     python = str(host.get("python") or "?")
-    cpus = host.get("available_cpus", host.get("cpus"))
+    cpus = _or_dash(host.get("available_cpus", host.get("cpus")))
     return f"{host.get('machine', '?')} / {cpus} cpu / py{python}"
 
 
@@ -92,7 +97,7 @@ def trend_table(
         for row in by_run[record.run]:
             if spec.metric not in row or row[spec.metric] is None:
                 continue
-            key = tuple(row.get(k) for k in spec.key)
+            key = tuple(_or_dash(row.get(k)) for k in spec.key)
             if key not in cells:
                 keys.append(key)
                 cells[key] = {}

@@ -16,7 +16,11 @@ algebraic side-conditions of the paper's theorems:
   inputs (C106) and ``changed_input_keys`` covers every variable whose
   declared input set evolved under ``ΔG`` (C107);
 * end to end, the deduced incremental run reaches the fixpoint a
-  from-scratch batch run reaches on ``G ⊕ ΔG`` (C108).
+  from-scratch batch run reaches on ``G ⊕ ΔG`` (C108);
+* a declared :meth:`~repro.core.spec.FixpointSpec.derivative` is exact
+  op by op: after each op of the expanded ``ΔG`` every variable equals a
+  full ``update``, and every key it writes is one ``changed_input_keys``
+  names for that op (C110).
 
 A failed probe is *evidence of a bug*; a passing probe is evidence, not
 proof — the workloads are small and random (but seeded, so runs are
@@ -35,9 +39,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 from ..core.boundedness import verify_relative_boundedness
 from ..core.engine import new_state, run_batch
 from ..core.incremental import IncrementalAlgorithm
-from ..core.spec import FixpointSpec
+from ..core.spec import FixpointSpec, defines_derivative
 from ..graph.graph import Graph
-from ..graph.updates import Batch, EdgeDeletion, updated_copy
+from ..graph.updates import Batch, EdgeDeletion, apply_updates, updated_copy
 from . import rules
 from .report import LintFinding
 
@@ -389,6 +393,58 @@ def _check_divergence(spec, workload, options) -> List[LintFinding]:
     return []
 
 
+# ----------------------------------------------------------------------
+# C110 — a declared derivative agrees with full updates, op by op
+# ----------------------------------------------------------------------
+def _check_derivative(spec, workload, options) -> List[LintFinding]:
+    """Replay the expanded ΔG one op at a time, as the incremental apply does.
+
+    After each op the derived values must equal a full ``update`` of
+    *every* variable — a dropped term shows up on a key the derivative
+    never wrote — and the keys it writes must lie in the op's
+    ``changed_input_keys`` (the PE variables of Theorem 1).
+    """
+    if not defines_derivative(spec):
+        return []
+    graph = workload.graph.copy()
+    query = workload.query
+    values = dict(run_batch(spec, graph, query, engine="generic").values)
+    for op in workload.delta.expanded(graph):
+        apply_updates(graph, (op,))
+        unit = Batch([op])
+        for key in spec.removed_variables(unit, graph, query):
+            values.pop(key, None)
+        for key in spec.new_variables(unit, graph, query):
+            values.setdefault(key, spec.initial_value(key, graph, query))
+        net: Dict = {}
+        for key, step in spec.derivative(op, graph, query):
+            net[key] = net.get(key, 0) + step
+        written = {key for key, step in net.items() if step}
+        stray = written - set(spec.changed_input_keys(unit, graph, query))
+        if stray:
+            return [LintFinding(
+                rules.DERIVATIVE_DIVERGENCE, spec.name,
+                f"derivative of {op!r} wrote {_examples(stray)} outside "
+                f"changed_input_keys ({_where(workload)}); a variable "
+                "whose inputs did not evolve cannot change",
+            )]
+        for key in written & values.keys():
+            values[key] += net[key]
+        wrong = {
+            key
+            for key in values
+            if values[key] != spec.update(key, values.__getitem__, graph, query)
+        }
+        if wrong:
+            return [LintFinding(
+                rules.DERIVATIVE_DIVERGENCE, spec.name,
+                f"after {op!r} the derived values differ from a full update "
+                f"at {len(wrong)} variable(s) (e.g. {_examples(wrong)}; "
+                f"{_where(workload)}); the increments miss or miscount a term",
+            )]
+    return []
+
+
 _CHECKS = (
     ("contracting", _check_contracting),
     ("monotonic", _check_monotonic),
@@ -398,6 +454,7 @@ _CHECKS = (
     ("declared-inputs", _check_declared_inputs),
     ("changed-inputs", _check_changed_inputs),
     ("divergence", _check_divergence),
+    ("derivative", _check_derivative),
 )
 
 

@@ -190,6 +190,11 @@ CHECK_CRASHED = register(Rule(
     "C109", "check-crashed", CONTRACT, ERROR,
     "a spec hook raised while a contract check exercised it",
 ))
+DERIVATIVE_DIVERGENCE = register(Rule(
+    "C110", "derivative-divergence", CONTRACT, ERROR,
+    "a declared derivative must, per op of the expanded ΔG, leave every "
+    "variable equal to a full update and write only changed_input_keys",
+))
 
 # ----------------------------------------------------------------------
 # Concurrency rules (whole-program effect analysis; see lint/concurrency.py)

@@ -315,6 +315,19 @@ class TestReport:
         assert "Incremental speedup vs |CHANGED|" in report
         assert "2–10" in report and "11–100" in report
 
+    def test_missing_fields_render_as_dash(self, tmp_path):
+        registry = Registry(root=tmp_path)
+        registry.append(
+            "fig7",
+            [{"name": "fig7_temporal_SSSP", "speedup_vs_batch": 1.5}],
+            host={k: v for k, v in HOST_A.items() if k not in ("cpus", "available_cpus")},
+            scale="smoke",
+        )
+        report = generate_report(registry)
+        assert "None" not in report
+        assert "| fig7_temporal_SSSP | - |" in report
+        assert "x86_64 / - cpu" in report
+
     def test_incomparable_hosts_split_tables(self, tmp_path):
         registry = Registry(root=tmp_path)
         registry.append("kernels", kernel_rows(2.0), host=HOST_A, scale="smoke")

@@ -1,12 +1,15 @@
 """Tests for LCC: LCC_fp and the deducible IncLCC."""
 
+import os
 import random
 
 import pytest
 
 from oracles import oracle_lcc, oracle_triangles, random_edge_batch, random_graph
 from repro import IncLCC, LCCfp, lcc
-from repro.algorithms.lcc import _triangles_at
+from repro.algorithms.lcc import LCCSpec, _triangles_at
+from repro.core.incremental import IncrementalAlgorithm
+from repro.core.spec import FixpointSpec
 from repro.graph import (
     Batch,
     EdgeDeletion,
@@ -142,6 +145,90 @@ class TestTriangleCount:
                 assert _triangles_at(g, v) == oracle_triangles(g, v), (sorted(g.edges()), v)
 
 
+class _RecountLCC(LCCSpec):
+    """LCC without its derivative: the incremental apply recounts every PE variable."""
+
+    derivative = FixpointSpec.derivative
+
+
+def derive_and_recount(graph, *batches):
+    """Apply ``batches`` with IncLCC and with the recount path; values,
+    per-apply ΔO and the oracle must agree after each.  Returns the
+    derived run's graph, state and per-apply results."""
+    derived_graph, recount_graph = graph.copy(), graph.copy()
+    derived, recount = IncLCC(), IncrementalAlgorithm(_RecountLCC())
+    derived_state = LCCfp().run(derived_graph)
+    recount_state = LCCfp().run(recount_graph)
+    results = []
+    for delta in batches:
+        got = derived.apply(derived_graph, derived_state, delta)
+        want = recount.apply(recount_graph, recount_state, delta)
+        assert derived_state.values == recount_state.values
+        assert got.changes == want.changes
+        assert LCCfp().answer(derived_state, derived_graph, None) == oracle_lcc(derived_graph)
+        results.append(got)
+    return derived_graph, derived_state, results
+
+
+class TestDerivative:
+    """IncLCC's per-op increments against the recount and the oracle."""
+
+    def test_triangles_closed_by_two_and_three_new_edges(self):
+        g = from_edges([(0, 1)])
+        for v in (2, 3, 4, 5):
+            g.add_node(v)
+        delta = Batch([
+            EdgeInsertion(1, 2), EdgeInsertion(3, 4), EdgeInsertion(0, 2),
+            EdgeInsertion(4, 5), EdgeInsertion(3, 5),
+        ])
+        _g, state, _ = derive_and_recount(g, delta)
+        assert all(state.values[("λ", v)] == 1 for v in range(6))
+
+    def test_unnormalized_churn_on_one_edge(self):
+        g = from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
+        insert_then_delete = Batch([EdgeInsertion(0, 3), EdgeInsertion(1, 3), EdgeDeletion(0, 3)])
+        delete_then_insert = Batch([EdgeDeletion(0, 1), EdgeInsertion(0, 1)])
+        _g, state, (first, second) = derive_and_recount(g, insert_then_delete, delete_then_insert)
+        assert state.values[("λ", 3)] == 1
+        assert ("d", 0) not in first.changes and ("λ", 0) not in first.changes
+        assert second.changes == {}
+
+    def test_reciprocated_arcs_change_no_adjacency(self):
+        g = from_edges([(0, 1), (1, 0), (0, 2), (1, 2)], directed=True)
+        _g, state, results = derive_and_recount(
+            g,
+            Batch([EdgeDeletion(1, 0)]),    # one arc of a pair: still adjacent
+            Batch([EdgeInsertion(2, 0)]),   # reciprocates 0 -> 2
+            Batch([EdgeDeletion(0, 1)]),    # the last arc: the triangle goes
+        )
+        assert results[0].changes == {} and results[1].changes == {}
+        assert state.values[("λ", 2)] == 0
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_self_loops_change_nothing(self, directed):
+        g = from_edges([(0, 1), (1, 2), (0, 2)], directed=directed)
+        _g, _state, results = derive_and_recount(
+            g,
+            Batch([EdgeInsertion(0, 0), EdgeInsertion(1, 1)]),
+            Batch([EdgeDeletion(0, 0)]),
+        )
+        assert all(result.changes == {} for result in results)
+
+    def test_vertex_insertion_and_deletion(self):
+        g = from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)])
+        vi = VertexInsertion(9, edges=(EdgeInsertion(0, 9), EdgeInsertion(1, 9)))
+        _g, state, (inserted, deleted) = derive_and_recount(
+            g, Batch([vi]), Batch([VertexDeletion(0)])
+        )
+        assert ("λ", 9) in inserted.scope and ("λ", 9) in inserted.changes
+        assert deleted.changes[("λ", 0)] == (3, None)
+        assert ("d", 0) not in state.values
+
+
+#: Trials of the directed differential sweep; CI runs 600.
+SWEEP_TRIALS = int(os.environ.get("REPRO_LCC_SWEEP_TRIALS", "60"))
+
+
 class TestDirected:
     """LCC on a directed graph is LCC on its underlying simple graph."""
 
@@ -151,13 +238,15 @@ class TestDirected:
 
     def test_batch_and_incremental_match_oracle(self):
         rng = random.Random(53)
-        for trial in range(60):
+        for trial in range(SWEEP_TRIALS):
             g = random_graph(rng, rng.randint(3, 16), rng.randint(2, 45), directed=True)
             _with_loops_and_reciprocals(rng, g)
             batch = LCCfp()
             state = batch.run(g)
             assert batch.answer(state, g, None) == oracle_lcc(g), f"trial {trial}"
             inc = IncLCC()
+            recount_graph, recount_state = g.copy(), state.copy()
+            recount = IncrementalAlgorithm(_RecountLCC())
             for _step in range(3):
                 delta = random_edge_batch(rng, g, 4)
                 # Delete one direction of a reciprocated pair, when there is one.
@@ -166,5 +255,8 @@ class TestDirected:
                     u, v = rng.choice(pairs)
                     delta = Batch([op for op in delta if {op.u, op.v} != {u, v}])
                     delta.append(EdgeDeletion(u, v))
-                inc.apply(g, state, delta)
+                got = inc.apply(g, state, delta)
+                want = recount.apply(recount_graph, recount_state, delta)
                 assert batch.answer(state, g, None) == oracle_lcc(g), f"trial {trial}"
+                assert state.values == recount_state.values, f"trial {trial}"
+                assert got.changes == want.changes, f"trial {trial}"

@@ -2,14 +2,15 @@
 
 The bad specs below each seed exactly one class of contract violation the
 framework's theorems forbid; the tests assert the corresponding rule
-fires.  Together they exercise S001-S007 and C101-C108 — every rule
-except C109, which gets its own crash test.
+fires.  Together they exercise S001-S007, C101-C108 and C110 — every
+rule except C109, which gets its own crash test.
 """
 
 import json
 
 import pytest
 
+from repro.algorithms.lcc import LCCSpec
 from repro.algorithms.sssp import SSSPSpec
 from repro.core.orders import MinValueOrder
 from repro.core.spec import FixpointSpec
@@ -23,6 +24,7 @@ from repro.lint import (
     check_spec_contracts,
     check_spec_structure,
     default_options,
+    default_workloads,
     lint_spec,
     lint_specs,
 )
@@ -267,6 +269,23 @@ class CrashingSpec(_MinimalSpec):
         raise RuntimeError("boom")
 
 
+class NoThirdVertexLCC(LCCSpec):
+    """DynLCC's rule without the λ_w ± 1 term for common neighbors."""
+
+    def derivative(self, update, graph_new, query):
+        pairs = super().derivative(update, graph_new, query)
+        return [(key, step) for key, step in pairs if key[1] in (update.u, update.v)]
+
+
+class StrayWriteLCC(LCCSpec):
+    """Also bumps the degree of a node the edge does not touch."""
+
+    def derivative(self, update, graph_new, query):
+        pairs = super().derivative(update, graph_new, query)
+        far = max(graph_new.nodes())
+        return pairs + [(("d", far), 1)] if pairs and far not in (update.u, update.v) else pairs
+
+
 class TestContractRules:
     def contract_ids(self, spec, workload=None):
         workload = workload or path_workload()
@@ -317,6 +336,18 @@ class TestContractRules:
     def test_correct_spec_passes_all(self):
         assert self.contract_ids(SSSPSpec()) == set()
 
+    def test_derivative_divergence_c110(self):
+        probes = default_workloads(LCCSpec())
+        assert "LCC-directed" in {w.tag for w in probes}
+        findings = check_spec_contracts(NoThirdVertexLCC(), probes)
+        divergent = [f for f in findings if f.rule.id == "C110"]
+        assert divergent and "λ" in divergent[0].message
+        assert rule_ids(check_spec_contracts(LCCSpec(), probes)) == set()
+
+    def test_derivative_stray_write_c110(self):
+        findings = check_spec_contracts(StrayWriteLCC(), default_workloads(LCCSpec()))
+        assert any("outside changed_input_keys" in f.message for f in findings)
+
 
 # ======================================================================
 # The gate: built-in specs must lint clean
@@ -354,7 +385,7 @@ class TestRegistryAndReport:
         assert refs == frozenset({"C105", "S001"})
 
     def test_registry_is_consistent(self):
-        assert len(RULES) >= 23  # S001-S009, C101-C109, T001-T007
+        assert len(RULES) >= 26  # S001-S009, C101-C110, T001-T007
         for rule_id, rule in RULES.items():
             assert rule.id == rule_id
             assert rule.kind in ("structural", "contract", "threads")
