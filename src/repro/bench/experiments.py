@@ -99,9 +99,14 @@ def _time_updates(
     inc = best_of(replay, repeats, fresh(setup.inc_factory))
     comp = best_of(lambda c: [c.apply(d) for d in deltas], repeats, built_competitor)
     affected = [getattr(r, "affected_size", None) for r in inc.result]
+    scopes = [getattr(r, "scope", None) for r in inc.result]
+    changes = [getattr(r, "changes", None) for r in inc.result]
     row = {
         "changed": sum(d.size for d in deltas),
         "aff": None if None in affected else sum(affected),
+        # aff mixes the inherent AFF with how tight H⁰ is; these split it.
+        "h_scope": None if None in scopes else sum(map(len, scopes)),
+        "changes": None if None in changes else sum(map(len, changes)),
         "repeats": repeats,
         "batch_ms": _ms(batch_seconds),
         "inc_ms": _ms(inc.seconds),

@@ -30,7 +30,14 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..errors import FixpointError, IncrementalizationError
 from ..graph.graph import Graph
-from ..graph.updates import Batch, Update, VertexDeletion, VertexInsertion, apply_updates
+from ..graph.updates import (
+    Batch,
+    Update,
+    VertexDeletion,
+    VertexInsertion,
+    apply_updates,
+    deleted_weights,
+)
 from ..metrics.counters import AccessCounter, NullCounter
 from ..resilience.faults import inject
 from .engine import check_engine, run_batch, run_fixpoint
@@ -263,7 +270,13 @@ class IncrementalAlgorithm:
         delta = delta.expanded(graph)
         derivative = self.spec.derivative if defines_derivative(self.spec) else None
         if derivative is None:
+            old_weights = deleted_weights(graph, delta)
             apply_updates(graph, delta)
+            # Figure 4's repair seeds, taken while state still holds the
+            # old values and timestamps; reused for the engine scope.
+            repair_seeds = set(
+                self.spec.repair_seed_keys(delta, graph, query, state, old_weights)
+            )
         else:
             # Finite differencing: each op's increments are taken on the
             # graph with exactly that op applied, so a triangle closed by
@@ -293,7 +306,7 @@ class IncrementalAlgorithm:
                         result.h_counter.on_scope_push(key)
                 result.scope = scope
             else:
-                scope = initial_scope(self.spec, graph, query, state, delta)
+                scope = initial_scope(self.spec, graph, query, state, delta, repair_seeds)
                 result.scope = scope
 
                 state.counter = result.engine_counter
@@ -302,13 +315,9 @@ class IncrementalAlgorithm:
                     engine_scope = scope
                 else:
                     # Insertion seeds are relaxed per edge; only variables the
-                    # repair pass touched — plus deletion-derived seeds — need
-                    # a full evaluation by the resumed step function.
-                    engine_scope = {
-                        key
-                        for key in self.spec.repair_seed_keys(delta, graph, query)
-                        if key in state.values
-                    }
+                    # repair pass touched — plus the repair seeds — need a
+                    # full evaluation by the resumed step function.
+                    engine_scope = {key for key in repair_seeds if key in state.values}
                     engine_scope.update(key for key in changelog if key in state.values)
                 run_fixpoint(
                     self.spec,

@@ -12,13 +12,15 @@ This module provides:
   :class:`VertexInsertion`, :class:`VertexDeletion`),
 * :class:`Batch` — an ordered sequence of unit updates with apply / invert /
   normalize operations, and
-* :func:`apply_updates` / :func:`updated_copy` implementing ``G ⊕ ΔG``.
+* :func:`apply_updates` / :func:`updated_copy` implementing ``G ⊕ ΔG``,
+  and :func:`deleted_weights`, the ``G``-side weights of the edges a
+  batch deletes (read before applying it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import UpdateError
 from .graph import DEFAULT_WEIGHT, Graph, Node
@@ -273,8 +275,8 @@ class Batch:
         functions then only ever reason about edge-level changes plus
         bare vertex creation/retirement.
         """
-        needs_simulation = any(isinstance(u, VertexDeletion) for u in self.updates)
-        sim = graph.copy() if needs_simulation else None
+        needs_overlay = any(isinstance(u, VertexDeletion) for u in self.updates)
+        overlay = _EdgeOverlay(graph) if needs_overlay else None
         created: set = set()
         removed: set = set()
         out: List[Update] = []
@@ -302,35 +304,106 @@ class Batch:
                     materialize(e.u)
                     materialize(e.v)
                     out.append(e)
+                    if overlay is not None:
+                        overlay.insert(e.u, e.v)
             elif isinstance(u, EdgeInsertion):
                 materialize(u.u)
                 materialize(u.v)
                 out.append(u)
+                if overlay is not None:
+                    overlay.insert(u.u, u.v)
             elif isinstance(u, VertexDeletion):
-                if sim is not None and sim.has_node(u.v):
-                    for w in list(sim.out_neighbors(u.v)):
-                        out.append(EdgeDeletion(u.v, w))
-                    if sim.directed:
-                        for w in list(sim.in_neighbors(u.v)):
-                            if w != u.v:  # self-loop already emitted
-                                out.append(EdgeDeletion(w, u.v))
+                if overlay is not None and known(u.v):
+                    for a, b in overlay.remove_node(u.v):
+                        out.append(EdgeDeletion(a, b))
                 out.append(VertexDeletion(u.v))
                 removed.add(u.v)
                 created.discard(u.v)
             else:
                 out.append(u)
-            if sim is not None:
-                if isinstance(u, VertexDeletion):
-                    if sim.has_node(u.v):
-                        sim.remove_node(u.v)
-                else:
-                    _apply_one(sim, u, strict=False)
+                if overlay is not None:
+                    overlay.delete(u.u, u.v)
         return Batch(out)
 
     def __repr__(self) -> str:
         n_ins = len(self.insertions())
         n_del = len(self.deletions())
         return f"Batch(|ΔG|={self.size}, +{n_ins}/-{n_del})"
+
+
+class _EdgeOverlay:
+    """``G``'s adjacency plus the edge edits of a batch's earlier ops.
+
+    :meth:`Batch.expanded` needs the edges incident to a deleted vertex
+    *at that point in the batch*, in the order a copy of ``G`` with the
+    earlier ops applied (non-strictly) would list them.  The overlay
+    answers that without copying ``G``: a row is ``G``'s row minus the
+    entries removed so far, then the entries added so far in insertion
+    order (a re-added entry moves to the end, as in a dict).  Rows are
+    keyed ``(side, node)``; an undirected graph has one side.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        self.in_side = 1 if graph.directed else 0
+        self.dropped: dict = {}  # (side, node) -> G entries removed
+        self.added: dict = {}    # (side, node) -> {entry: None}
+
+    def row(self, side: int, v: Node) -> List[Node]:
+        graph = self.graph
+        base: List[Node] = []
+        if graph.has_node(v):
+            dropped = self.dropped.get((side, v), ())
+            nbrs = graph.in_neighbors(v) if side else graph.out_neighbors(v)
+            base = [w for w in nbrs if w not in dropped]
+        return base + list(self.added.get((side, v), ()))
+
+    def has_edge(self, a: Node, b: Node) -> bool:
+        if b in self.added.get((0, a), ()):
+            return True
+        return self.graph.has_edge(a, b) and b not in self.dropped.get((0, a), ())
+
+    def insert(self, a: Node, b: Node) -> None:
+        if not self.has_edge(a, b):
+            self.added.setdefault((0, a), {})[b] = None
+            self.added.setdefault((self.in_side, b), {})[a] = None
+
+    def delete(self, a: Node, b: Node) -> None:
+        if self.has_edge(a, b):
+            self._unlink(0, a, b)
+            if self.graph.directed or a != b:
+                self._unlink(self.in_side, b, a)
+
+    def _unlink(self, side: int, v: Node, w: Node) -> None:
+        entries = self.added.get((side, v))
+        if entries is not None and w in entries:
+            del entries[w]
+        else:
+            self.dropped.setdefault((side, v), set()).add(w)
+
+    def remove_node(self, v: Node) -> List[Tuple[Node, Node]]:
+        """Delete ``v``'s incident edges and return them, out-edges first."""
+        edges = [(v, w) for w in self.row(0, v)]
+        if self.graph.directed:
+            edges.extend((w, v) for w in self.row(1, v) if w != v)  # self-loop listed once
+        for a, b in edges:
+            self.delete(a, b)
+        return edges
+
+
+def deleted_weights(graph: Graph, delta: Iterable[Update]) -> Dict[Tuple[Node, Node], float]:
+    """``{(u, v): weight in G}`` for every deletion in ``delta`` of an edge of ``G``.
+
+    ``graph`` is the pre-update ``G`` and ``delta`` an expanded batch, so
+    this must run before :func:`apply_updates`.  A deleted edge that ``G``
+    lacks (the batch inserted it first) gets no entry; the repair-seed
+    hooks that read these weights seed such a deletion conservatively.
+    """
+    return {
+        (op.u, op.v): graph.weight(op.u, op.v)
+        for op in delta
+        if isinstance(op, EdgeDeletion) and graph.has_edge(op.u, op.v)
+    }
 
 
 def _apply_one(graph: Graph, update: Update, strict: bool) -> None:

@@ -60,6 +60,7 @@ from ..graph.updates import (
     EdgeInsertion,
     VertexInsertion,
     apply_updates,
+    deleted_weights,
 )
 from ..metrics.counters import NullCounter
 from .engine import dense_ids, encode_values, lower
@@ -226,7 +227,11 @@ def kernel_apply(
 
     # ------------------------------------------------------------------
     # Commit: mutate the authoritative graph, then mirror the delta.
+    old_weights = deleted_weights(graph, expanded)
     apply_updates(graph, expanded)
+    # The dict state is written only at finalize, so the hook still reads
+    # old values and timestamps here.
+    seed_keys = spec.repair_seed_keys(expanded, graph, query, state, old_weights)
     inject("kernel.mid-drain")  # graph committed, mirror/state not yet drained
 
     out_rows, in_rows = ctx.out_rows, ctx.in_rows
@@ -301,18 +306,18 @@ def kernel_apply(
             return float(ts[i]) if ov != 0.0 else INF
         return ts[i]
 
-    repair_seeds: Set[int] = set()
-    for key in spec.repair_seed_keys(expanded, graph, query):
+    seeds: Set[int] = set()
+    for key in seed_keys:
         i = index_of.get(key)
-        if i is not None and i not in fresh:
-            repair_seeds.add(i)
+        if i is not None:
+            seeds.add(i)
 
     heappush, heappop = heapq.heappush, heapq.heappop
     que: List[Tuple[Any, int, int, int]] = []
     queued: Set[int] = set()
     processed: Set[int] = set()
     tick = 0
-    for i in repair_seeds:
+    for i in seeds - fresh:
         tick += 1
         heappush(que, (okey(i), ts[i], tick, i))
         queued.add(i)
@@ -431,13 +436,9 @@ def kernel_apply(
 
     # ------------------------------------------------------------------
     # Phase engine — seed pulls, insertion relaxations, push drain.
-    # Engine scope mirrors the generic driver's relaxation form: repair
-    # seeds (fresh included) plus everything the repair pass wrote.
-    eng_seeds: Set[int] = set(old_val)
-    for key in spec.repair_seed_keys(expanded, graph, query):
-        i = index_of.get(key)
-        if i is not None:
-            eng_seeds.add(i)
+    # Engine scope mirrors the generic driver's relaxation form: the
+    # repair seeds plus everything the repair pass wrote.
+    eng_seeds: Set[int] = seeds | old_val.keys()
 
     prioritized = kspec.prioritized
     heap: List[Tuple[float, int]] = []

@@ -41,7 +41,7 @@ from ..core.engine import new_state, run_batch
 from ..core.incremental import IncrementalAlgorithm
 from ..core.spec import FixpointSpec, defines_derivative
 from ..graph.graph import Graph
-from ..graph.updates import Batch, EdgeDeletion, apply_updates, updated_copy
+from ..graph.updates import Batch, EdgeDeletion, apply_updates, deleted_weights, updated_copy
 from . import rules
 from .report import LintFinding
 
@@ -209,14 +209,22 @@ def _check_anchor_sound(spec, workload, options) -> List[LintFinding]:
 
     The resumed step function only *lowers* values; a variable whose new
     fixpoint is above its old one can only be repaired by the Figure-4
-    loop, which walks ``anchor_dependents`` from ``repair_seed_keys``.
+    loop, which walks ``anchor_dependents`` from ``repair_seed_keys``
+    (called as the drivers call it: old state, old deleted-edge weights).
     An unreachable raised variable means the incremental run would keep a
     stale value.
+
+    The probe starts from the batch fixpoint of ``G``, then applies ``ΔG``
+    one op at a time with the incremental algorithm and re-checks the
+    remaining ops from each state it reaches.  Incremental applies lay
+    timestamps down in other orders than a batch run (a CC root repaired
+    back to its own id is stamped after the nodes it labels), and the
+    seed tests must hold on those states too.
     """
     order = spec.order
     if order is None or not spec.repair_with_scope_function:
         return []
-    graph, query = workload.graph, workload.query
+    graph, query = workload.graph.copy(), workload.query
     delta = workload.delta.expanded(graph)
     if options.anchor_deletion_only:
         # Keep only deletions valid against the *base* graph: a batch is a
@@ -231,45 +239,57 @@ def _check_anchor_sound(spec, workload, options) -> List[LintFinding]:
             return []
         delta = Batch(kept)
     graph_new = updated_copy(graph, delta)
-    state_old = run_batch(spec, graph, query, engine="generic")
-    state_new = run_batch(spec, graph_new, query, engine="generic")
+    new_values = run_batch(spec, graph_new, query, engine="generic").values
+    state = run_batch(spec, graph, query, engine="generic")
+    inc = (
+        options.incremental_factory()
+        if options.incremental_factory is not None
+        else IncrementalAlgorithm(spec, engine="generic")
+    )
+    ops = list(delta)
+    for k, op in enumerate(ops):
+        missing = _unreached_raised(spec, graph, graph_new, query, state, Batch(ops[k:]), new_values)
+        if missing:
+            return [LintFinding(
+                rules.ANCHOR_UNSOUND, spec.name,
+                f"{len(missing)} variable(s) raised by ΔG are unreachable from "
+                f"the repair seeds through anchor_dependents (e.g. "
+                f"{_examples(missing)}; {_where(workload)}, after {k} of "
+                f"{len(ops)} ops applied incrementally); the scope function "
+                "would leave them at stale, infeasible values",
+            )]
+        inc.apply(graph, state, Batch([op]), query)
+        if state.values != run_batch(spec, graph, query, engine="generic").values:
+            return []  # A_Δ itself diverged: C108's finding, not this one
+    return []
 
-    raised = {
-        k
-        for k, v in state_new.values.items()
-        if k in state_old.values and not order.leq(v, state_old.values[k])
-    }
+
+def _unreached_raised(spec, graph, graph_new, query, state, delta, new_values) -> Set:
+    """Variables raised from ``state`` (the fixpoint of ``graph``) to
+    ``new_values`` that the repair seeds of ``delta`` cannot reach."""
+    order = spec.order
+    old = state.values
+    raised = {k for k, v in new_values.items() if k in old and not order.leq(v, old[k])}
     if not raised:
-        return []
+        return set()
 
     def old_value_of(k):
-        if k in state_old.values:
-            return state_old.values[k]
+        if k in old:
+            return old[k]
         return spec.initial_value(k, graph_new, query)
 
-    closure: Set = {
-        k for k in spec.repair_seed_keys(delta, graph_new, query) if k in state_old.values
-    }
+    seeds = spec.repair_seed_keys(
+        delta, graph_new, query, state, deleted_weights(graph, delta)
+    )
+    closure: Set = {k for k in seeds if k in old}
     frontier = list(closure)
     while frontier:
         x = frontier.pop()
-        for z in spec.anchor_dependents(
-            x, old_value_of, state_old.timestamp, graph_new, query
-        ):
-            if z not in closure and z in state_old.values:
+        for z in spec.anchor_dependents(x, old_value_of, state.timestamp, graph_new, query):
+            if z not in closure and z in old:
                 closure.add(z)
                 frontier.append(z)
-
-    missing = raised - closure
-    if missing:
-        return [LintFinding(
-            rules.ANCHOR_UNSOUND, spec.name,
-            f"{len(missing)} variable(s) raised by ΔG are unreachable from "
-            f"the repair seeds through anchor_dependents (e.g. "
-            f"{_examples(missing)}; {_where(workload)}); the scope function "
-            "would leave them at stale, infeasible values",
-        )]
-    return []
+    return raised - closure
 
 
 # ----------------------------------------------------------------------

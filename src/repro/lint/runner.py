@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from ..core.spec import FixpointSpec
+from ..graph.graph import from_edges
 from ..graph.updates import Batch, EdgeDeletion, EdgeInsertion
 from ..generators import (
     assign_labels,
@@ -91,6 +92,14 @@ def _undirected(seed: int, tag: str) -> Workload:
     return Workload(graph, None, random_updates(graph, 8, seed=seed + 1), tag)
 
 
+def _restamped_root(tag: str) -> Workload:
+    # Pinned counterexample: deleting (1, 5) repairs 5 and then its root
+    # 3 back to id 3, so the root is stamped after the node it labels;
+    # deleting (3, 5) next must still seed 5 (C104's incremental leg).
+    graph = from_edges([(1, 5), (5, 3), (3, 7)])
+    return Workload(graph, None, Batch([EdgeDeletion(1, 5), EdgeDeletion(3, 5)]), tag)
+
+
 def _directed_reciprocal(seed: int, tag: str) -> Workload:
     # Reciprocated pairs, one direction of two deleted: LCC counts each
     # pair as one neighbor, so A_Δ must still match batch (C108).
@@ -131,6 +140,8 @@ def default_workloads(spec: FixpointSpec) -> List[Workload]:
         probes = [_undirected(7, f"{name}-a"), _undirected(17, f"{name}-b")]
         if name == "LCC":
             probes.append(_directed_reciprocal(19, "LCC-directed"))
+        if name == "CC":
+            probes.append(_restamped_root("CC-root"))
         return probes
     return [_directed_weighted(3, f"{name}-directed"), _undirected(7, f"{name}-undirected")]
 

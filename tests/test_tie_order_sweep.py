@@ -12,7 +12,9 @@ fixpoint:
 * the generic engine, the kernel engine, and generic/kernel alternating
   per window;
 * a state checkpoint round trip (``core.persistence``) mid-stream, and a
-  durable session that crashes and continues after ``recover``.
+  durable session that crashes and continues after ``recover``;
+* Sim on the generic engine (it has no kernel), over labelled tie graphs
+  and a 3-4 node pattern, checkpointed mid-stream.
 
 Workloads are tie-heavy: integer weights in 1..3 and deletions biased
 toward edges on cycles, where tied alternative supports exist.  The
@@ -32,8 +34,10 @@ from repro.algorithms import (
     IncCC,
     IncReach,
     IncSSSP,
+    IncSim,
     IncSSWP,
     Reachability,
+    Simfp,
     WidestPath,
 )
 from repro.core.persistence import dump_state, load_state
@@ -165,6 +169,40 @@ def sweep_mismatches(seed: int):
     return failures
 
 
+def sim_scenario(seed: int):
+    """``(graph, pattern, stream)``: a labelled tie graph and a 3-4 node
+    pattern over a small alphabet, so many pairs match by label and
+    insertions can resurrect them."""
+    rng = random.Random(seed)
+    graph = tie_graph(rng, seed % 2 == 0, False)
+    for v in graph.nodes():
+        graph.set_node_label(v, rng.choice("abc"))
+    pattern = Graph(directed=True)
+    k = rng.randint(3, 4)
+    for u in range(k):
+        pattern.add_node(u, label=rng.choice("abc"))
+    for _ in range(rng.randint(k - 1, k + 2)):
+        u, w = rng.randrange(k), rng.randrange(k)
+        if not pattern.has_edge(u, w):
+            pattern.add_edge(u, w)
+    return graph, pattern, tie_stream(rng, graph, False)
+
+
+def sim_mismatches(seed: int):
+    """Windows where generic IncSim (checkpointed mid-stream) is off batch."""
+    graph, pattern, stream = sim_scenario(seed)
+    work, state, inc = graph.copy(), Simfp().run(graph.copy(), pattern), IncSim()
+    failures = []
+    for step, delta in enumerate(stream):
+        if step == WINDOWS // 2:
+            state = _round_trip(state)
+        inc.apply(work, state, delta, pattern)
+        if state.values != Simfp().run(work.copy(), pattern).values:
+            failures.append(step)
+            break
+    return failures
+
+
 def session_mismatches(seed: int, directory):
     """Crash a durable session mid-stream, ``recover`` it, and continue."""
     names = [n for n in ALGORITHMS if scenario(seed, n) is not None]
@@ -227,6 +265,14 @@ class TestTieOrderSweep:
         failures = {}
         for seed in range(SEEDS):
             bad = sweep_mismatches(seed)
+            if bad:
+                failures[seed] = bad
+        assert not failures, f"{len(failures)} failing seeds: {failures}"
+
+    def test_sim_generic_matches_batch(self):
+        failures = {}
+        for seed in range(SEEDS):
+            bad = sim_mismatches(seed)
             if bad:
                 failures[seed] = bad
         assert not failures, f"{len(failures)} failing seeds: {failures}"

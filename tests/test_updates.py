@@ -238,6 +238,97 @@ class TestExpanded:
         assert g == before
 
 
+def _expanded_by_copy(batch, graph):
+    """Reference expansion: replay the batch on a full copy of ``G``."""
+    sim = graph.copy()
+    created, removed, out = set(), set(), []
+
+    def known(node):
+        return node not in removed and (node in created or graph.has_node(node))
+
+    def materialize(node):
+        if not known(node):
+            out.append(VertexInsertion(node))
+            created.add(node)
+            removed.discard(node)
+
+    for u in batch.updates:
+        if isinstance(u, VertexInsertion):
+            out.append(VertexInsertion(u.v, u.label, ()))
+            created.add(u.v)
+            removed.discard(u.v)
+            for e in u.edges:
+                materialize(e.u)
+                materialize(e.v)
+                out.append(e)
+        elif isinstance(u, EdgeInsertion):
+            materialize(u.u)
+            materialize(u.v)
+            out.append(u)
+        elif isinstance(u, VertexDeletion):
+            if sim.has_node(u.v):
+                out.extend(EdgeDeletion(u.v, w) for w in list(sim.out_neighbors(u.v)))
+                if sim.directed:
+                    out.extend(
+                        EdgeDeletion(w, u.v) for w in list(sim.in_neighbors(u.v)) if w != u.v
+                    )
+            out.append(VertexDeletion(u.v))
+            removed.add(u.v)
+            created.discard(u.v)
+        else:
+            out.append(u)
+        if isinstance(u, VertexDeletion):
+            if sim.has_node(u.v):
+                sim.remove_node(u.v)
+        else:
+            apply_updates(sim, [u], strict=False)
+    return out
+
+
+def _churn_case(rng):
+    """A small graph (self-loops included) and a vertex-churn batch that
+    also re-adds, re-deletes and no-ops edges around deleted vertices."""
+    directed = rng.random() < 0.5
+    g = Graph(directed=directed)
+    n = rng.randint(1, 7)
+    for v in range(n):
+        g.ensure_node(v)
+    for _ in range(rng.randint(0, 3 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if not g.has_edge(a, b):
+            g.add_edge(a, b)
+    ops = []
+    for _ in range(rng.randint(1, 10)):
+        a, b = rng.randrange(n + 2), rng.randrange(n + 2)
+        kind = rng.random()
+        if kind < 0.3:
+            ops.append(VertexDeletion(a))
+        elif kind < 0.45:
+            ops.append(VertexInsertion(a, edges=(EdgeInsertion(a, b),)))
+        elif kind < 0.75:
+            ops.append(EdgeInsertion(a, b))
+        else:
+            ops.append(EdgeDeletion(a, b))
+    return g, Batch(ops)
+
+
+class TestExpandedWithoutCopy:
+    """The overlay expansion lists the same ops as replaying on a copy."""
+
+    def test_matches_copy_replay_on_vertex_churn(self, monkeypatch):
+        import random
+
+        cases = [_churn_case(random.Random(seed)) for seed in range(600)]
+        expected = [_expanded_by_copy(batch, g) for g, batch in cases]
+        copies = []
+        original = Graph.copy
+        monkeypatch.setattr(Graph, "copy", lambda self: copies.append(1) or original(self))
+        for (g, batch), want in zip(cases, expected):
+            assert batch.expanded(g).updates == want
+        assert copies == []
+        assert sum(isinstance(u, VertexDeletion) for _g, b in cases for u in b) > 300
+
+
 class TestNormalizedNetEffect:
     """Property: normalization against the pre-batch graph is exact.
 
