@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.runners import ALL_SETUPS, geometric_mean, time_batch
-from repro.core import FixpointSpec
+from repro.core import FixpointSpec, run_batch
 from repro.graph import Batch, from_edges
 
 
@@ -59,7 +59,9 @@ class TestSpecDefaults:
             def changed_input_keys(self, delta, graph_new, query):
                 return {"seed"}
 
-        assert set(WithChanged().repair_seed_keys(Batch(), from_edges([]), None)) == {"seed"}
+        g = from_edges([])
+        state = run_batch(WithChanged(), g, None)
+        assert set(WithChanged().repair_seed_keys(Batch(), g, None, state, {})) == {"seed"}
 
     def test_extract_defaults_to_value_map(self):
         assert MinimalSpec().extract({1: 2}, from_edges([]), None) == {1: 2}
