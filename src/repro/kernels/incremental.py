@@ -333,13 +333,14 @@ def kernel_apply(
         # reset to its initial value.  A node repaired in this pass (in
         # old_val) carries a fresh, later timestamp: value anchors trust
         # it only if its new value is strictly below x_okey, timestamp
-        # anchors never.  The row iteration and the input's key are
-        # inlined per anchor mode — this is the hottest per-edge loop of
-        # the repair phase.
-        if x == src:
-            new = init[x]
-        else:
-            best = init[x]
+        # anchors never.  x is written only if the pull ends above its
+        # old value, so the pull stops at the first candidate no worse
+        # than it.  The row iteration and the input's key are inlined
+        # per anchor mode — this is the hottest per-edge loop of the
+        # repair phase.
+        oldv = val[x]
+        best = init[x]
+        if x != src and best > oldv:
             row = in_rows[x]
             if not anchor_ts:
                 if combine == ADD:
@@ -353,6 +354,8 @@ def kernel_apply(
                         cand = vj + w
                         if cand < best:
                             best = cand
+                            if cand <= oldv:
+                                break
                 else:  # MAXNEG
                     for j, w in row.items():
                         vj = val[j]
@@ -365,6 +368,8 @@ def kernel_apply(
                         cand = nw if nw > vj else vj
                         if cand < best:
                             best = cand
+                            if cand <= oldv:
+                                break
             elif boolean:
                 for j in row:
                     vj = val[j]
@@ -374,6 +379,8 @@ def kernel_apply(
                         vj = init[j]
                     if vj < best:
                         best = vj
+                        if vj <= oldv:
+                            break
             else:  # CC: okey is the raw timestamp
                 for j in row:
                     if j in old_val or ts[j] >= x_okey:
@@ -382,15 +389,14 @@ def kernel_apply(
                         vj = val[j]
                     if vj < best:
                         best = vj
-            new = best
-
-        oldv = val[x]
-        if not oldv < new:
+                        if vj <= oldv:
+                            break
+        if not oldv < best:
             continue  # still feasible
 
         old_val[x] = oldv
-        val[x] = new
-        writes.append((x, new))
+        val[x] = best
+        writes.append((x, best))
         h_scope.add(x)
 
         # Enqueue every z whose anchor set contains x, judged on the old

@@ -33,7 +33,7 @@ send.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional, Union
 
 from ..core.persistence import _decode, _encode
 from ..errors import ReproError
@@ -99,6 +99,23 @@ def snapshot_response(snapshot: AnswerSnapshot) -> Dict[str, Any]:
     }
 
 
+def snapshot_line(snapshot: AnswerSnapshot) -> str:
+    """``json.dumps(snapshot_response(snapshot))``, encoding the answer
+    at most once per answer object.
+
+    The answer's JSON text lives in the snapshot's memo, which every
+    snapshot sharing the answer shares; a miss encodes it through
+    :func:`snapshot_response`.  A hit only encodes the small header.
+    """
+    memo = snapshot.memo
+    text = memo.text
+    if text is None:
+        text = json.dumps(snapshot_response(snapshot)["answer"])
+        memo.text = text
+    header = json.dumps({"ok": True, **snapshot.as_dict()})  # snapshot_response's key order
+    return header[:-1] + ', "answer": ' + text + "}"
+
+
 def error_response(exc: BaseException) -> Dict[str, Any]:
     return {
         "ok": False,
@@ -109,6 +126,38 @@ def error_response(exc: BaseException) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Request dispatch (shared by the TCP server and in-process harnesses)
 # ----------------------------------------------------------------------
+def _dispatch(service, doc: Dict[str, Any]) -> Union[AnswerSnapshot, Dict[str, Any]]:
+    """Execute one decoded request; the answer verbs return their snapshot."""
+    verb = doc.get("op")
+    if verb == "ping":
+        return {"ok": True, "protocol": PROTOCOL_VERSION}
+    if verb == "register":
+        return service.register(
+            str(doc["name"]),
+            str(doc["algorithm"]),
+            query=decode_query(doc.get("query")),
+            deadline=doc.get("deadline"),
+        )
+    if verb == "query":
+        return service.read(str(doc["name"]))
+    if verb == "update":
+        batch = Batch([decode_update(op) for op in doc["ops"]])
+        seq = service.update(batch, deadline=doc.get("deadline"))
+        return {"ok": True, "seq": seq, "ops": len(batch)}
+    if verb == "watch":
+        return service.watch(
+            str(doc["name"]),
+            after_version=int(doc.get("after_version", -1)),
+            timeout=doc.get("timeout"),
+        )
+    if verb == "unregister":
+        service.unregister(str(doc["name"]), deadline=doc.get("deadline"))
+        return {"ok": True}
+    if verb == "stats":
+        return {"ok": True, "stats": service.stats(reset_window=bool(doc.get("reset", True)))}
+    raise ReproError(f"unknown protocol verb {verb!r}")
+
+
 def handle_request(service, doc: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one decoded request against a service; never raises.
 
@@ -118,46 +167,30 @@ def handle_request(service, doc: Dict[str, Any]) -> Dict[str, Any]:
     handler, let alone the service.
     """
     try:
-        verb = doc.get("op")
-        if verb == "ping":
-            return {"ok": True, "protocol": PROTOCOL_VERSION}
-        if verb == "register":
-            snapshot = service.register(
-                str(doc["name"]),
-                str(doc["algorithm"]),
-                query=decode_query(doc.get("query")),
-                deadline=doc.get("deadline"),
-            )
-            return snapshot_response(snapshot)
-        if verb == "query":
-            return snapshot_response(service.read(str(doc["name"])))
-        if verb == "update":
-            batch = Batch([decode_update(op) for op in doc["ops"]])
-            seq = service.update(batch, deadline=doc.get("deadline"))
-            return {"ok": True, "seq": seq, "ops": len(batch)}
-        if verb == "watch":
-            snapshot = service.watch(
-                str(doc["name"]),
-                after_version=int(doc.get("after_version", -1)),
-                timeout=doc.get("timeout"),
-            )
-            return snapshot_response(snapshot)
-        if verb == "unregister":
-            service.unregister(str(doc["name"]), deadline=doc.get("deadline"))
-            return {"ok": True}
-        if verb == "stats":
-            return {"ok": True, "stats": service.stats(reset_window=bool(doc.get("reset", True)))}
-        raise ReproError(f"unknown protocol verb {verb!r}")
+        result = _dispatch(service, doc)
+        if isinstance(result, AnswerSnapshot):
+            return snapshot_response(result)
+        return result
     except Exception as exc:  # typed error surface, connection survives
         return error_response(exc)
 
 
 def handle_line(service, line: str) -> str:
-    """One request line in, one response line out (no trailing newline)."""
+    """One request line in, one response line out (no trailing newline).
+
+    Byte-identical to ``json.dumps(handle_request(service, doc))``, but
+    an answer is spliced from its memo (:func:`snapshot_line`).
+    """
     try:
         doc = json.loads(line)
         if not isinstance(doc, dict):
             raise ValueError("request must be a JSON object")
     except ValueError as exc:
         return json.dumps(error_response(ReproError(f"malformed request: {exc}")))
-    return json.dumps(handle_request(service, doc))
+    try:
+        result = _dispatch(service, doc)
+        if isinstance(result, AnswerSnapshot):
+            return snapshot_line(result)
+    except Exception as exc:  # typed error surface, connection survives
+        result = error_response(exc)
+    return json.dumps(result)

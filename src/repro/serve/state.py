@@ -35,6 +35,23 @@ from ..errors import ReproError
 from ..resilience.sanitizer import publish_region
 
 
+class AnswerMemo:
+    """The wire text of one published answer object, filled lazily.
+
+    The first reader that serves the answer stores its JSON text here
+    (:func:`repro.serve.protocol.snapshot_line`); later readers splice
+    it in.  The writer never fills it.  A memo belongs to one answer
+    object: a re-publish that shares the answer shares the memo, a
+    changed answer gets a fresh one.  Two readers racing to fill it
+    store the same text, since it is a pure function of the answer.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self) -> None:
+        self.text: Optional[str] = None
+
+
 @dataclass(frozen=True)
 class AnswerSnapshot:
     """One immutable published answer of one standing query.
@@ -57,6 +74,9 @@ class AnswerSnapshot:
     changed:
         Number of output keys that changed versus the previous snapshot
         (0 for the initial publication).
+    memo:
+        The :class:`AnswerMemo` of ``answer``: shared with every snapshot
+        that shares the answer object.
     """
 
     name: str
@@ -65,6 +85,7 @@ class AnswerSnapshot:
     version: int
     answer: Any
     changed: int = 0
+    memo: AnswerMemo = field(default_factory=AnswerMemo, compare=False, repr=False)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -144,6 +165,7 @@ class SnapshotStore:
                     seq=seq,
                     version=previous.version,
                     answer=previous.answer,  # share: identical content
+                    memo=previous.memo,  # and its wire text
                 )
             else:
                 fresh[name] = AnswerSnapshot(

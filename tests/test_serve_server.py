@@ -3,6 +3,7 @@ differential isolation gate (concurrent readers vs a live write stream)."""
 
 import json
 import socket
+import sys
 import threading
 
 import pytest
@@ -18,7 +19,7 @@ from repro.serve import (
     run_load,
     verify_isolation,
 )
-from repro.serve.protocol import jsonable
+from repro.serve.protocol import handle_line, jsonable, snapshot_response
 from repro.session import ALGORITHM_PAIRS, DynamicGraphSession
 
 
@@ -186,6 +187,82 @@ class TestDifferentialIsolation:
         # Every recorded read was inside the contiguous prefix (writers
         # never shed), so none of the checks above were vacuous skips.
         assert max(seq for seq, _ in report.write_records) == 499
+
+
+class TestCachedAnswerLines:
+    """Reader threads hammer ``handle_line`` while the writer publishes
+    changed answers: every line must parse and must equal the published
+    snapshot of its own ``(seq, version)`` byte for byte, so memoized
+    answer text is never served under another version's header."""
+
+    def test_no_torn_cached_reads(self):
+        service = QueryService(DynamicGraphSession(make_graph()))
+        service.register("cc", "CC")
+        service.register("sssp", "SSSP", query=0)
+        published = {}
+        publish = service.store.publish
+
+        def recording_publish(answers, seq, algorithms):
+            fresh = publish(answers, seq, algorithms)
+            for name, snap in fresh.items():
+                published.setdefault((name, snap.seq, snap.version), []).append(snap)
+            return fresh
+
+        service.store.publish = recording_publish
+        for name in ("cc", "sssp"):
+            snap = service.read(name)
+            published[(name, snap.seq, snap.version)] = [snap]
+        service.start()
+        done = threading.Event()
+        lines, failures = [], []
+
+        def reader():
+            requests = [
+                json.dumps({"op": "query", "name": "cc"}),
+                json.dumps({"op": "query", "name": "sssp"}),
+                json.dumps({"op": "watch", "name": "cc", "after_version": -1}),
+            ]
+            seen = []
+            try:
+                while not done.is_set():
+                    for request in requests:
+                        seen.append(handle_line(service, request))
+            except Exception as exc:  # pragma: no cover - fail loudly
+                failures.append(exc)
+            lines.extend(seen)
+
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave readers and the writer finely
+        for t in readers:
+            t.start()
+        try:
+            for i in range(80):
+                node = 500 + i // 2
+                batch = (
+                    [EdgeInsertion(i % 5, node, weight=1.0 + i % 3)]
+                    if i % 2 == 0
+                    else [EdgeDeletion((i - 1) % 5, node)]
+                )
+                service.update(batch)
+        finally:
+            done.set()
+            for t in readers:
+                t.join(30.0)
+            sys.setswitchinterval(interval)
+            service.close(drain=False)
+
+        assert not any(t.is_alive() for t in readers)
+        assert not failures, failures
+        expected = {}
+        for text in lines:
+            doc = json.loads(text)
+            assert doc["ok"] is True, doc
+            key = (doc["name"], doc["seq"], doc["version"])
+            if key not in expected:
+                expected[key] = {json.dumps(snapshot_response(s)) for s in published[key]}
+            assert text in expected[key]
+        assert len(expected) > 10, "readers saw too few distinct versions"
 
 
 class TestLoadgen:
