@@ -409,26 +409,24 @@ class IncDFS:
             graph, first, last, parent, discovered, f_star, stack, result.engine_counter
         )
 
-        # Write back, recording ΔO.
+        # Write back, recording ΔO against the pre-apply values: a node
+        # deleted and re-inserted by this batch changes, it is not created.
+        # ``None`` marks a missing side, so a root's parent never enters ΔO
+        # on its own.
+        values = state.values
+        retired: Dict[Any, Any] = {}
         for v in removed:
-            old_interval = state.values.pop(v, None)
-            old_parent = state.values.pop((PARENT, v), None)
-            state.timestamps.pop(v, None)
-            state.timestamps.pop((PARENT, v), None)
-            if old_interval is not None:
-                result.changes[v] = (old_interval, None)
-                result.changes[(PARENT, v)] = (old_parent, None)
+            for key in (v, (PARENT, v)):
+                retired[key] = values.pop(key, None)
+                state.timestamps.pop(key, None)
         for v in first:
-            new_interval = (first[v], last[v])
-            new_parent = parent[v]
-            old_interval = state.values.get(v)
-            old_parent = state.values.get((PARENT, v))
-            if old_interval != new_interval:
-                result.changes[v] = (old_interval, new_interval)
-                result.scope.add(v)
-            if old_parent != new_parent:
-                result.changes[(PARENT, v)] = (old_parent, new_parent)
-                result.scope.add(v)
-            state.values[v] = new_interval
-            state.values[(PARENT, v)] = new_parent
+            for key, new in ((v, (first[v], last[v])), ((PARENT, v), parent[v])):
+                old = retired.pop(key) if key in retired else values.get(key)
+                if old != new:
+                    result.changes[key] = (old, new)
+                    result.scope.add(v)
+                values[key] = new
+        for key, old in retired.items():
+            if old is not None:
+                result.changes[key] = (old, None)
         return result

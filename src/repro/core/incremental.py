@@ -98,6 +98,24 @@ class IncrementalResult:
         )
 
 
+def compose_changes(
+    changes: Dict[Hashable, Tuple[Any, Any]], later: Dict[Hashable, Tuple[Any, Any]]
+) -> None:
+    """Fold a later ``ΔO`` into ``changes`` in place: first old value
+    wins, last new value wins, and keys whose value round-trips drop out.
+
+    Exact only when both sides are complete: a created variable carries
+    ``None`` as its old value and a retired one ``None`` as its new.
+    """
+    for key, (old, new) in later.items():
+        if key in changes:
+            old = changes[key][0]
+        if old == new:
+            changes.pop(key, None)
+        else:
+            changes[key] = (old, new)
+
+
 #: Coalescing window of :meth:`IncrementalAlgorithm.apply_stream`: unit
 #: ops buffered before one normalized apply.
 WINDOW = 16
@@ -114,18 +132,10 @@ class StreamResult:
     touched: int = 0         #: realized |AFF| summed over the applies
 
     def add(self, step: IncrementalResult) -> None:
-        """Fold one apply into the stream: first old value wins, last new
-        value wins, and keys whose value round-trips drop out."""
+        """Fold one apply into the stream (see :func:`compose_changes`)."""
         self.applies += 1
         self.touched += step.affected_size
-        changes = self.changes
-        for key, (old, new) in step.changes.items():
-            if key in changes:
-                old = changes[key][0]
-            if old == new:
-                changes.pop(key, None)
-            else:
-                changes[key] = (old, new)
+        compose_changes(self.changes, step.changes)
 
     def __repr__(self) -> str:
         return (
@@ -392,18 +402,6 @@ class IncrementalAlgorithm:
                 if vertex_op or len(pending) >= WINDOW:
                     flush()
         flush()
-
-        # Each apply seeds (re-)created variables silently at their initial
-        # value, so a delete-then-recreate across applies would compose to
-        # ``(old, None)``.  Settle every new side against the live fixpoint
-        # so the returned ΔO really maps Q(G) onto Q(G ⊕ ΔG).
-        values = state.values
-        for key, (old, _new) in list(result.changes.items()):
-            live = values.get(key)
-            if old == live:
-                del result.changes[key]
-            else:
-                result.changes[key] = (old, live)
         return result
 
 

@@ -53,7 +53,13 @@ class FixpointState:
 
     # ------------------------------------------------------------------
     def seed(self, key: Key, value: Value) -> None:
-        """Initialize a variable to ``x^⊥`` without counting or timestamping."""
+        """Initialize a variable to ``x^⊥`` without counting or timestamping.
+
+        Under a changelog the variable's prior value is recorded (``None``
+        for a created one), so ΔO covers created variables too.
+        """
+        if self.changelog is not None and key not in self.changelog:
+            self.changelog[key] = self.values.get(key)
         self.values[key] = value
         self.timestamps[key] = -1
 

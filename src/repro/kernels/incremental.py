@@ -563,6 +563,8 @@ def kernel_apply(
         timestamps.pop(key, None)
     for key, i in created:
         if i not in dead:
+            if key not in changelog:
+                changelog[key] = values.get(key)
             values[key] = decode_value(kspec, init[i], decode_map)
             timestamps[key] = -1
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.state import FixpointState
 from ..graph.graph import Graph
@@ -63,6 +63,8 @@ class QueryAudit:
     checked: int = 0                 #: variables actually examined
     findings: List[AuditFinding] = field(default_factory=list)
     healed: bool = False
+    #: ΔO of the healing recompute (empty unless ``healed``).
+    changes: Dict[Any, Tuple[Any, Any]] = field(default_factory=dict, repr=False)
 
     @property
     def clean(self) -> bool:

@@ -31,6 +31,10 @@ class SessionTransaction:
         """Snapshot the state of every ``RegisteredQuery`` in ``queries``."""
         return cls({registered.name: registered.state.copy() for registered in queries})
 
+    def values(self, name: str) -> Dict:
+        """The pre-window variable values of query ``name``."""
+        return self._states[name].values
+
     def rollback(self, queries, reference: Graph) -> int:
         """Reset every snapshotted query in ``queries`` to its pre-window
         state on a fresh copy of ``reference``; returns the count.

@@ -12,7 +12,9 @@ with the serving discipline a standing-query deployment needs:
 * **snapshot-isolated readers** — after every committed window the
   writer publishes immutable per-query answer snapshots tagged with the
   WAL sequence number (:mod:`repro.serve.state`); reads are served from
-  those and never block on writes;
+  those and never block on writes.  Publishing costs O(|ΔO|): only a
+  query whose window changed its output (or that was just registered)
+  is re-extracted, the others keep their previous snapshot;
 * **admission control** — the write queue is bounded
   (:class:`~repro.errors.Overloaded` on a full queue, the request is
   *not* enqueued), and every request may carry a deadline
@@ -34,15 +36,15 @@ import queue
 import threading
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
-from ..core.incremental import StreamResult
+from ..core.incremental import StreamResult, compose_changes
 from ..errors import Deadline, Overloaded, ReproError, ServiceClosed
 from ..graph.updates import Batch, Update
 from ..metrics.latency import DepthGauge, LatencyRecorder
 from ..resilience.sanitizer import claim_owner, release_owner
 from ..session import DynamicGraphSession
-from .state import AnswerSnapshot, SnapshotStore
+from .state import UNCHANGED, AnswerSnapshot, Revision, SnapshotStore
 
 
 @dataclass
@@ -117,6 +119,15 @@ class QueryService:
         self._counters = self._zero_counters()
         self._lifetime = self._zero_counters()
 
+        # Writer-only: each query's ΔO composed across the runs committed
+        # since the last publish, the names (re-)registered since, and the
+        # seq those runs reach.  A commit whose results never arrived (a
+        # stream that raised after committing) leaves the session's seq
+        # past it, and the next publish rebuilds every answer.
+        self._changes: Dict[str, Dict[Any, Any]] = {}
+        self._registered: Set[str] = set()
+        self._covered = session.seq
+
         # Queries registered before start() get their initial snapshots.
         self._publish()
 
@@ -130,6 +141,8 @@ class QueryService:
             "shed_overloaded": 0,
             "shed_deadline": 0,
             "rejected": 0,       # typed per-op failures (validation, ...)
+            "answers_reused": 0,   # published with the previous answer (empty ΔO)
+            "answers_rebuilt": 0,  # re-extracted (non-empty ΔO or registration)
         }
 
     # ------------------------------------------------------------------
@@ -273,6 +286,7 @@ class QueryService:
             # lint: allow(T001): pre-start path — the writer thread does
             # not exist yet, so the caller is the only thread alive here
             self.session.register(name, algorithm, query=query, listener=listener)
+            self._registered.add(name)
             self._publish()
             return self.store.get(name)
         op = _Op("register", self._deadline(deadline))
@@ -435,12 +449,13 @@ class QueryService:
         # update_stream logged one seq per batch, in order.
         for offset, op in enumerate(run):
             op.seq = base + 1 + offset
-        self._absorb_stream_stats(results, ops=len(run))
+        self._absorb(results, base, ops=len(run))
         return True
 
     def _apply_individually(self, run: List[_Op]) -> bool:
         committed = False
         for op in run:
+            base = self.session.seq
             try:
                 results = self.session.update_stream([op.batch], notify=True)
             except Exception as exc:
@@ -451,7 +466,7 @@ class QueryService:
                 continue
             op.seq = self.session.seq
             committed = True
-            self._absorb_stream_stats(results, ops=1)
+            self._absorb(results, base, ops=1)
         return committed
 
     def _apply_control(self, op: _Op) -> bool:
@@ -460,6 +475,7 @@ class QueryService:
                 self.session.register(
                     op.name, op.algorithm, query=op.query, listener=op.listener
                 )
+                self._registered.add(op.name)
             elif op.kind == "unregister":
                 self.session.unregister(op.name)
             else:  # pragma: no cover - unknown kinds never admitted
@@ -473,9 +489,15 @@ class QueryService:
         return True
 
     # ------------------------------------------------------------------
-    def _absorb_stream_stats(self, results: Dict[str, Any], ops: int) -> None:
+    def _absorb(self, results: Dict[str, Any], base: int, ops: int) -> None:
+        """Fold the results of one ``update_stream`` of ``ops`` batches,
+        committed after ``base``, into the pending per-query ΔO and the
+        apply counters."""
+        if base == self._covered:
+            self._covered = base + ops
         totals = {"applies": 0, "touched": 0}
-        for result in results.values():
+        for name, result in results.items():
+            compose_changes(self._changes.setdefault(name, {}), result.changes)
             if isinstance(result, StreamResult):
                 totals["applies"] += result.applies
                 totals["touched"] += result.touched
@@ -490,16 +512,43 @@ class QueryService:
                     counters[key] += value
 
     def _publish(self) -> None:
+        """Publish every query at the session's ``seq``, in O(|ΔO|).
+
+        A published query whose pending ΔO is empty keeps its snapshot
+        (:data:`~repro.serve.state.UNCHANGED`); one with a non-empty ΔO
+        is re-extracted once and published as a
+        :class:`~repro.serve.state.Revision` carrying |ΔO|.  A query
+        registered since the last publish, or not yet published, is
+        extracted in full, and so is every query when a committed batch's
+        ΔO is missing.
+        """
         session = self.session
+        changes, self._changes = self._changes, {}
+        registered, self._registered = self._registered, set()
+        rebuild = session.seq != self._covered
+        self._covered = session.seq
+        published = set(self.store.names())
         answers: Dict[str, Any] = {}
         algorithms: Dict[str, str] = {}
+        rebuilt = 0
         for name in session.queries():
+            delta = changes.get(name)
+            fresh = rebuild or name in registered or name not in published
+            if not fresh and not delta:
+                answers[name] = UNCHANGED
+                continue
             try:
-                answers[name] = session.answer(name)
+                answer = session.answer(name)
             except Exception:  # a torn query: keep serving the others
                 continue
-            registered = session._queries.get(name)
-            algorithms[name] = registered.algorithm if registered is not None else ""
+            rebuilt += 1
+            answers[name] = answer if fresh else Revision(answer, len(delta))
+            query = session._queries.get(name)
+            algorithms[name] = query.algorithm if query is not None else ""
+        with self._stats_lock:
+            for counters in (self._counters, self._lifetime):
+                counters["answers_reused"] += len(answers) - rebuilt
+                counters["answers_rebuilt"] += rebuilt
         self.store.publish(answers, seq=session.seq, algorithms=algorithms)
 
     def __repr__(self) -> str:

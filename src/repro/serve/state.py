@@ -6,11 +6,13 @@ session underneath makes it possible:
 * exactly **one** writer thread ever touches the
   :class:`~repro.session.DynamicGraphSession` (graph replicas, fixpoint
   states, WAL) — there is nothing to lock *inside* the session;
-* after every committed window the writer extracts each standing query's
-  answer (already a defensive copy, see
+* after every committed window the writer publishes each standing
+  query here as an immutable :class:`AnswerSnapshot` tagged with the WAL
+  sequence number the answer is consistent with.  A query whose window
+  ``ΔO`` is non-empty is re-extracted (a defensive copy, see
   :meth:`DynamicGraphSession.answer <repro.session.DynamicGraphSession.answer>`)
-  and publishes it here as an immutable :class:`AnswerSnapshot` tagged
-  with the WAL sequence number the answer is consistent with;
+  and handed over as a :class:`Revision`; one whose ``ΔO`` is empty is
+  handed over as :data:`UNCHANGED` and keeps its previous answer;
 * readers only ever see published snapshots.  A read never blocks on a
   write, never observes a mid-apply state, and always reports the exact
   fixpoint version (``seq``) its answer corresponds to — the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from ..errors import ReproError
 from ..resilience.sanitizer import publish_region
@@ -72,8 +74,10 @@ class AnswerSnapshot:
         The extracted ``Q(G)``.  Treat as immutable — it is never
         mutated after publication and may be shared by many readers.
     changed:
-        Number of output keys that changed versus the previous snapshot
-        (0 for the initial publication).
+        Size of the change versus the previous snapshot: the window's
+        |ΔO| when the writer supplied it (a :class:`Revision`), else the
+        number of output keys that differ; 0 for the initial publication
+        and whenever the answer is unchanged.
     memo:
         The :class:`AnswerMemo` of ``answer``: shared with every snapshot
         that shares the answer object.
@@ -95,6 +99,43 @@ class AnswerSnapshot:
             "version": self.version,
             "changed": self.changed,
         }
+
+
+class Revision(NamedTuple):
+    """A re-extracted answer and the size of the ``ΔO`` that produced it."""
+
+    answer: Any
+    changed: int
+
+
+class _Unchanged:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "UNCHANGED"
+
+
+#: Publishes a query whose window ``ΔO`` was empty: its previous snapshot
+#: (answer, memo, version) is kept, re-stamped at the new ``seq``.
+UNCHANGED = _Unchanged()
+
+
+def _restamp(previous: AnswerSnapshot, seq: int) -> AnswerSnapshot:
+    """``previous`` at ``seq`` with an unchanged answer.
+
+    A same-``seq`` publish keeps the very snapshot, so one
+    ``(name, seq, version)`` is only ever served with one ``changed``.
+    """
+    if previous.seq == seq:
+        return previous
+    return AnswerSnapshot(
+        name=previous.name,
+        algorithm=previous.algorithm,
+        seq=seq,
+        version=previous.version,
+        answer=previous.answer,  # share: identical content
+        memo=previous.memo,  # and its wire text
+    )
 
 
 def _answers_equal(a: Any, b: Any) -> bool:
@@ -131,11 +172,14 @@ class SnapshotStore:
     def publish(self, answers: Dict[str, Any], seq: int, algorithms: Dict[str, str]) -> Dict[str, AnswerSnapshot]:
         """Atomically publish one consistent set of answers at ``seq``.
 
-        ``answers`` maps query name → freshly-extracted answer;
-        ``algorithms`` maps name → algorithm-pair name.  Every named
-        query gets a new snapshot tagged ``seq``; its version bumps only
-        when the answer changed.  Queries absent from ``answers`` are
-        retired (unregistered).  Returns the new snapshot map.
+        ``answers`` maps query name → a freshly-extracted answer, a
+        :class:`Revision` (answer plus its |ΔO|, taken as ``changed``),
+        or :data:`UNCHANGED` for a published query whose answer did not
+        move; ``algorithms`` maps name → algorithm-pair name.  Every
+        named query is tagged ``seq``; its version bumps only when the
+        answer differs from the published one.  Queries absent from
+        ``answers`` are retired (unregistered).  Returns the new
+        snapshot map.
         """
         # publish_region is the dynamic sanitizer's serial-publication /
         # monotonic-seq assertion (no-op unless REPRO_TSAN is armed).
@@ -150,6 +194,14 @@ class SnapshotStore:
         fresh: Dict[str, AnswerSnapshot] = {}
         for name, answer in answers.items():
             previous = current.get(name)
+            if answer is UNCHANGED:
+                if previous is None:
+                    raise ReproError(f"query {name!r} has no snapshot to keep")
+                fresh[name] = _restamp(previous, seq)
+                continue
+            changed = None
+            if isinstance(answer, Revision):
+                answer, changed = answer
             if previous is None:
                 fresh[name] = AnswerSnapshot(
                     name=name,
@@ -159,14 +211,7 @@ class SnapshotStore:
                     answer=answer,
                 )
             elif _answers_equal(previous.answer, answer):
-                fresh[name] = AnswerSnapshot(
-                    name=name,
-                    algorithm=previous.algorithm,
-                    seq=seq,
-                    version=previous.version,
-                    answer=previous.answer,  # share: identical content
-                    memo=previous.memo,  # and its wire text
-                )
+                fresh[name] = _restamp(previous, seq)
             else:
                 fresh[name] = AnswerSnapshot(
                     name=name,
@@ -174,7 +219,9 @@ class SnapshotStore:
                     seq=seq,
                     version=previous.version + 1,
                     answer=answer,
-                    changed=_count_changed(previous.answer, answer),
+                    changed=(
+                        _count_changed(previous.answer, answer) if changed is None else changed
+                    ),
                 )
         with self._cond:
             self._snapshots = fresh

@@ -64,7 +64,7 @@ from .algorithms import (
     Simfp,
     WidestPath,
 )
-from .core.incremental import IncrementalResult, StreamResult
+from .core.incremental import IncrementalResult, StreamResult, compose_changes
 from .core.state import FixpointState
 from .errors import (
     FixpointError,
@@ -281,7 +281,10 @@ class DynamicGraphSession:
         original error as its cause.  A query whose drain runs away
         (:class:`~repro.errors.FixpointError`) or that faults
         ``quarantine_after`` times in a row is quarantined instead and
-        recomputed by its batch algorithm.
+        recomputed by its batch algorithm.  An audit cadence that heals
+        a query folds the recompute into that query's ``ΔO``, so each
+        result maps the query's values before the window onto its values
+        after it.
         :class:`~repro.resilience.InjectedFault` models a hard crash and
         propagates as-is — no rollback, no abort record — leaving exactly
         the on-disk state :meth:`recover` must handle.
@@ -301,14 +304,14 @@ class DynamicGraphSession:
         apply_starting(self, seqs[-1], durable=self._wal is not None)
         txn = SessionTransaction.begin(self._queries.values())
         try:
-            results = self._maintain(stream, seqs[-1])
+            results = self._maintain(stream, seqs[-1], txn)
         except InjectedFault:
             raise  # simulated crash: the process is presumed dead mid-window
         except Exception as exc:
             self._fail_batch(txn, seqs, exc)
         if notify:
             self._notify(results)
-        self._run_cadences()
+        self._run_cadences(results)
         return results
 
     # ------------------------------------------------------------------
@@ -343,7 +346,9 @@ class DynamicGraphSession:
         self._seq = seq
         return seq
 
-    def _maintain(self, stream: List[Batch], seq: int) -> Dict[str, Any]:
+    def _maintain(
+        self, stream: List[Batch], seq: int, txn: Optional[SessionTransaction] = None
+    ) -> Dict[str, Any]:
         """One maintenance step per query, then ``G ⊕ ΔG`` on the reference.
 
         Each healthy query drives the window through its incremental
@@ -354,7 +359,9 @@ class DynamicGraphSession:
         quarantines it; any other error fails the window until the query
         has faulted ``quarantine_after`` times in a row.  Quarantined
         queries are recomputed by their batch algorithm on a post-window
-        copy.  The reference graph absorbs the window last, so until
+        copy; with the window's transaction ``txn`` their ``ΔO`` starts
+        from its pre-window snapshot, not from a state a failed apply
+        tore.  The reference graph absorbs the window last, so until
         everything else succeeded it still is the pre-window graph a
         rollback rebuilds replicas from.
         """
@@ -422,7 +429,9 @@ class DynamicGraphSession:
             for batch in stream:
                 apply_updates(after, batch)
             for registered in recompute:
-                results[registered.name] = self._recompute(registered, after)
+                results[registered.name] = self._recompute(
+                    registered, after, None if txn is None else txn.values(registered.name)
+                )
         for batch in stream:
             apply_updates(self.graph, batch)
             self._batches_applied += 1
@@ -436,16 +445,22 @@ class DynamicGraphSession:
         return results
 
     def _recompute(
-        self, registered: RegisteredQuery, graph: Optional[Graph] = None
+        self,
+        registered: RegisteredQuery,
+        graph: Optional[Graph] = None,
+        old_values: Optional[Dict] = None,
     ) -> IncrementalResult:
         """Rebuild one query's replica and state from ``graph``.
 
         ``graph`` defaults to the session's authoritative ``self.graph``;
         either way the replica is a fresh copy, so this is correct even
-        when the query's own replica was torn by a failed apply.
+        when the query's own replica was torn by a failed apply.  The
+        returned ``ΔO`` runs from ``old_values`` (default: the current
+        state's values) to the recomputed ones.
         """
         replica = (self.graph if graph is None else graph).copy()
-        old_values = registered.state.values
+        if old_values is None:
+            old_values = registered.state.values
         state = registered.batch.run(replica, registered.query)
         registered.reset(replica, state)
         return IncrementalResult(changes=_diff_values(old_values, state.values))
@@ -487,7 +502,7 @@ class DynamicGraphSession:
                         seq=self._seq,
                     )
 
-    def _run_cadences(self) -> None:
+    def _run_cadences(self, results: Dict[str, Any]) -> None:
         cfg = self.config
         if (
             self._wal is not None
@@ -501,7 +516,9 @@ class DynamicGraphSession:
             except Exception:
                 pass  # recorded as a checkpoint-error incident
         if cfg.audit_every and self._batches_applied % cfg.audit_every == 0:
-            self.audit(sample=cfg.audit_sample)
+            for entry in self.audit(sample=cfg.audit_sample).entries:
+                if entry.healed:
+                    compose_changes(results[entry.query].changes, entry.changes)
 
     # ------------------------------------------------------------------
     # Durability
@@ -666,7 +683,7 @@ class DynamicGraphSession:
                 )
                 registered.quarantined = True
                 if heal:
-                    self._recompute(registered)
+                    entry.changes = self._recompute(registered).changes
                     entry.healed = True
                     self.incidents.record(
                         "self-heal",

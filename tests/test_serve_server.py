@@ -265,6 +265,28 @@ class TestCachedAnswerLines:
         assert len(expected) > 10, "readers saw too few distinct versions"
 
 
+class TestShutdownPublish:
+    """The writer's final publish on close re-publishes the last ``seq``:
+    it must keep each snapshot as served, so one ``(name, seq, version)``
+    never carries two ``changed`` values."""
+
+    def test_close_keeps_the_last_snapshot(self):
+        service = QueryService(DynamicGraphSession(make_graph()))
+        service.register("cc", "CC")
+        service.register("sssp", "SSSP", query=0)
+        service.start()
+        service.update([EdgeInsertion(0, 9, weight=1.0)])
+        before = {name: service.read(name) for name in ("cc", "sssp")}
+        assert all(snap.changed == 1 for snap in before.values())
+        service.close()
+        for name, snap in before.items():
+            after = service.read(name)
+            assert (after.seq, after.version, after.changed) == (
+                snap.seq, snap.version, snap.changed,
+            )
+            assert after is snap
+
+
 class TestLoadgen:
     def test_run_load_closed_loop_verifies_clean(self, server):
         host, port = server.address

@@ -238,10 +238,64 @@ class TestStatsWindows:
         assert service.stats(reset_window=False)["window"]["ops"] == 1
         assert service.stats(reset_window=False)["window"]["ops"] == 1
 
+    def test_publish_counts_reused_and_rebuilt_answers(self, service):
+        service.stats()  # drop the registrations' initial publishes
+        # A heavy chord moves neither the component nor any distance:
+        # both answers keep their snapshots.
+        service.update(EdgeInsertion(0, 3, weight=100.0))
+        unchanged = service.stats()["window"]
+        assert (unchanged["answers_reused"], unchanged["answers_rebuilt"]) == (2, 0)
+        # A new leaf changes both: each is re-extracted once.
+        before = service.read("sssp")
+        service.update(EdgeInsertion(3, 30, weight=1.0))
+        changed = service.stats()
+        assert (changed["window"]["answers_reused"], changed["window"]["answers_rebuilt"]) == (0, 2)
+        assert changed["lifetime"]["answers_rebuilt"] == 4  # 2 initial + 2
+        after = service.read("sssp")
+        assert (after.version, after.changed) == (before.version + 1, 1)
+
     def test_queue_depth_gauge(self, service):
         stats = service.stats()
         assert stats["queue"]["capacity"] == 256
         assert stats["queue"]["depth"] >= 0
+
+
+class _CommitThenRaise(DynamicGraphSession):
+    """A session whose next ``update_stream`` commits and then raises, as
+    a failing shard scatter or audit does after the writer committed."""
+
+    raise_after_commit = False
+
+    def update_stream(self, stream, notify=False):
+        results = super().update_stream(stream, notify=notify)
+        if self.raise_after_commit:
+            self.raise_after_commit = False
+            raise ReproError("failed after the window committed")
+        return results
+
+
+class TestPublishAfterLostResults:
+    def test_a_commit_without_results_rebuilds_every_answer(self):
+        g = from_edges([(0, 1), (1, 2), (2, 3)], weights=[1.0, 2.0, 3.0])
+        session = _CommitThenRaise(g)
+        service = QueryService(session)
+        service.register("cc", "CC")
+        service.register("sssp", "SSSP", query=0)
+        service.start()
+        try:
+            session.raise_after_commit = True
+            # Committed, then raised: the op-by-op retry is rejected
+            # because the edge already exists, so nothing is published.
+            with pytest.raises(ReproError):
+                service.update(EdgeInsertion(3, 30, weight=1.0))
+            # A window whose own ΔO is empty still publishes the lost one.
+            service.update(EdgeInsertion(0, 3, weight=100.0))
+            for name in ("cc", "sssp"):
+                snap = service.read(name)
+                assert snap.answer == session.answer(name)
+                assert 30 in snap.answer and snap.version == 1
+        finally:
+            service.close(drain=False)
 
 
 class TestListenerIsolation:
