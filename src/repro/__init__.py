@@ -25,7 +25,7 @@ Package map
   function ``h`` of Figure 4, and boundedness verification.
 * :mod:`repro.algorithms` — SSSP, CC, Sim, DFS, LCC (batch + deduced).
 * :mod:`repro.baselines` — the competing dynamic algorithms of Section 6.
-* :mod:`repro.graph` — graphs, updates ΔG, temporal streams, CSR, I/O.
+* :mod:`repro.graph` — graphs, updates ΔG, temporal streams, I/O.
 * :mod:`repro.generators` — synthetic graphs, update streams, patterns.
 * :mod:`repro.datasets` — laptop-scale proxies of the paper's datasets.
 * :mod:`repro.bench` — the paper's experiments, run and recorded by the
@@ -82,7 +82,6 @@ from .errors import (
 )
 from .graph import (
     Batch,
-    CSRGraph,
     EdgeDeletion,
     EdgeEvent,
     EdgeInsertion,
@@ -103,7 +102,6 @@ __all__ = [
     "BatchAlgorithm",
     "BoundednessReport",
     "CCfp",
-    "CSRGraph",
     "CorenessFp",
     "DFSResult",
     "DFSfp",

@@ -112,67 +112,38 @@ def run_fixpoint(
     spec: FixpointSpec,
     graph: Graph,
     query: Any,
-    state: Optional[FixpointState] = None,
+    state: FixpointState,
     scope: Optional[Iterable] = None,
     max_evals: Optional[int] = None,
     relaxations: Optional[Iterable] = None,
-    engine: str = "auto",
 ) -> FixpointState:
-    """Run ``A`` (or resume it) until the scope empties.
+    """Resume ``A`` from ``state`` until the scope empties.
+
+    This is how the deduced incremental algorithm reuses the batch step
+    function (Eq. 2); a fresh batch run seeds ``D^⊥`` and its initial
+    scope first (:func:`run_batch`, which also picks the engine).
 
     Parameters
     ----------
     state:
-        ``None`` starts a fresh batch run from ``D^⊥``.  Passing a state
-        resumes the fixpoint from it — this is how the deduced incremental
-        algorithm reuses the batch step function (Eq. 2).
+        The status the run resumes from, updated in place.
     scope:
-        The initial scope ``H⁰``.  Defaults to ``spec.initial_scope`` for
-        fresh runs; must be supplied when resuming.
+        The initial scope ``H⁰``.  Required: ``None`` raises
+        :class:`~repro.errors.FixpointError`.
     max_evals:
         Optional safety valve; exceeding it raises
         :class:`~repro.errors.FixpointError` (useful when developing new
         specs whose update functions are not contracting).
-    engine:
-        ``"auto"`` (default) lowers fresh, uninstrumented runs of
-        kernel-declaring specs onto dense CSR arrays
-        (:mod:`repro.kernels.engine`), falling back to the generic
-        interpreter otherwise.  ``"generic"`` forces the interpreter;
-        ``"kernel"`` demands the dense path and raises
-        :class:`~repro.errors.FixpointError` when it is unavailable.
+    relaxations:
+        ``(cause, dep)`` pairs relaxed edge by edge before the drain
+        (push-capable specs only; see
+        :meth:`~repro.core.spec.FixpointSpec.relaxation_pairs`).
 
-    Returns the (possibly shared) :class:`FixpointState` at the fixpoint.
+    Returns ``state`` at the fixpoint.
     """
-    check_engine(engine)
     inject("engine.fixpoint")
-    fresh = state is None
-    if engine != "generic":
-        lowerable = (
-            fresh and scope is None and max_evals is None and relaxations is None
-        )
-        if lowerable:
-            from ..kernels.engine import try_run_batch
-
-            kernel_state = try_run_batch(spec, graph, query)
-            if kernel_state is not None:
-                return kernel_state
-        if engine == "kernel":
-            if not lowerable:
-                raise FixpointError(
-                    "engine='kernel' supports only fresh batch runs "
-                    "(no state/scope/max_evals/relaxations)"
-                )
-            from ..kernels.engine import unsupported_reason
-
-            raise FixpointError(
-                f"engine='kernel' unavailable: {unsupported_reason(spec, graph, query)}"
-            )
-    if fresh:
-        state = new_state(spec, graph, query)
     if scope is None:
-        if not fresh:
-            raise FixpointError("resuming a fixpoint requires an explicit scope")
-        scope = spec.initial_scope(graph, query)
+        raise FixpointError("resuming a fixpoint requires an explicit scope")
 
     order = spec.order
     counter = state.counter
@@ -308,7 +279,7 @@ def run_batch(
     """Convenience: a full batch run of ``A`` on ``(Q, G)`` from ``D^⊥``.
 
     With ``engine="auto"`` (default), uninstrumented runs of
-    kernel-declaring specs take the dense CSR path; any live
+    kernel-declaring specs take the dense kernel path; any live
     :class:`~repro.metrics.counters.AccessCounter` forces the generic
     interpreter (the kernels do not emit per-access events).
     """

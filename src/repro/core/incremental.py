@@ -148,7 +148,7 @@ class BatchAlgorithm:
     """A runnable batch algorithm ``A`` wrapping a :class:`FixpointSpec`.
 
     ``engine`` selects the execution path for :meth:`run` — ``"auto"``
-    (dense CSR kernels when the spec declares one and no counter is
+    (dense kernels when the spec declares one and no counter is
     live), ``"generic"``, or ``"kernel"`` (raise rather than fall back).
     """
 

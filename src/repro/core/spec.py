@@ -8,8 +8,9 @@ incrementalization of Section 4 — the partial order making the algorithm
 contracting and monotonic, the anchor sets ``C_{x_i}``, and the mapping
 from updates ``ΔG`` to variables whose input sets evolve.
 
-Given a spec, :func:`repro.core.engine.run_fixpoint` executes the batch
-computation (Eq. 1), and :class:`repro.core.incremental.IncrementalAlgorithm`
+Given a spec, :func:`repro.core.engine.run_batch` executes the batch
+computation (Eq. 1) through the step-function driver
+:func:`~repro.core.engine.run_fixpoint`, and :class:`repro.core.incremental.IncrementalAlgorithm`
 deduces the incremental counterpart ``A_Δ`` (Eqs. 2–3) using the generic
 initial scope function of Figure 4.
 """
@@ -164,7 +165,7 @@ class FixpointSpec(ABC):
         one of the scalar combine operators of
         :mod:`repro.kernels.spec` can return a
         :class:`~repro.kernels.spec.KernelSpec` here; the engines then
-        lower eligible runs onto flat CSR arrays with no per-edge Python
+        lower eligible runs onto dense arrays with no per-edge Python
         dispatch (see ``docs/performance.md``).  The declaration is a
         *claim* checked by lint rule S008 — the scalar kernel must agree
         with ``edge_candidate`` on sampled inputs — and by the

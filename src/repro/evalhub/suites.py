@@ -202,7 +202,8 @@ SUITES: Dict[str, Suite] = {
     for suite in (
         Suite(
             "kernels",
-            "generic vs CSR kernel engine (batch, incremental streams, incremental by |ΔG|)",
+            "generic vs dense kernel engine "
+            "(batch, high-diameter tail, incremental streams, incremental by |ΔG|)",
             _kernels_runner,
             trends=(
                 TrendSpec("speedup", ("name", "edges")),

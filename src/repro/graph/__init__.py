@@ -1,6 +1,5 @@
-"""Graph substrate: mutable graphs, updates ΔG, temporal streams, CSR, I/O."""
+"""Graph substrate: mutable graphs, updates ΔG, temporal streams, I/O."""
 
-from .csr import CSRGraph
 from .graph import DEFAULT_WEIGHT, Edge, Graph, Node, from_edges
 from .temporal import EdgeEvent, TemporalGraph
 from .updates import (
@@ -16,7 +15,6 @@ from .updates import (
 
 __all__ = [
     "Batch",
-    "CSRGraph",
     "DEFAULT_WEIGHT",
     "Edge",
     "EdgeDeletion",

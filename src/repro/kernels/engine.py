@@ -1,24 +1,25 @@
-"""Dense batch execution: the push loop of Eq. 1 on flat CSR arrays.
+"""Dense batch execution and the scalar push drain both kernel engines share.
 
 :func:`try_run_batch` lowers a full batch run of a kernel-declaring spec
-(:meth:`~repro.core.spec.FixpointSpec.kernel`) onto a
-:class:`~repro.graph.csr.CSRGraph` snapshot: node ids densified to
-``0..n-1``, values mirrored into the encoded minimizing domain of
-:mod:`repro.kernels.spec`, and the fixpoint computed as *round-synchronous
-numpy sweeps* over the reverse-CSR — per round, one fancy-indexed gather
-evaluates every edge's scalar combine, ``minimum.reduceat`` reduces each
-node's in-candidates, and ``np.minimum`` merges the result into the
-value vector, so the per-edge work runs in C with O(1) Python calls per
-round.  Only each node's *last* write is replayed into the state, sorted
-by round — a valid ``<_C`` linearization, because at a fixpoint a
-variable's anchor settled in a strictly earlier round.  Past
-:data:`_BF_ROUND_CAP` rounds (high-diameter graphs, where synchronous
-sweeps degrade) the live frontier is handed to :func:`_propagate_csr`, a
-scalar heap/FIFO drain with the combine inlined — no per-edge Python
-dispatch, no dict hashing.  The synchronous schedule reaches exactly the
-asynchronous fixpoint: the encoded spec is monotone and contracting, so
-the fixpoint is unique, and numpy float64 arithmetic matches Python
-floats bit-for-bit.
+(:meth:`~repro.core.spec.FixpointSpec.kernel`) onto dense arrays: node
+ids densified to ``0..n-1``, values mirrored into the encoded minimizing
+domain of :mod:`repro.kernels.spec`, and the fixpoint computed as
+*round-synchronous numpy sweeps* over the reverse-CSR — per round, one
+fancy-indexed gather evaluates every edge's scalar combine,
+``minimum.reduceat`` reduces each node's in-candidates, and
+``np.minimum`` merges the result into the value vector, so the per-edge
+work runs in C with O(1) Python calls per round.  Only each node's
+*last* write is replayed into the state, sorted by round — a valid
+``<_C`` linearization, because at a fixpoint a variable's anchor settled
+in a strictly earlier round.  Past :data:`_BF_ROUND_CAP` rounds
+(high-diameter graphs, where synchronous sweeps degrade) the live
+frontier is handed to :func:`drain` over :func:`dense_rows` — the same
+scalar heap/FIFO loop, over the same row dicts, that
+:func:`~repro.kernels.incremental.kernel_apply` resumes after each
+update batch.  The synchronous schedule reaches exactly the asynchronous
+fixpoint: the encoded spec is monotone and contracting, so the fixpoint
+is unique, and numpy float64 arithmetic matches Python floats
+bit-for-bit.
 
 The function returns ``None`` whenever the run cannot be lowered
 faithfully (no kernel declared, unencodable values, colliding node-id
@@ -27,9 +28,9 @@ source node); callers then fall back to the generic engine, which either
 runs the spec or raises the same errors it always did.
 
 Hot-loop conventions (shared with :mod:`repro.kernels.incremental`):
-the CSR arrays are plain Python lists so the loops index unboxed
-ints/floats (numpy scalar boxing costs more than it saves at these
-sizes), writes are appended to a log replayed into the
+values and rows hold plain Python floats and ints, so the loops index
+unboxed scalars (numpy scalar boxing costs more than it saves at these
+sizes); writes are appended to a log replayed into the
 :class:`~repro.core.state.FixpointState` afterwards — preserving write
 *order*, hence a valid timestamp linearization of ``<_C`` for the weakly
 deducible specs — and relaxations into a pinned source are skipped,
@@ -41,14 +42,13 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import chain
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.spec import FixpointSpec
 from ..core.state import FixpointState
-from ..graph.csr import CSRGraph
-from ..graph.graph import Graph
+from ..graph.graph import Graph, Node
 from .spec import ADD, BOOL, MAXNEG, NODE, KernelSpec
 
 
@@ -211,11 +211,14 @@ def try_run_batch(spec: FixpointSpec, graph: Graph, query: Any) -> Optional[Fixp
         # High-diameter tail: finish asynchronously.  The push-engine
         # invariant holds — exactly the last round's writers have
         # unpropagated changes — so draining them completes the fixpoint.
-        csr = CSRGraph.from_graph(graph)
         val = val_np.tolist()
-        pops += _propagate_csr(
-            kspec, val, writes, frontier, csr.indptr, csr.indices, csr.weights, src
-        )
+        if kspec.prioritized:
+            work: Union[List[Tuple[float, int]], Deque[int]] = [(val[i], i) for i in frontier]
+            heapq.heapify(work)
+        else:
+            work = deque(frontier)
+        rows = dense_rows(graph._succ, node_of, index_of)
+        pops += drain(kspec, rows, val, writes, work, src)
 
     # Bulk-seed x^⊥ (same effect as per-node state.seed), then replay the
     # accepted-write log in order to lay down the <_C timestamps.  The
@@ -263,41 +266,56 @@ def _in_arrays(graph: Graph, node_of, index_of):
     return rindptr, rindices, rweights
 
 
-def _propagate_csr(
+def dense_rows(
+    adj: Dict[Node, Dict[Node, float]], node_of: List[Node], index_of: Optional[Dict[Node, int]]
+) -> List[Dict[int, float]]:
+    """One ``{dense neighbor: weight}`` dict per node, in ``node_of`` order.
+
+    ``index_of`` is ``None`` when the node ids are already the dense ids;
+    the rows are then plain copies (C-level, no per-edge lookup).
+    """
+    rows = map(adj.__getitem__, node_of)
+    if index_of is None:
+        return [row.copy() for row in rows]
+    get_index = index_of.__getitem__
+    return [dict(zip(map(get_index, row), row.values())) for row in rows]
+
+
+def drain(
     kspec: KernelSpec,
+    rows: List[Dict[int, float]],
     val: List[float],
     writes: List[Tuple[int, float]],
-    changed: List[int],
-    indptr: List[int],
-    indices: List[int],
-    weights: List[float],
+    work: Union[List[Tuple[float, int]], Deque[int]],
     src: int,
 ) -> int:
-    """Drain the worklist over CSR arrays.  Returns pops."""
+    """Push every change in ``work`` along ``rows`` to the fixpoint.  Returns pops.
+
+    ``work`` is a heap of ``(value, id)`` entries for prioritized specs
+    and a deque of distinct ids otherwise (FIFO with in-queue dedup).
+    Each accepted relaxation lowers ``val`` in place and is appended to
+    ``writes``; none relaxes into the pinned source ``src``.
+    """
     combine = kspec.combine
     pops = 0
     if kspec.prioritized:
-        heap: List[Tuple[float, int]] = [(val[i], i) for i in changed]
-        heapq.heapify(heap)
+        heap = work
         heappush, heappop = heapq.heappush, heapq.heappop
         while heap:
             d, i = heappop(heap)
             if d > val[i]:
                 continue  # stale entry; a better one was processed
             pops += 1
-            lo, hi = indptr[i], indptr[i + 1]
             if combine == ADD:
-                for k in range(lo, hi):
-                    j = indices[k]
-                    cand = d + weights[k]
+                for j, w in rows[i].items():
+                    cand = d + w
                     if cand < val[j] and j != src:
                         val[j] = cand
                         writes.append((j, cand))
                         heappush(heap, (cand, j))
             else:  # MAXNEG
-                for k in range(lo, hi):
-                    j = indices[k]
-                    nw = -weights[k]
+                for j, w in rows[i].items():
+                    nw = -w
                     cand = nw if nw > d else d
                     if cand < val[j] and j != src:
                         val[j] = cand
@@ -305,16 +323,14 @@ def _propagate_csr(
                         heappush(heap, (cand, j))
         return pops
 
-    # FIFO label propagation (COPY) with in-queue dedup.
-    dq = deque(changed)
-    inq = set(changed)
+    dq = work
+    inq = set(dq)
     while dq:
         i = dq.popleft()
         inq.discard(i)
         pops += 1
         v = val[i]
-        for k in range(indptr[i], indptr[i + 1]):
-            j = indices[k]
+        for j in rows[i]:
             if v < val[j] and j != src:
                 val[j] = v
                 writes.append((j, v))

@@ -21,7 +21,8 @@ encoded arrays.  Each apply then runs
    per-spec anchor enumeration, all reading *old* values through a lazy
    old-value dict;
 3. seed evaluations, per-edge insertion relaxations, and the resumed
-   push drain, with the scalar combine inlined over the rows;
+   push drain — :func:`~repro.kernels.engine.drain`, the scalar loop the
+   batch engine's high-diameter tail runs too;
 4. the mirror protocol: retired variables dropped, fresh ones seeded,
    and the ordered write log replayed into the dict state — so ``ΔO``,
    and a valid timestamp linearization of ``<_C``, come out exactly as
@@ -53,7 +54,7 @@ from ..core.incremental import IncrementalResult
 from ..core.spec import FixpointSpec
 from ..resilience.faults import inject
 from ..core.state import FixpointState
-from ..graph.graph import Graph, Node
+from ..graph.graph import Graph
 from ..graph.updates import (
     Batch,
     EdgeDeletion,
@@ -63,7 +64,7 @@ from ..graph.updates import (
     deleted_weights,
 )
 from ..metrics.counters import NullCounter
-from .engine import dense_ids, encode_values, lower
+from .engine import dense_ids, dense_rows, drain, encode_values, lower
 from .spec import (
     ADD,
     BOOL,
@@ -113,21 +114,6 @@ class KernelContext:
         )
 
 
-def _dense_rows(
-    adj: Dict[Node, Dict[Node, float]], node_of: List[Node], index_of: Optional[Dict[Node, int]]
-) -> List[Dict[int, float]]:
-    """One ``{dense neighbor: weight}`` dict per node, in ``node_of`` order.
-
-    ``index_of`` is ``None`` when the node ids are already the dense ids;
-    the rows are then plain copies (C-level, no per-edge lookup).
-    """
-    rows = map(adj.__getitem__, node_of)
-    if index_of is None:
-        return [row.copy() for row in rows]
-    get_index = index_of.__getitem__
-    return [dict(zip(map(get_index, row), row.values())) for row in rows]
-
-
 def build_context(
     spec: FixpointSpec, graph: Graph, state: FixpointState, query: Any
 ) -> Optional[KernelContext]:
@@ -161,9 +147,9 @@ def build_context(
     ctx.graph = graph
     ctx.state = state
     ctx.query = query
-    ctx.out_rows = _dense_rows(graph._succ, node_of, remap)
+    ctx.out_rows = dense_rows(graph._succ, node_of, remap)
     # Undirected graphs share one row list, as Graph._pred is Graph._succ.
-    ctx.in_rows = _dense_rows(graph._pred, node_of, remap) if graph.directed else ctx.out_rows
+    ctx.in_rows = dense_rows(graph._pred, node_of, remap) if graph.directed else ctx.out_rows
     ctx.node_of = node_of
     ctx.index_of = index_of
     ctx.init = init
@@ -195,7 +181,9 @@ def kernel_apply(
     the next apply then mirrors the graph afresh.
 
     The engine phase drains one scalar worklist — a heap for prioritized
-    specs, a FIFO otherwise — so its work scales with |AFF|, never n.
+    specs, a FIFO otherwise — through the shared
+    :func:`~repro.kernels.engine.drain`, so its work scales with |AFF|,
+    never n.
     The touched-node counters land in ``result.kernel_stats``.
     """
     if ctx is None or not ctx.matches(graph, state, query):
@@ -506,41 +494,7 @@ def kernel_apply(
                     inq.add(iv)
                     dq.append(iv)
 
-    pops = 0
-    if prioritized:
-        while heap:
-            d, i = heappop(heap)
-            if d > val[i]:
-                continue
-            pops += 1
-            if combine == ADD:
-                for j, w in out_rows[i].items():
-                    cand = d + w
-                    if cand < val[j] and j != src:
-                        val[j] = cand
-                        writes.append((j, cand))
-                        heappush(heap, (cand, j))
-            else:  # MAXNEG
-                for j, w in out_rows[i].items():
-                    nw = -w
-                    cand = nw if nw > d else d
-                    if cand < val[j] and j != src:
-                        val[j] = cand
-                        writes.append((j, cand))
-                        heappush(heap, (cand, j))
-    else:
-        while dq:
-            i = dq.popleft()
-            inq.discard(i)
-            pops += 1
-            v = val[i]
-            for j in out_rows[i]:
-                if v < val[j] and j != src:
-                    val[j] = v
-                    writes.append((j, v))
-                    if j not in inq:
-                        inq.add(j)
-                        dq.append(j)
+    pops = drain(kspec, out_rows, val, writes, heap if prioritized else dq, src)
 
     # ------------------------------------------------------------------
     # Finalize — the mirror protocol: drops, fresh seeds, ordered write

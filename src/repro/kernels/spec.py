@@ -6,7 +6,7 @@ interpreter overhead: each of their candidates is one arithmetic
 operation on two floats.  A :class:`KernelSpec` names that operation (and
 the value encoding that makes it apply), so the dense engines in
 :mod:`repro.kernels.engine` and :mod:`repro.kernels.incremental` can run
-the whole propagation loop over flat CSR arrays.
+the whole propagation loop over dense arrays.
 
 Unified minimizing encoding
 ---------------------------
@@ -80,7 +80,7 @@ class KernelSpec:
     undirected_only:
         True when the spec's dependency structure is the symmetric
         neighborhood (CC): the kernel then requires an undirected graph,
-        whose CSR rows already hold both edge directions.
+        whose adjacency rows already hold both edge directions.
     """
 
     combine: str

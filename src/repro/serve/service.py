@@ -438,14 +438,24 @@ class QueryService:
 
     def _apply_run(self, run: List[_Op]) -> bool:
         """Apply a run of update ops as one scheduled stream; on failure,
-        isolate per op so healthy batches still commit."""
-        base = self.session.seq
+        isolate per op so healthy batches still commit.
+
+        A stream that committed and then raised (a failing shard scatter
+        or audit) is never retried: its ops resolve with the error, and
+        the publish rebuilds the answers its lost results would have
+        updated.  ``batches_applied`` tells a commit apart from a
+        rollback; ``seq`` cannot, as a rolled-back window advances it.
+        """
+        session = self.session
+        base = session.seq
+        applied = session.batches_applied
         try:
-            results = self.session.update_stream(
-                [op.batch for op in run], notify=True
-            )
-        except Exception:
-            return self._apply_individually(run)
+            results = session.update_stream([op.batch for op in run], notify=True)
+        except Exception as exc:
+            if session.batches_applied == applied:
+                return self._apply_individually(run)
+            self._reject(run, exc)
+            return True
         # update_stream logged one seq per batch, in order.
         for offset, op in enumerate(run):
             op.seq = base + 1 + offset
@@ -454,20 +464,27 @@ class QueryService:
 
     def _apply_individually(self, run: List[_Op]) -> bool:
         committed = False
+        session = self.session
         for op in run:
-            base = self.session.seq
+            base = session.seq
+            applied = session.batches_applied
             try:
-                results = self.session.update_stream([op.batch], notify=True)
+                results = session.update_stream([op.batch], notify=True)
             except Exception as exc:
-                op.error = exc
-                with self._stats_lock:
-                    self._counters["rejected"] += 1
-                    self._lifetime["rejected"] += 1
+                committed |= session.batches_applied != applied
+                self._reject([op], exc)
                 continue
-            op.seq = self.session.seq
+            op.seq = session.seq
             committed = True
             self._absorb(results, base, ops=1)
         return committed
+
+    def _reject(self, ops: List[_Op], exc: Exception) -> None:
+        for op in ops:
+            op.error = exc
+        with self._stats_lock:
+            self._counters["rejected"] += len(ops)
+            self._lifetime["rejected"] += len(ops)
 
     def _apply_control(self, op: _Op) -> bool:
         try:
@@ -481,10 +498,7 @@ class QueryService:
             else:  # pragma: no cover - unknown kinds never admitted
                 raise ReproError(f"unknown op kind {op.kind!r}")
         except Exception as exc:
-            op.error = exc
-            with self._stats_lock:
-                self._counters["rejected"] += 1
-                self._lifetime["rejected"] += 1
+            self._reject([op], exc)
             return False
         return True
 

@@ -7,7 +7,9 @@ group (or with a dirty tree) must never be used as baselines.
 """
 
 import json
+import subprocess
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -277,9 +279,10 @@ class TestGates:
             load_gates(bad)
 
     def test_repo_gates_toml_parses(self):
-        root = repo_root()
-        assert root is not None
-        gates = load_gates(root / "benchmarks" / "gates.toml")
+        # Located from this file, so it also runs outside a git checkout.
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "gates.toml"
+        assert path.is_file()
+        gates = load_gates(path)
         assert any(
             g.suite == "serve" and g.metric == "scatters_per_deletion_window" and g.max == 1.0
             for g in gates
@@ -337,25 +340,48 @@ class TestReport:
         assert report.count("### ") == 2
 
 
-class TestHostRecord:
-    def test_host_record_fields(self):
-        record = host_record()
-        assert record["available_cpus"] >= 1
-        assert record["git_sha"]  # tests run inside the checkout
-        assert record["git_dirty"] in (True, False)
+def git_checkout(root):
+    """A throwaway one-commit git repo at ``root``; returns its short sha."""
 
-    def test_registry_outputs_do_not_dirty_the_tree(self, tmp_path, monkeypatch):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=test", "-c", "user.email=test@example.com", *args],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+
+    root.mkdir(parents=True, exist_ok=True)
+    git("init", "-q")
+    (root / "README").write_text("probe\n")
+    git("add", "README")
+    git("commit", "-q", "-m", "probe")
+    return git("rev-parse", "--short", "HEAD")
+
+
+class TestHostRecord:
+    def test_host_record_fields(self, tmp_path):
+        sha = git_checkout(tmp_path / "repo")
+        record = host_record(start=tmp_path / "repo")
+        assert record["available_cpus"] >= 1
+        assert record["git_sha"] == sha
+        assert record["git_dirty"] is False
+        (tmp_path / "repo" / "README").write_text("edited\n")
+        assert host_record(start=tmp_path / "repo")["git_dirty"] is True
+
+    def test_registry_outputs_do_not_dirty_the_tree(self, tmp_path):
         # the dirty bit must ignore benchmarks/results — recording suite
         # A then suite B must not brand B's run dirty (see host_record).
-        before = host_record()
-        root = repo_root()
+        git_checkout(tmp_path / "repo")
+        root = repo_root(tmp_path / "repo")
+        assert root == (tmp_path / "repo").resolve()
+        before = host_record(start=root)
+        assert before["git_dirty"] is False
         scratch = root / "benchmarks" / "results" / "_dirty_probe.json"
         scratch.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            scratch.write_text("{}")
-            assert host_record()["git_dirty"] == before["git_dirty"]
-        finally:
-            scratch.unlink()
+        scratch.write_text("{}")
+        assert host_record(start=root)["git_dirty"] == before["git_dirty"]
 
 
 class TestBenchCLI:

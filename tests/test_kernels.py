@@ -10,6 +10,7 @@ from repro.algorithms.sssp import IncSSSP, SSSPSpec
 from repro.algorithms.sswp import SSWPSpec
 from repro.core import run_batch
 from repro.errors import FixpointError, IncrementalizationError
+from repro.generators import grid_2d
 from repro.graph import (
     Batch,
     EdgeDeletion,
@@ -264,6 +265,70 @@ class TestKernelIncremental:
         expected = IncSSSP(engine="generic").apply(want_g, want, op, 0)
         assert dict(state.values) == dict(want.values)
         assert got.changes == expected.changes
+
+
+def weighted_path(n, directed):
+    return from_edges(
+        [(i, i + 1) for i in range(n - 1)],
+        directed=directed,
+        weights=[1.0 + (7 * i) % 10 for i in range(n - 1)],
+    )
+
+
+class TestHighDiameterTail:
+    """Past ``_BF_ROUND_CAP`` numpy rounds the batch kernel hands its
+    frontier to the shared scalar drain; these graphs all get there."""
+
+    SOURCED = ((SSSPSpec, 0), (SSWPSpec, 0), (ReachSpec, 0))
+    ALL = SOURCED + ((CCSpec, None),)
+
+    @pytest.mark.parametrize(
+        "graph, cases",
+        [
+            (weighted_path(300, directed=True), SOURCED),
+            (weighted_path(300, directed=False), ALL),
+            (grid_2d(40, 40, seed=3), ALL),
+        ],
+        ids=["directed-path", "undirected-path", "grid"],
+    )
+    def test_tail_matches_generic(self, graph, cases, monkeypatch):
+        from repro.kernels import engine
+
+        calls = []
+        drain = engine.drain
+
+        def counting_drain(*args):
+            calls.append(args[0])
+            return drain(*args)
+
+        monkeypatch.setattr(engine, "drain", counting_drain)
+        for spec_cls, query in cases:
+            spec = spec_cls()
+            del calls[:]
+            got = run_batch(spec, graph, query, engine="kernel")
+            assert len(calls) == 1, f"{spec.name}: the tail did not run"
+            assert got.values == run_batch(spec, graph, query, engine="generic").values
+
+    @pytest.mark.parametrize(
+        "spec_cls, inc_cls, query",
+        [(SSSPSpec, IncSSSP, 0), (CCSpec, IncCC, None)],
+        ids=["SSSP", "CC"],
+    )
+    @pytest.mark.parametrize(
+        "graph",
+        [weighted_path(300, directed=False), grid_2d(40, 40, seed=3)],
+        ids=["undirected-path", "grid"],
+    )
+    def test_deletion_resumes_from_the_tail_state(self, graph, spec_cls, inc_cls, query):
+        # The incremental kernel reads the tail's values and its write
+        # order (CC's <_C) back; a deletion batch must land on the fixpoint.
+        edges = list(graph.edges())
+        delta = Batch([EdgeDeletion(u, v) for u, v in edges[len(edges) // 3 :: 97]])
+        for engine in ("generic", "kernel"):
+            g = graph.copy()
+            state = run_batch(spec_cls(), g, query, engine="kernel")
+            inc_cls(engine=engine).apply(g, state, delta, query)
+            assert state.values == run_batch(spec_cls(), g, query, engine="generic").values
 
 
 def run_mirrored(spec_cls, inc_cls, graph, query, batches):

@@ -90,20 +90,3 @@ def test_degree_sums(params):
     else:
         loops = sum(1 for u, v in g.edges() if u == v)
         assert sum(g.degree(v) for v in g.nodes()) == 2 * g.num_edges - loops
-
-
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=25))
-def test_csr_snapshot_preserves_adjacency(pairs):
-    g = Graph(directed=True)
-    for v in range(9):
-        g.ensure_node(v)
-    for u, v in pairs:
-        if not g.has_edge(u, v):
-            g.add_edge(u, v)
-    from repro.graph import CSRGraph
-
-    csr = CSRGraph.from_graph(g)
-    for v in g.nodes():
-        i = csr.index_of[v]
-        assert {csr.node_of[j] for j in csr.out_neighbors(i)} == set(g.out_neighbors(v))
-        assert {csr.node_of[j] for j in csr.in_neighbors(i)} == set(g.in_neighbors(v))

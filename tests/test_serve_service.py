@@ -284,16 +284,75 @@ class TestPublishAfterLostResults:
         service.start()
         try:
             session.raise_after_commit = True
-            # Committed, then raised: the op-by-op retry is rejected
-            # because the edge already exists, so nothing is published.
+            # Committed, then raised: the op resolves with the raised
+            # error, is not retried, and its window publishes by rebuild.
             with pytest.raises(ReproError):
                 service.update(EdgeInsertion(3, 30, weight=1.0))
-            # A window whose own ΔO is empty still publishes the lost one.
+            # A later window whose own ΔO is empty keeps those answers.
             service.update(EdgeInsertion(0, 3, weight=100.0))
             for name in ("cc", "sssp"):
                 snap = service.read(name)
                 assert snap.answer == session.answer(name)
                 assert 30 in snap.answer and snap.version == 1
+        finally:
+            service.close(drain=False)
+
+
+    def test_a_committed_run_is_not_reapplied(self):
+        # The window +(3,30), −(3,30) commits as one stream, which then
+        # raises.  Re-applying its ops one by one would commit both again.
+        g = from_edges([(0, 1), (1, 2), (2, 3)], weights=[1.0, 2.0, 3.0])
+        session = _CommitThenRaise(g)
+        service = QueryService(session)
+        service.register("sssp", "SSSP", query=0)
+        outcomes = {}
+
+        def submit(label, update):
+            try:
+                outcomes[label] = service.update(update)
+            except Exception as exc:
+                outcomes[label] = exc
+
+        submitters = [
+            threading.Thread(target=submit, args=("insert", EdgeInsertion(3, 30, weight=1.0))),
+            threading.Thread(target=submit, args=("delete", EdgeDeletion(3, 30))),
+        ]
+        try:
+            for queued, thread in enumerate(submitters, start=1):
+                thread.start()  # one at a time, so the window keeps this order
+                deadline = time.monotonic() + 5.0
+                while service._queue.qsize() < queued and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert service._queue.qsize() == queued
+            session.raise_after_commit = True
+            service.start()
+            for thread in submitters:
+                thread.join(5.0)
+            assert session.batches_applied == 2
+            for label in ("insert", "delete"):
+                error = outcomes[label]
+                assert isinstance(error, ReproError), label
+                assert not isinstance(error, BatchValidationError), label
+                assert "after the window committed" in str(error)
+            assert not session.graph.has_edge(3, 30)
+            snap = service.read("sssp")
+            assert snap.answer == session.answer("sssp")
+            assert snap.seq == session.seq
+        finally:
+            service.close(drain=False)
+
+    def test_a_committed_single_op_is_not_rejected_as_present(self):
+        g = from_edges([(0, 1), (1, 2), (2, 3)], weights=[1.0, 2.0, 3.0])
+        session = _CommitThenRaise(g)
+        service = QueryService(session)
+        service.register("sssp", "SSSP", query=0)
+        service.start()
+        try:
+            session.raise_after_commit = True
+            with pytest.raises(ReproError, match="after the window committed"):
+                service.update(EdgeInsertion(3, 30, weight=1.0))
+            assert session.batches_applied == 1
+            assert service.read("sssp").answer[30] == 7.0
         finally:
             service.close(drain=False)
 
