@@ -1,15 +1,15 @@
 """Dense kernel engines for hot fixpoint loops.
 
-This package lowers push-capable node-keyed specs onto flat arrays: a
-:class:`~repro.kernels.spec.KernelSpec` declares the scalar combine a
+This package lowers push-capable node-keyed specs onto dense row dicts:
+a :class:`~repro.kernels.spec.KernelSpec` declares the scalar combine a
 spec's ``edge_candidate`` reduces to, :mod:`repro.kernels.engine` runs
-batch fixpoints as numpy round sweeps over a reverse-CSR, and
-:mod:`repro.kernels.incremental` resumes them across update batches on
-mutable row dicts in dense ids that each apply edits in place.  Both
-share one lowering (:func:`~repro.kernels.engine.lower`), one row
-builder (:func:`~repro.kernels.engine.dense_rows`) and one scalar
-heap/FIFO push loop (:func:`~repro.kernels.engine.drain`), which the
-batch engine runs past its round cap and the incremental engine after
+batch fixpoints, and :mod:`repro.kernels.incremental` resumes them
+across update batches on mutable row dicts in dense ids that each apply
+edits in place.  Both share one lowering
+(:func:`~repro.kernels.engine.lower`), one row builder
+(:func:`~repro.kernels.engine.dense_rows`) and one scalar heap/FIFO push
+loop (:func:`~repro.kernels.engine.drain`), which the batch engine seeds
+at the source (or at every node) and the incremental engine runs after
 each repair.  Selection is
 automatic (the ``engine="auto"`` default of the core drivers);
 everything here falls back to the generic interpreter rather than guess

@@ -1,25 +1,20 @@
 """Dense batch execution and the scalar push drain both kernel engines share.
 
 :func:`try_run_batch` lowers a full batch run of a kernel-declaring spec
-(:meth:`~repro.core.spec.FixpointSpec.kernel`) onto dense arrays: node
-ids densified to ``0..n-1``, values mirrored into the encoded minimizing
-domain of :mod:`repro.kernels.spec`, and the fixpoint computed as
-*round-synchronous numpy sweeps* over the reverse-CSR — per round, one
-fancy-indexed gather evaluates every edge's scalar combine,
-``minimum.reduceat`` reduces each node's in-candidates, and
-``np.minimum`` merges the result into the value vector, so the per-edge
-work runs in C with O(1) Python calls per round.  Only each node's
-*last* write is replayed into the state, sorted by round — a valid
-``<_C`` linearization, because at a fixpoint a variable's anchor settled
-in a strictly earlier round.  Past :data:`_BF_ROUND_CAP` rounds
-(high-diameter graphs, where synchronous sweeps degrade) the live
-frontier is handed to :func:`drain` over :func:`dense_rows` — the same
-scalar heap/FIFO loop, over the same row dicts, that
+(:meth:`~repro.core.spec.FixpointSpec.kernel`) onto dense row dicts:
+node ids densified to ``0..n-1``, values mirrored into the encoded
+minimizing domain of :mod:`repro.kernels.spec`, and the fixpoint
+computed by :func:`drain` over :func:`dense_rows` — the scalar heap/FIFO
+push loop, over the same row dicts, that
 :func:`~repro.kernels.incremental.kernel_apply` resumes after each
-update batch.  The synchronous schedule reaches exactly the asynchronous
-fixpoint: the encoded spec is monotone and contracting, so the fixpoint
-is unique, and numpy float64 arithmetic matches Python floats
-bit-for-bit.
+update batch.  The batch run seeds it with the source alone when the
+spec has one (every other variable starts at the top, ``x^⊥``, so only
+the source can lower a neighbour) and with every node otherwise (CC,
+where each node starts at its own label).  Prioritized specs drain in
+Dijkstra order (Figure 1), the others as FIFO min-label propagation
+(Example 2).  Every accepted write is replayed into the state in order,
+so the timestamps are those of a push drain and invariant (I) of
+``docs/theory.md`` holds by the same argument as for an apply.
 
 The function returns ``None`` whenever the run cannot be lowered
 faithfully (no kernel declared, unencodable values, colliding node-id
@@ -29,8 +24,7 @@ runs the spec or raises the same errors it always did.
 
 Hot-loop conventions (shared with :mod:`repro.kernels.incremental`):
 values and rows hold plain Python floats and ints, so the loops index
-unboxed scalars (numpy scalar boxing costs more than it saves at these
-sizes); writes are appended to a log replayed into the
+unboxed scalars; writes are appended to a log replayed into the
 :class:`~repro.core.state.FixpointState` afterwards — preserving write
 *order*, hence a valid timestamp linearization of ``<_C`` for the weakly
 deducible specs — and relaxations into a pinned source are skipped,
@@ -41,10 +35,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import chain
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
-
-import numpy as np
 
 from ..core.spec import FixpointSpec
 from ..core.state import FixpointState
@@ -138,87 +129,32 @@ def unsupported_reason(spec: FixpointSpec, graph: Graph, query: Any) -> Optional
     return lowered if isinstance(lowered, str) else None
 
 
-#: Synchronous numpy rounds beyond this count mean a high-diameter graph
-#: where round-sweeps degrade; the engine then drains the live frontier
-#: with the scalar heap/FIFO loop instead.
-_BF_ROUND_CAP = 64
-
-
 def try_run_batch(spec: FixpointSpec, graph: Graph, query: Any) -> Optional[FixpointState]:
-    """A full batch run on dense arrays, or ``None`` to fall back."""
+    """A full batch run on dense row dicts, or ``None`` to fall back."""
     node_of = list(graph.nodes())
     lowered = lower(spec, graph, query, node_of)
     if isinstance(lowered, str):
         return None
     kspec, decode_map, init = lowered
-    n = len(node_of)
     # Graphs built with dense int ids (0..n-1 in order) need no index map.
     index_of = None if dense_ids(node_of) else {v: i for i, v in enumerate(node_of)}
+    # Seeds: the source alone (every other variable starts at the top),
+    # else every node, each holding its own initial label.
     if kspec.has_source:
         src = query if index_of is None else index_of[query]
+        seeds = [src]
     else:
         src = -1
-
-    # Round-synchronous relaxation (Jacobi sweeps): each round pulls
-    # every variable's candidates at once with vectorized numpy ops over
-    # the in-edge CSR.  The fixpoint of Eq. 1 is unique for a contracting
-    # monotone spec, so the synchronous schedule reaches exactly the
-    # values the generic engine's asynchronous one does.  Only each
-    # variable's *last* write is emitted, ordered by the round it landed
-    # in — a valid linearization of <_C, since at the fixpoint a
-    # variable's anchor settled in a strictly earlier round.
-    rindptr, rindices, rweights = _in_arrays(graph, node_of, index_of)
-    init_np = np.asarray(init, dtype=np.float64)
-    val_np = init_np.copy()
-    combine = kspec.combine
-    in_deg = np.diff(rindptr)
-    nonempty = np.flatnonzero(in_deg > 0)
-    red_starts = rindptr[:-1][nonempty]
-    pulled = np.full(n, np.inf)  # rows with no in-edges never leave top
-    last_round = np.zeros(n, dtype=np.int64)
-    rounds = 0
-    pops = 0
-    frontier: Optional[List[int]] = None
-    while True:
-        if combine == ADD:
-            cand = val_np[rindices] + rweights
-        elif combine == MAXNEG:
-            cand = np.maximum(val_np[rindices], -rweights)
-        else:
-            cand = val_np[rindices]
-        if red_starts.size:
-            pulled[nonempty] = np.minimum.reduceat(cand, red_starts)
-        new = np.minimum(val_np, pulled)
-        if src >= 0:
-            new[src] = init_np[src]  # the source is pinned at x^⊥
-        changed_np = np.flatnonzero(new < val_np)
-        if changed_np.size == 0:
-            break
-        rounds += 1
-        pops += int(changed_np.size)
-        last_round[changed_np] = rounds
-        val_np = new
-        if rounds >= _BF_ROUND_CAP:
-            frontier = changed_np.tolist()
-            break
-
-    written = np.flatnonzero(last_round)
-    written = written[np.argsort(last_round[written], kind="stable")]
-    writes: List[Tuple[int, float]] = list(
-        zip(written.tolist(), val_np[written].tolist())
-    )
-    if frontier is not None:
-        # High-diameter tail: finish asynchronously.  The push-engine
-        # invariant holds — exactly the last round's writers have
-        # unpropagated changes — so draining them completes the fixpoint.
-        val = val_np.tolist()
-        if kspec.prioritized:
-            work: Union[List[Tuple[float, int]], Deque[int]] = [(val[i], i) for i in frontier]
-            heapq.heapify(work)
-        else:
-            work = deque(frontier)
-        rows = dense_rows(graph._succ, node_of, index_of)
-        pops += drain(kspec, rows, val, writes, work, src)
+        seeds = range(len(node_of))
+    val = list(init)
+    if kspec.prioritized:
+        work: Union[List[Tuple[float, int]], Deque[int]] = [(val[i], i) for i in seeds]
+        heapq.heapify(work)
+    else:
+        work = deque(seeds)
+    writes: List[Tuple[int, float]] = []
+    rows = dense_rows(graph._succ, node_of, index_of)
+    pops = drain(kspec, rows, val, writes, work, src)
 
     # Bulk-seed x^⊥ (same effect as per-node state.seed), then replay the
     # accepted-write log in order to lay down the <_C timestamps.  The
@@ -232,7 +168,7 @@ def try_run_batch(spec: FixpointSpec, graph: Graph, query: Any) -> Optional[Fixp
     elif kspec.domain == BOOL:
         state.values = {node: v != 0.0 for node, v in zip(node_of, init)}
         decoded = [(node_of[i], v != 0.0) for i, v in writes]
-    elif combine == MAXNEG:
+    elif kspec.combine == MAXNEG:
         state.values = {node: -v + 0.0 for node, v in zip(node_of, init)}
         decoded = [(node_of[i], -v + 0.0) for i, v in writes]
     else:
@@ -242,28 +178,6 @@ def try_run_batch(spec: FixpointSpec, graph: Graph, query: Any) -> Optional[Fixp
     state.replay(decoded)
     state.rounds += pops
     return state
-
-
-def _in_arrays(graph: Graph, node_of, index_of):
-    """Reverse-CSR numpy arrays ``(rindptr, rindices, rweights)``.
-
-    ``index_of`` is ``None`` when node ids are already dense ints (the
-    index map is then the identity).  Reads the graph's predecessor dicts
-    wholesale, so the per-edge work runs in C inside ``fromiter``/``chain``.
-    For undirected graphs the predecessor dicts alias the successors,
-    whose rows already hold both directions.
-    """
-    rows = list(map(graph._pred.__getitem__, node_of))
-    rindptr = np.zeros(len(node_of) + 1, dtype=np.int64)
-    np.cumsum(list(map(len, rows)), out=rindptr[1:])
-    m = int(rindptr[-1])
-    tails = chain.from_iterable(rows)
-    if index_of is None:
-        rindices = np.fromiter(tails, np.int64, count=m)
-    else:
-        rindices = np.fromiter(map(index_of.__getitem__, tails), np.int64, count=m)
-    rweights = np.fromiter(chain.from_iterable(map(dict.values, rows)), np.float64, count=m)
-    return rindptr, rindices, rweights
 
 
 def dense_rows(
