@@ -203,7 +203,7 @@ SUITES: Dict[str, Suite] = {
         Suite(
             "kernels",
             "generic vs dense kernel engine "
-            "(batch, high-diameter tail, incremental streams, incremental by |ΔG|)",
+            "(batch, high-diameter grids, incremental streams, incremental by |ΔG|)",
             _kernels_runner,
             trends=(
                 TrendSpec("speedup", ("name", "edges")),

@@ -21,8 +21,8 @@ encoded arrays.  Each apply then runs
    per-spec anchor enumeration, all reading *old* values through a lazy
    old-value dict;
 3. seed evaluations, per-edge insertion relaxations, and the resumed
-   push drain — :func:`~repro.kernels.engine.drain`, the scalar loop the
-   batch engine's high-diameter tail runs too;
+   push drain — :func:`~repro.kernels.engine.drain`, the scalar loop a
+   batch kernel run is made of too;
 4. the mirror protocol: retired variables dropped, fresh ones seeded,
    and the ordered write log replayed into the dict state — so ``ΔO``,
    and a valid timestamp linearization of ``<_C``, come out exactly as
