@@ -413,10 +413,13 @@ class IncDFS:
         # deleted and re-inserted by this batch changes, it is not created.
         # ``None`` marks a missing side, so a root's parent never enters ΔO
         # on its own.
+        # The dicts are written directly, so an armed undo log is fed
+        # here; an unchanged variable is not rewritten and not logged.
         values = state.values
         retired: Dict[Any, Any] = {}
         for v in removed:
             for key in (v, (PARENT, v)):
+                state.touch(key)
                 retired[key] = values.pop(key, None)
                 state.timestamps.pop(key, None)
         for v in first:
@@ -425,6 +428,9 @@ class IncDFS:
                 if old != new:
                     result.changes[key] = (old, new)
                     result.scope.add(v)
+                elif key in values:
+                    continue
+                state.touch(key)
                 values[key] = new
         for key, old in retired.items():
             if old is not None:

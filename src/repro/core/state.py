@@ -15,12 +15,24 @@ previous fixpoint.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..metrics.counters import AccessCounter, NullCounter
 
 Key = Hashable
 Value = Any
+
+
+class _Absent:
+    """Undo-log marker for a value or timestamp that did not exist."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "ABSENT"
+
+
+ABSENT = _Absent()
 
 
 class FixpointState:
@@ -38,9 +50,15 @@ class FixpointState:
     and a variable's timestamp is the tick of its last change.  Variables
     never written retain timestamp ``-1`` (the paper's convention for
     Sim variables that start false).
+
+    While a session window runs, :attr:`undo` is a first-touch undo log:
+    every write path records ``key -> (old value, old timestamp)`` the
+    first time it touches ``key`` (:data:`ABSENT` for a missing side), so
+    :meth:`rewind` restores the pre-window variables in O(|written|).  It
+    is ``None`` outside a window.
     """
 
-    __slots__ = ("values", "timestamps", "clock", "counter", "rounds", "changelog")
+    __slots__ = ("values", "timestamps", "clock", "counter", "rounds", "changelog", "undo")
 
     def __init__(self, counter: Optional[AccessCounter] = None) -> None:
         self.values: Dict[Key, Value] = {}
@@ -50,6 +68,7 @@ class FixpointState:
         self.rounds = 0
         # When set to a dict, every write records {key: value_before_first_write}.
         self.changelog: Optional[Dict[Key, Value]] = None
+        self.undo: Optional[Dict[Key, Tuple[Value, Any]]] = None
 
     # ------------------------------------------------------------------
     def seed(self, key: Key, value: Value) -> None:
@@ -60,6 +79,7 @@ class FixpointState:
         """
         if self.changelog is not None and key not in self.changelog:
             self.changelog[key] = self.values.get(key)
+        self.touch(key)
         self.values[key] = value
         self.timestamps[key] = -1
 
@@ -76,6 +96,8 @@ class FixpointState:
         """Counted, timestamped write of a variable."""
         if self.changelog is not None and key not in self.changelog:
             self.changelog[key] = self.values.get(key)
+        if self.undo is not None and key not in self.undo:  # touch(), inlined: hot path
+            self.undo[key] = (self.values.get(key, ABSENT), self.timestamps.get(key, ABSENT))
         self.counter.on_write(key)
         self.values[key] = value
         self.timestamps[key] = self.clock
@@ -96,7 +118,7 @@ class FixpointState:
         transient writes (values later overwritten) is deliberate: their
         timestamps are provenance, not noise.
         """
-        if self.changelog is None and isinstance(self.counter, NullCounter):
+        if self.changelog is None and self.undo is None and isinstance(self.counter, NullCounter):
             # Uninstrumented fast path: identical effect to per-write
             # :meth:`set` minus the method-call and branch overhead.
             values, timestamps = self.values, self.timestamps
@@ -114,6 +136,7 @@ class FixpointState:
         """Retire a variable (vertex deletion)."""
         if self.changelog is not None and key not in self.changelog:
             self.changelog[key] = self.values.get(key)
+        self.touch(key)
         self.values.pop(key, None)
         self.timestamps.pop(key, None)
 
@@ -132,6 +155,43 @@ class FixpointState:
         clone.clock = self.clock
         clone.rounds = self.rounds
         return clone
+
+    def touch(self, key: Key) -> None:
+        """Record ``key`` in an armed undo log on its first touch.
+
+        Every write path calls this before it writes ``key``, including
+        writers that bypass :meth:`set`, :meth:`seed` and :meth:`drop`.
+        """
+        undo = self.undo
+        if undo is not None and key not in undo:
+            undo[key] = (self.values.get(key, ABSENT), self.timestamps.get(key, ABSENT))
+
+    def values_before(self) -> Dict[Key, Value]:
+        """The values as they were when the undo log was armed (a copy)."""
+        values = dict(self.values)
+        for key, (value, _ts) in self.undo.items():
+            if value is ABSENT:
+                values.pop(key, None)
+            else:
+                values[key] = value
+        return values
+
+    def rewind(self) -> None:
+        """Undo every logged write in place and disarm the log.
+
+        ``clock`` and ``rounds`` are the caller's to restore.
+        """
+        values, timestamps = self.values, self.timestamps
+        for key, (value, ts) in self.undo.items():
+            if value is ABSENT:
+                values.pop(key, None)
+            else:
+                values[key] = value
+            if ts is ABSENT:
+                timestamps.pop(key, None)
+            else:
+                timestamps[key] = ts
+        self.undo = None
 
     def start_changelog(self) -> Dict[Key, Value]:
         """Begin recording ΔO; returns the live changelog dict."""

@@ -53,7 +53,7 @@ from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 from ..core.incremental import IncrementalResult
 from ..core.spec import FixpointSpec
 from ..resilience.faults import inject
-from ..core.state import FixpointState
+from ..core.state import ABSENT, FixpointState
 from ..graph.graph import Graph
 from ..graph.updates import (
     Batch,
@@ -502,23 +502,30 @@ def kernel_apply(
     # The replay is fused by hand: bulk-decode per domain, then a single
     # loop doing the changelog check, dict writes, and the ts[] resync —
     # the per-write :meth:`FixpointState.set` protocol without its call
-    # overhead (this is the largest fixed cost of a small apply).
+    # overhead (this is the largest fixed cost of a small apply).  A key's
+    # first changelog entry is its first touch in this apply, so an armed
+    # undo log is fed there.
     result = IncrementalResult(h_counter=NullCounter(), engine_counter=NullCounter())
     values = state.values
     timestamps = state.timestamps
     changelog: Dict[Any, Any] = {}
+    undo = state.undo
     counted = not isinstance(state.counter, NullCounter)
     on_write = state.counter.on_write
 
     for key, _i in drops:
         if key not in changelog:
             changelog[key] = values.get(key)
+            if undo is not None and key not in undo:
+                undo[key] = (values.get(key, ABSENT), timestamps.get(key, ABSENT))
         values.pop(key, None)
         timestamps.pop(key, None)
     for key, i in created:
         if i not in dead:
             if key not in changelog:
                 changelog[key] = values.get(key)
+                if undo is not None and key not in undo:
+                    undo[key] = (values.get(key, ABSENT), timestamps.get(key, ABSENT))
             values[key] = decode_value(kspec, init[i], decode_map)
             timestamps[key] = -1
 
@@ -536,6 +543,8 @@ def kernel_apply(
     for key, value, i in decoded:
         if key not in changelog:
             changelog[key] = values.get(key)
+            if undo is not None and key not in undo:
+                undo[key] = (values.get(key, ABSENT), timestamps.get(key, ABSENT))
         if counted:
             on_write(key)
         values[key] = value

@@ -9,9 +9,9 @@ four defenses :class:`~repro.session.DynamicGraphSession` weaves in:
 * :mod:`~repro.resilience.validate` — up-front batch validation: typed
   errors (:class:`~repro.errors.BatchValidationError` and friends)
   raised **before** any replica mutates;
-* :mod:`~repro.resilience.transactions` — pre-window state snapshots
-  so a mid-apply failure resets every query to its pre-window state on
-  a copy of the untouched reference graph;
+* :mod:`~repro.resilience.transactions` — first-touch undo logs so a
+  mid-apply failure rewinds every query to its pre-window state on a
+  copy of the untouched reference graph;
 * :mod:`~repro.resilience.wal` + :mod:`~repro.resilience.checkpoint` —
   durability: append-before-apply logging and atomic checkpoints, so
   ``DynamicGraphSession.recover(dir)`` rebuilds a crashed session and
@@ -73,8 +73,8 @@ class SessionConfig:
     """Tunable resilience behaviour of a :class:`DynamicGraphSession`.
 
     Validation and rollback are always on; per window they cost an
-    O(|ΔG|) overlay and an O(|D|) state copy per query.  Durability and
-    audits are off until given a directory / cadence.
+    O(|ΔG|) overlay and one undo-log entry per variable written.
+    Durability and audits are off until given a directory / cadence.
     ``docs/robustness.md`` discusses each knob.
     """
 

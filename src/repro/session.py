@@ -274,12 +274,15 @@ class DynamicGraphSession:
         mutated), WAL-logged one seq per batch when the session is
         durable (a failed append aborts the batches already logged and
         raises :class:`~repro.errors.SessionError`), then applied under
-        one transaction: every query's state is snapshotted, and a
-        failure anywhere resets each query to that state on a copy of
+        one transaction: every query's state logs the old value and
+        timestamp of each variable the window first touches, and a
+        failure anywhere rewinds each state from its log onto a copy of
         the still-untouched reference graph, aborts every logged batch
         and raises :class:`~repro.errors.TransactionError` with the
-        original error as its cause.  A query whose drain runs away
-        (:class:`~repro.errors.FixpointError`) or that faults
+        original error as its cause.  A committed window pays
+        O(|written|) for its logs, never a copy of a state.  A query
+        whose drain runs away (:class:`~repro.errors.FixpointError`) or
+        that faults
         ``quarantine_after`` times in a row is quarantined instead and
         recomputed by its batch algorithm.  An audit cadence that heals
         a query folds the recompute into that query's ``ΔO``, so each
@@ -309,6 +312,8 @@ class DynamicGraphSession:
             raise  # simulated crash: the process is presumed dead mid-window
         except Exception as exc:
             self._fail_batch(txn, seqs, exc)
+        finally:
+            txn.disarm()  # commit, rollback or crash: no undo log stays armed
         if notify:
             self._notify(results)
         self._run_cadences(results)
@@ -360,10 +365,10 @@ class DynamicGraphSession:
         has faulted ``quarantine_after`` times in a row.  Quarantined
         queries are recomputed by their batch algorithm on a post-window
         copy; with the window's transaction ``txn`` their ``ΔO`` starts
-        from its pre-window snapshot, not from a state a failed apply
-        tore.  The reference graph absorbs the window last, so until
-        everything else succeeded it still is the pre-window graph a
-        rollback rebuilds replicas from.
+        from the pre-window values its undo log rebuilds, not from a
+        state a failed apply tore.  The reference graph absorbs the
+        window last, so until everything else succeeded it still is the
+        pre-window graph a rollback rebuilds replicas from.
         """
         results: Dict[str, Any] = {}
         quarantined: List[RegisteredQuery] = []

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from oracles import oracle_cc, oracle_sssp
+from repro.core.state import ABSENT, FixpointState
+from repro.generators import assign_weights, barabasi_albert
 from repro.errors import (
     BatchValidationError,
     ContradictoryUpdateError,
@@ -18,6 +20,7 @@ from repro.graph.updates import VertexDeletion, VertexInsertion
 from repro.session import DynamicGraphSession
 from repro.resilience import SessionConfig
 from repro.resilience.faults import InjectedFault, injected
+from repro.resilience.transactions import SessionTransaction
 
 
 def make_session(config=None):
@@ -182,6 +185,66 @@ class TestTransactions:
         session.update([EdgeInsertion(0, 3, weight=5.0), EdgeDeletion(1, 2)])
         assert len(copies) == 0
 
+    def test_committed_windows_copy_no_state(self, monkeypatch):
+        session = make_session()
+        session.register("cc", "CC")
+        session.register("sssp", "SSSP", query=0)
+        session.register("sswp", "SSWP", query=0)
+        copies = []
+        original = FixpointState.copy
+
+        def counting_copy(state):
+            copies.append(state)
+            return original(state)
+
+        monkeypatch.setattr(FixpointState, "copy", counting_copy)
+        session.update([EdgeInsertion(0, 3, weight=5.0), EdgeDeletion(1, 2)])
+        session.update([EdgeInsertion(1, 2, weight=1.0)])
+        assert len(copies) == 0
+
+    def test_undo_logs_hold_only_the_keys_a_hub_window_wrote(self, monkeypatch):
+        graph = assign_weights(barabasi_albert(300, 3, seed=5), seed=5)
+        hub = max(graph.nodes(), key=graph.degree)
+        gone = sorted(graph.out_neighbors(hub))[:32]
+        new = [v for v in sorted(graph.nodes()) if v != hub and not graph.has_edge(hub, v)][:32]
+        window = [EdgeDeletion(hub, v) for v in gone]
+        window += [EdgeInsertion(hub, v, weight=1.0) for v in new]
+        assert len(window) == 64
+        session = DynamicGraphSession(graph)
+        session.register("cc", "CC")
+        session.register("sssp", "SSSP", query=0)
+        session.register("sswp", "SSWP", query=0)
+
+        def entries(state):
+            return {
+                key: (state.values.get(key, ABSENT), state.timestamps.get(key, ABSENT))
+                for key in set(state.values) | set(state.timestamps)
+            }
+
+        before = {name: entries(r.state) for name, r in session._queries.items()}
+        logs = {}
+        original = SessionTransaction.disarm
+
+        def recording_disarm(txn):
+            for name, (state, _clock, _rounds) in txn._states.items():
+                logs[name] = dict(state.undo)
+            original(txn)
+
+        monkeypatch.setattr(SessionTransaction, "disarm", recording_disarm)
+        session.update(window)
+        for name, registered in session._queries.items():
+            state = registered.state
+            assert state.undo is None, name
+            after = entries(state)
+            keys = before[name].keys() | after.keys()
+            written = {key for key in keys if before[name].get(key) != after.get(key)}
+            assert set(logs[name]) == written, name
+            for key, entry in logs[name].items():
+                assert entry == before[name][key], (name, key)
+        # The hub move reroutes paths (CC's components stay put, so its log
+        # is empty): SSSP's log is non-empty yet misses unwritten keys.
+        assert 0 < len(logs["sssp"]) < len(before["sssp"])
+
     def test_failed_recompute_leaves_the_reference_untouched(self):
         # A quarantined query is recomputed inside the window.  When that
         # recompute fails, the reference graph must still be the
@@ -220,6 +283,8 @@ class TestTransactions:
         # a crash is not a commit: the reference graph was never touched
         assert not session.graph.has_edge(0, 3)
         assert session.batches_applied == 0
+        # ... and it leaves no undo log armed to tax later writes
+        assert session._queries["sssp"].state.undo is None
 
     def test_update_stream_rolls_back_as_one_transaction(self):
         session = make_session()
