@@ -41,7 +41,7 @@ from ..core.orders import MinValueOrder
 from ..core.spec import FixpointSpec
 from ..graph.graph import Graph, Node
 from ..graph.updates import Batch
-from ._common import edge_updates, lost_anchor_heads, nodes_inserted, nodes_removed
+from ._common import edge_heads, inserted_arcs, lost_anchor_heads, nodes_inserted, nodes_removed
 
 
 class CCSpec(FixpointSpec):
@@ -101,11 +101,7 @@ class CCSpec(FixpointSpec):
         return timestamp
 
     def changed_input_keys(self, delta: Batch, graph_new: Graph, query: Any) -> Iterable[Node]:
-        keys = set()
-        for u, v, _inserted in edge_updates(delta):
-            keys.add(u)
-            keys.add(v)
-        return keys
+        return edge_heads(delta, True)
 
     def repair_seed_keys(self, delta, graph_new, query, state, old_weights):
         # Only deletions can strand a component id (insertions merge
@@ -125,12 +121,7 @@ class CCSpec(FixpointSpec):
         return lost_anchor_heads(delta, True, old_weights, supported)
 
     def relaxation_pairs(self, delta: Batch, graph_new: Graph, query: Any):
-        pairs = []
-        for u, v, inserted in edge_updates(delta):
-            if inserted and graph_new.has_edge(u, v):
-                pairs.append((u, v))
-                pairs.append((v, u))
-        return pairs
+        return inserted_arcs(delta, graph_new, True)
 
     def anchor_dependents(
         self,
@@ -208,8 +199,7 @@ class NaiveIncCC:
             h_counter=AccessCounter(trace=trace),
             engine_counter=AccessCounter(trace=trace),
         )
-        delta = delta.expanded(graph)
-        apply_updates(graph, delta)
+        delta = apply_updates(graph, delta, expand=True)
         changelog = state.start_changelog()
         saved = state.counter
         try:

@@ -189,7 +189,7 @@ class IncCoreness:
             EdgeInsertion,
             VertexDeletion,
             VertexInsertion,
-            _apply_one,
+            apply_updates,
         )
         from ..metrics.counters import AccessCounter, NullCounter
 
@@ -213,12 +213,8 @@ class IncCoreness:
         try:
             # Phase 1: vertex bookkeeping + all deletions, one prune pass.
             deletion_seeds = set()
-            insertions = []
-            for update in delta:
-                if isinstance(update, EdgeInsertion):
-                    insertions.append(update)
-                    continue
-                _apply_one(graph, update, strict=True)
+
+            def bookkeep(update) -> None:
                 if isinstance(update, EdgeDeletion):
                     deletion_seeds.add(update.u)
                     deletion_seeds.add(update.v)
@@ -226,22 +222,31 @@ class IncCoreness:
                     state.seed(update.v, 0)
                 elif isinstance(update, VertexDeletion):
                     state.drop(update.v)
+
+            insertions = [u for u in delta if isinstance(u, EdgeInsertion)]
+            apply_updates(
+                graph, [u for u in delta if not isinstance(u, EdgeInsertion)], on_op=bookkeep
+            )
             deletion_seeds = {z for z in deletion_seeds if z in state.values}
             state.counter = result.engine_counter
             if deletion_seeds:
                 run_fixpoint(self._spec, graph, query, state=state, scope=deletion_seeds)
 
-            # Phase 2: insertions one at a time (classical traversal lift).
-            for update in insertions:
-                _apply_one(graph, update, strict=True)
+            # Phase 2: insertions one at a time (classical traversal lift),
+            # each on the graph with exactly that insertion applied.
+            def lift(update) -> None:
+                if not isinstance(update, EdgeInsertion):
+                    return
                 u, v = update.u, update.v
                 if u == v or u not in state.values or v not in state.values:
-                    continue
+                    return
                 state.counter = result.h_counter
                 region = self._lift_region(graph, state, u, v)
                 result.scope |= region
                 state.counter = result.engine_counter
                 run_fixpoint(self._spec, graph, query, state=state, scope=region)
+
+            apply_updates(graph, insertions, on_op=lift)
         finally:
             state.counter = saved
             state.stop_changelog()

@@ -125,10 +125,17 @@ class SimSpec(FixpointSpec):
         by_label: Dict[Any, list] = {}
         for u in pattern_nodes:
             by_label.setdefault(query.node_label(u), []).append(u)
-        for a, b, _inserted in edge_updates(delta):
-            for tail in (a,) if graph_new.directed else (a, b):
-                if graph_new.has_node(tail):
-                    keys.update((tail, u) for u in by_label.get(graph_new.node_label(tail), ()))
+        edges = edge_updates(delta)
+        tails = {a for a, _b, _inserted in edges}
+        if not graph_new.directed:
+            tails.update(b for _a, b, _inserted in edges)
+        has_node, label_of = graph_new.has_node, graph_new.node_label
+        keys.update(
+            (tail, u)
+            for tail in tails
+            if has_node(tail)
+            for u in by_label.get(label_of(tail), ())
+        )
         return keys
 
     def repair_seed_keys(self, delta, graph_new, query, state, old_weights):
@@ -139,28 +146,34 @@ class SimSpec(FixpointSpec):
         # pairs, so its false, now label-matched ones are seeds too.
         # Deletions retract matches via the resumed step function.
         values = state.values
+        label_of = graph_new.node_label
+        pattern_label = {u: query.node_label(u) for u in query.nodes()}
         keys: Set[Pair] = set()
         for v in nodes_inserted(delta, graph_new):
-            label = graph_new.node_label(v)
-            for u in query.nodes():
-                if query.node_label(u) == label and not values.get((v, u), False):
+            label = label_of(v)
+            for u, label_u in pattern_label.items():
+                if label_u == label and not values.get((v, u), False):
                     keys.add((v, u))
         # label of b -> pattern nodes u with an out-neighbor of that label
         witnessed: Dict[Any, Set[Node]] = {}
-        for u in query.nodes():
+        for u in pattern_label:
             for u_next in query.out_neighbors(u):
-                witnessed.setdefault(query.node_label(u_next), set()).add(u)
-        for a, b, inserted in edge_updates(delta):
-            if not inserted:
+                witnessed.setdefault(pattern_label[u_next], set()).add(u)
+        inserted_edges = [(a, b) for a, b, inserted in edge_updates(delta) if inserted]
+        arcs = set(inserted_edges)
+        if not graph_new.directed:
+            arcs.update((b, a) for a, b in inserted_edges)
+        has_node = graph_new.has_node
+        for tail, head in arcs:
+            if not (has_node(tail) and has_node(head)):
                 continue
-            arcs = ((a, b),) if graph_new.directed else ((a, b), (b, a))
-            for tail, head in arcs:
-                if not (graph_new.has_node(tail) and graph_new.has_node(head)):
-                    continue
-                label = graph_new.node_label(tail)
-                for u in witnessed.get(graph_new.node_label(head), ()):
-                    if query.node_label(u) == label and not values.get((tail, u), False):
-                        keys.add((tail, u))
+            witnesses = witnessed.get(label_of(head))
+            if not witnesses:
+                continue
+            label = label_of(tail)
+            for u in witnesses:
+                if pattern_label[u] == label and not values.get((tail, u), False):
+                    keys.add((tail, u))
         return keys
 
     def anchor_dependents(

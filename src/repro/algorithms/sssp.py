@@ -43,7 +43,7 @@ from ..core.orders import MinValueOrder
 from ..core.spec import FixpointSpec
 from ..graph.graph import Graph, Node
 from ..graph.updates import Batch
-from ._common import edge_updates, lost_anchor_heads, nodes_inserted, nodes_removed
+from ._common import edge_heads, inserted_arcs, lost_anchor_heads, nodes_inserted, nodes_removed
 
 INF = math.inf
 
@@ -115,12 +115,7 @@ class SSSPSpec(FixpointSpec):
         return value
 
     def changed_input_keys(self, delta: Batch, graph_new: Graph, query: Node) -> Iterable[Node]:
-        keys = set()
-        for u, v, _inserted in edge_updates(delta):
-            keys.add(v)
-            if not graph_new.directed:
-                keys.add(u)
-        return keys
+        return edge_heads(delta, not graph_new.directed)
 
     def repair_seed_keys(self, delta, graph_new, query, state, old_weights):
         # Only deletions can invalidate stored distances (raise f), and
@@ -136,13 +131,7 @@ class SSSPSpec(FixpointSpec):
         return lost_anchor_heads(delta, not graph_new.directed, old_weights, tight)
 
     def relaxation_pairs(self, delta: Batch, graph_new: Graph, query: Node):
-        pairs = []
-        for u, v, inserted in edge_updates(delta):
-            if inserted and graph_new.has_edge(u, v):
-                pairs.append((u, v))
-                if not graph_new.directed:
-                    pairs.append((v, u))
-        return pairs
+        return inserted_arcs(delta, graph_new, not graph_new.directed)
 
     def anchor_dependents(
         self,

@@ -11,11 +11,17 @@ the fixpoint state of a batch run of ``A`` on ``G`` and updates ``ΔG``,
    new fixpoint (Lemma 2 guarantees convergence to the same result as a
    from-scratch batch run).
 
+Step 1 is one pass (:func:`~repro.graph.updates.apply_updates` with
+``expand=True``): it expands vertex updates, reads the old weight of
+every deleted edge and mutates the graph, and hands the spec hooks the
+expanded batch with its flat edge and vertex views.
+
 A spec that declares a :meth:`~repro.core.spec.FixpointSpec.derivative`
-(LCC) replaces steps 1–3 by finite differencing: ``ΔG`` is applied one
-op at a time, each op's additive increments are summed, vertex
-variables are retired and seeded, and every non-zero net increment is
-written; no step function runs.
+(LCC) replaces steps 1–3 by finite differencing: the same pass calls the
+derivative after each op, on the graph with exactly that op applied,
+and sums the additive increments; vertex variables are retired and
+seeded, and every non-zero net increment is written; no step function
+runs.
 
 The result records the output changes ``ΔO`` such that
 ``Q(G ⊕ ΔG) = Q(G) ⊕ ΔO`` (the correctness equation of Section 2), plus
@@ -36,7 +42,6 @@ from ..graph.updates import (
     VertexDeletion,
     VertexInsertion,
     apply_updates,
-    deleted_weights,
 )
 from ..metrics.counters import AccessCounter, NullCounter
 from ..resilience.faults import inject
@@ -277,25 +282,25 @@ class IncrementalAlgorithm:
             h_counter=AccessCounter(trace=trace) if counting else NullCounter(),
             engine_counter=AccessCounter(trace=trace) if counting else NullCounter(),
         )
-        delta = delta.expanded(graph)
         derivative = self.spec.derivative if defines_derivative(self.spec) else None
         if derivative is None:
-            old_weights = deleted_weights(graph, delta)
-            apply_updates(graph, delta)
+            delta = apply_updates(graph, delta, expand=True)
             # Figure 4's repair seeds, taken while state still holds the
             # old values and timestamps; reused for the engine scope.
             repair_seeds = set(
-                self.spec.repair_seed_keys(delta, graph, query, state, old_weights)
+                self.spec.repair_seed_keys(delta, graph, query, state, delta.old_weights)
             )
         else:
             # Finite differencing: each op's increments are taken on the
             # graph with exactly that op applied, so a triangle closed by
             # several new edges is counted once, by the last of them.
             increments: Dict[Hashable, Any] = {}
-            for op in delta.updates:
-                apply_updates(graph, (op,))
+
+            def derive(op: Update) -> None:
                 for key, step in derivative(op, graph, query):
                     increments[key] = increments.get(key, 0) + step
+
+            delta = apply_updates(graph, delta, expand=True, on_op=derive)
         inject("incremental.mid-apply")  # ΔG committed, fixpoint not yet resumed
         changelog = state.start_changelog()
 

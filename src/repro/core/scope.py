@@ -191,10 +191,14 @@ def initial_scope(
     """Run ``h``: repair ``state`` to ``D⁰`` in place and return ``H⁰``.
 
     ``graph_new`` must already be ``G ⊕ ΔG``; ``state`` must hold the
-    fixpoint of the batch run on ``G``.  ``repair_seeds`` is the result
-    of ``spec.repair_seed_keys``, taken on the old ``state`` with the
-    weights :func:`~repro.graph.updates.deleted_weights` read before
-    ``ΔG`` was applied.
+    fixpoint of the batch run on ``G``.  ``delta`` is the
+    :class:`~repro.graph.updates.ExpandedBatch` that
+    :func:`~repro.graph.updates.apply_updates` returned for the pass
+    that made ``graph_new`` (a plain expanded batch also works; the
+    hooks then walk its ops).  ``repair_seeds`` is the result of
+    ``spec.repair_seed_keys``, taken on the old ``state`` with that
+    record's ``old_weights``, the ``G``-side weights the pass read
+    before deleting each edge.
     """
     counter = state.counter
     counting = not isinstance(counter, NullCounter)

@@ -6,6 +6,7 @@ from .updates import (
     Batch,
     EdgeDeletion,
     EdgeInsertion,
+    ExpandedBatch,
     Update,
     VertexDeletion,
     VertexInsertion,
@@ -20,6 +21,7 @@ __all__ = [
     "EdgeDeletion",
     "EdgeEvent",
     "EdgeInsertion",
+    "ExpandedBatch",
     "Graph",
     "Node",
     "TemporalGraph",

@@ -8,8 +8,11 @@ mutable row dict per dense id (``out_rows``/``in_rows``, the same list
 on undirected graphs), plus the fixpoint values mirrored into flat
 encoded arrays.  Each apply then runs
 
-1. the delta mirror — each edge op written into both row dicts, net
-   vertex retirement/creation via the spec's ``removed_variables`` /
+1. one :func:`~repro.graph.updates.apply_updates` pass with
+   ``expand=True`` — it expands vertex updates, reads the old weights of
+   deleted edges and mutates the graph — then the delta mirror: each
+   expanded edge op written into both row dicts, net vertex
+   retirement/creation via the spec's ``removed_variables`` /
    ``new_variables`` hooks (so delete-then-reinsert churn keeps old
    values, exactly like the generic driver);
 2. the Figure-4 repair queue over dense ids, ordered by the spec's
@@ -33,7 +36,9 @@ not matter), so an apply's work scales with |ΔG| + |AFF| however many
 ops the context has absorbed.
 
 Every check that could force a fallback runs *before* the graph is
-mutated; once ``apply_updates`` has run, the kernel path is committed.
+mutated: the context's lowering, and for node-valued specs (CC) the
+float encoding of every node the raw batch inserts, scanned before the
+pass.  Once ``apply_updates`` has run, the kernel path is committed.
 Returning ``(None, None)`` therefore always leaves graph and state
 untouched, and the caller can re-run the generic path idempotently.
 
@@ -61,7 +66,6 @@ from ..graph.updates import (
     EdgeInsertion,
     VertexInsertion,
     apply_updates,
-    deleted_weights,
 )
 from ..metrics.counters import NullCounter
 from .engine import dense_ids, dense_rows, drain, encode_values, lower
@@ -164,6 +168,19 @@ def build_context(
     return ctx
 
 
+def _inserted_nodes(delta: Batch):
+    """Every node ``ΔG`` inserts, explicitly or as an edge endpoint."""
+    for op in delta.updates:
+        if isinstance(op, EdgeInsertion):
+            yield op.u
+            yield op.v
+        elif isinstance(op, VertexInsertion):
+            yield op.v
+            for e in op.edges:
+                yield e.u
+                yield e.v
+
+
 def kernel_apply(
     spec: FixpointSpec,
     graph: Graph,
@@ -194,32 +211,33 @@ def kernel_apply(
     kspec = ctx.kspec
     index_of = ctx.index_of
     decode_map = ctx.decode_map
-    expanded = delta.expanded(graph)
 
     # ------------------------------------------------------------------
     # Pre-mutation validation: stage the ids of genuinely new nodes.  The
     # only lowering step that can fail past this point is encoding them,
-    # so checking here keeps fallback side-effect free.
+    # so checking here keeps fallback side-effect free.  A node the batch
+    # creates is a vertex insertion or an edge-insertion endpoint that
+    # the mirror does not know yet, so the raw batch names them all.
     if kspec.domain == NODE:
         staged: Dict[float, Any] = {}
         try:
-            for u in expanded.updates:
-                if isinstance(u, VertexInsertion) and u.v not in index_of:
-                    enc = float(u.v)
-                    known = decode_map.get(enc, staged.get(enc, u.v))
-                    if known != u.v:
+            for v in _inserted_nodes(delta):
+                if v not in index_of:
+                    enc = float(v)
+                    known = decode_map.get(enc, staged.get(enc, v))
+                    if known != v:
                         return None, None
-                    staged[enc] = u.v
+                    staged[enc] = v
         except (TypeError, ValueError, OverflowError):
             return None, None
 
     # ------------------------------------------------------------------
-    # Commit: mutate the authoritative graph, then mirror the delta.
-    old_weights = deleted_weights(graph, expanded)
-    apply_updates(graph, expanded)
+    # Commit: one pass expands ΔG, reads the deleted edges' old weights
+    # and mutates the authoritative graph; then mirror the delta.
+    expanded = apply_updates(graph, delta, expand=True)
     # The dict state is written only at finalize, so the hook still reads
     # old values and timestamps here.
-    seed_keys = spec.repair_seed_keys(expanded, graph, query, state, old_weights)
+    seed_keys = spec.repair_seed_keys(expanded, graph, query, state, expanded.old_weights)
     inject("kernel.mid-drain")  # graph committed, mirror/state not yet drained
 
     out_rows, in_rows = ctx.out_rows, ctx.in_rows
@@ -231,29 +249,30 @@ def kernel_apply(
     dead = ctx.dead
 
     created: List[Tuple[Hashable, int]] = []
-    for u in expanded.updates:
-        if isinstance(u, EdgeInsertion):
-            a, b = index_of[u.u], index_of[u.v]
-            out_rows[a][b] = u.weight
-            in_rows[b][a] = u.weight
-        elif isinstance(u, EdgeDeletion):
-            a, b = index_of[u.u], index_of[u.v]
+    for op in expanded.updates:
+        kind = type(op)
+        if kind is EdgeInsertion:
+            a, b = index_of[op.u], index_of[op.v]
+            out_rows[a][b] = op.weight
+            in_rows[b][a] = op.weight
+        elif kind is EdgeDeletion:
+            a, b = index_of[op.u], index_of[op.v]
             del out_rows[a][b]
             in_rows[b].pop(a, None)  # an undirected self-loop is one entry
-        elif isinstance(u, VertexInsertion) and u.v not in index_of:
+        elif kind is VertexInsertion and op.v not in index_of:
             i = len(node_of)
             out_rows.append({})
             if in_rows is not out_rows:
                 in_rows.append({})
-            index_of[u.v] = i
-            node_of.append(u.v)
-            enc = encode_value(kspec, spec.initial_value(u.v, graph, query))
+            index_of[op.v] = i
+            node_of.append(op.v)
+            enc = encode_value(kspec, spec.initial_value(op.v, graph, query))
             if decode_map is not None:
-                decode_map[enc] = u.v
+                decode_map[enc] = op.v
             init.append(enc)
             val.append(enc)
             ts.append(-1)
-            created.append((u.v, i))
+            created.append((op.v, i))
         # Re-inserting a key that still has a dense id reuses it with its
         # old value — the same net semantics the generic driver gets from
         # seeding only keys absent from the state.

@@ -41,7 +41,7 @@ from ..core.engine import new_state, run_batch
 from ..core.incremental import IncrementalAlgorithm
 from ..core.spec import FixpointSpec, defines_derivative
 from ..graph.graph import Graph
-from ..graph.updates import Batch, EdgeDeletion, apply_updates, deleted_weights, updated_copy
+from ..graph.updates import Batch, EdgeDeletion, apply_updates, updated_copy
 from . import rules
 from .report import LintFinding
 
@@ -225,7 +225,8 @@ def _check_anchor_sound(spec, workload, options) -> List[LintFinding]:
     if order is None or not spec.repair_with_scope_function:
         return []
     graph, query = workload.graph.copy(), workload.query
-    delta = workload.delta.expanded(graph)
+    graph_new = graph.copy()
+    delta = apply_updates(graph_new, workload.delta, expand=True)
     if options.anchor_deletion_only:
         # Keep only deletions valid against the *base* graph: a batch is a
         # stream, so a deletion of an edge inserted earlier in it would
@@ -237,8 +238,8 @@ def _check_anchor_sound(spec, workload, options) -> List[LintFinding]:
         ]
         if not kept:
             return []
+        graph_new = updated_copy(graph, kept)
         delta = Batch(kept)
-    graph_new = updated_copy(graph, delta)
     new_values = run_batch(spec, graph_new, query, engine="generic").values
     state = run_batch(spec, graph, query, engine="generic")
     inc = (
@@ -278,9 +279,8 @@ def _unreached_raised(spec, graph, graph_new, query, state, delta, new_values) -
             return old[k]
         return spec.initial_value(k, graph_new, query)
 
-    seeds = spec.repair_seed_keys(
-        delta, graph_new, query, state, deleted_weights(graph, delta)
-    )
+    applied = apply_updates(graph.copy(), delta, expand=True)
+    seeds = spec.repair_seed_keys(applied, graph_new, query, state, applied.old_weights)
     closure: Set = {k for k in seeds if k in old}
     frontier = list(closure)
     while frontier:
@@ -359,8 +359,8 @@ def _check_changed_inputs(spec, workload, options) -> List[LintFinding]:
     if not _declares_inputs(spec, workload):
         return []
     graph, query = workload.graph, workload.query
-    delta = workload.delta.expanded(graph)
-    graph_new = updated_copy(graph, delta)
+    graph_new = graph.copy()
+    delta = apply_updates(graph_new, workload.delta, expand=True)
     old_vars = set(spec.variables(graph, query))
     new_vars = set(spec.variables(graph_new, query))
     covered = set(spec.changed_input_keys(delta, graph_new, query))
@@ -429,8 +429,11 @@ def _check_derivative(spec, workload, options) -> List[LintFinding]:
     graph = workload.graph.copy()
     query = workload.query
     values = dict(run_batch(spec, graph, query, engine="generic").values)
-    for op in workload.delta.expanded(graph):
-        apply_updates(graph, (op,))
+    findings: List[LintFinding] = []
+
+    def check(op) -> None:
+        if findings:
+            return  # stop at the first op that trips the check
         unit = Batch([op])
         for key in spec.removed_variables(unit, graph, query):
             values.pop(key, None)
@@ -442,12 +445,13 @@ def _check_derivative(spec, workload, options) -> List[LintFinding]:
         written = {key for key, step in net.items() if step}
         stray = written - set(spec.changed_input_keys(unit, graph, query))
         if stray:
-            return [LintFinding(
+            findings.append(LintFinding(
                 rules.DERIVATIVE_DIVERGENCE, spec.name,
                 f"derivative of {op!r} wrote {_examples(stray)} outside "
                 f"changed_input_keys ({_where(workload)}); a variable "
                 "whose inputs did not evolve cannot change",
-            )]
+            ))
+            return
         for key in written & values.keys():
             values[key] += net[key]
         wrong = {
@@ -456,13 +460,17 @@ def _check_derivative(spec, workload, options) -> List[LintFinding]:
             if values[key] != spec.update(key, values.__getitem__, graph, query)
         }
         if wrong:
-            return [LintFinding(
+            findings.append(LintFinding(
                 rules.DERIVATIVE_DIVERGENCE, spec.name,
                 f"after {op!r} the derived values differ from a full update "
                 f"at {len(wrong)} variable(s) (e.g. {_examples(wrong)}; "
                 f"{_where(workload)}); the increments miss or miscount a term",
-            )]
-    return []
+            ))
+
+    # One apply pass calls ``check`` after each expanded op, on the graph
+    # with exactly that op applied, as the incremental apply derives.
+    apply_updates(graph, workload.delta, on_op=check)
+    return findings
 
 
 _CHECKS = (

@@ -786,4 +786,10 @@ class EffectIndex:
             return []
         if token in CONTAINER_METHODS:
             return []  # untyped receiver + container token: assume builtin
-        return [self.functions[q] for q in self.by_token.get(token, ())]
+        # untyped receiver: any method of that name, never a module-level
+        # function (``registered.batch.run`` is not the module's ``run``)
+        return [
+            self.functions[q]
+            for q in self.by_token.get(token, ())
+            if self.functions[q].cls is not None
+        ]

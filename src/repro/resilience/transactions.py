@@ -28,19 +28,24 @@ from ..graph.graph import Graph
 class SessionTransaction:
     """Undo logs for one update window across all queries."""
 
-    def __init__(self, states: Dict[str, Tuple[FixpointState, int, int]]) -> None:
+    def __init__(
+        self, states: Dict[str, Tuple[FixpointState, int, int]], quarantined: Dict[str, bool]
+    ) -> None:
         # name -> (pre-window state object, its clock, its rounds)
         self._states = states
+        # name -> whether the query was quarantined before the window
+        self._quarantined = quarantined
 
     @classmethod
     def begin(cls, queries) -> "SessionTransaction":
         """Arm the undo log of every ``RegisteredQuery`` in ``queries``."""
-        states = {}
+        states, quarantined = {}, {}
         for registered in queries:
             state = registered.state
             state.undo = {}
             states[registered.name] = (state, state.clock, state.rounds)
-        return cls(states)
+            quarantined[registered.name] = registered.quarantined
+        return cls(states, quarantined)
 
     def values(self, name: str) -> Dict:
         """The pre-window variable values of query ``name`` (a copy)."""
@@ -57,7 +62,10 @@ class SessionTransaction:
 
         Each state is rewound in place and handed back once, so a query
         is restored at most once, even if a quarantine recompute already
-        replaced its state object inside the window.
+        replaced its state object inside the window.  The quarantine flag
+        is restored too: a query quarantined inside the failed window
+        holds its pre-window state again, so the retry maintains it
+        incrementally instead of recomputing it until a heal.
         """
         restored = 0
         for registered in queries:
@@ -67,5 +75,6 @@ class SessionTransaction:
                 state.rewind()
                 state.clock, state.rounds = clock, rounds
                 registered.reset(reference.copy(), state)
+                registered.quarantined = self._quarantined[registered.name]
                 restored += 1
         return restored

@@ -317,6 +317,32 @@ class TestSeededFixtures:
         )
         assert "T006" in rule_ids(findings)
 
+    def test_t006_attribute_call_never_resolves_to_a_module_function(self):
+        # ``registered.batch.run`` is a method call on an untyped
+        # receiver; the module-level ``run`` that reaches the WAL append
+        # is not its callee, so the apply before it is no violation.
+        findings = check(
+            {
+                "fix": (
+                    "class WriteAheadLog:\n"
+                    "    def append(self, seq, batch):\n"
+                    "        pass\n"
+                    "\n"
+                    "def run(wal: WriteAheadLog, batch):\n"
+                    "    wal.append(1, batch)\n"
+                    "\n"
+                    "class Session:\n"
+                    "    def __init__(self):\n"
+                    "        self.wal = WriteAheadLog()\n"
+                    "    def _maintain(self, registered, stream):\n"
+                    "        registered.incremental.apply(stream)\n"
+                    "        registered.batch.run(stream)\n"
+                )
+            },
+            ThreadModel(wal_classes=frozenset({"WriteAheadLog"})),
+        )
+        assert not [f for f in findings if f.rule.id == "T006" and "_maintain" in f.message]
+
     def test_t007_listener_invoked_under_lock(self):
         findings = check(
             {

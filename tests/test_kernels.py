@@ -271,6 +271,30 @@ class TestKernelIncremental:
         assert dict(state.values) == dict(want.values)
         assert got.changes == expected.changes
 
+    def test_node_id_collision_falls_back_before_mutating(self):
+        # The CC kernel encodes node ids as floats; 2**53 + 1 shares
+        # 2**53's float image.  The pre-check scans the raw batch for the
+        # nodes it creates, as a vertex insertion or as an edge endpoint,
+        # so the fallback leaves graph and state untouched.
+        from repro.kernels.incremental import kernel_apply
+
+        big = 2**53
+        base = from_edges([(0, 1), (1, 2)])
+        base.ensure_node(big)
+        for op in (VertexInsertion(big + 1), EdgeInsertion(2, big + 1)):
+            g = base.copy()
+            state = run_batch(CCSpec(), g, None, engine="generic")
+            assert state.values[big] == big  # a live label with that float image
+            before = (dict(state.values), dict(state.timestamps), state.clock)
+            got = kernel_apply(CCSpec(), g, state, Batch([op]), None, None)
+            assert got == (None, None)
+            assert g == base and g.num_edges == base.num_edges
+            assert (dict(state.values), dict(state.timestamps), state.clock) == before
+            IncCC(engine="generic").apply(g, state, Batch([op]), None)
+            assert dict(state.values) == run_batch(CCSpec(), g, None, engine="generic").values
+            assert state.values[big + 1] == (0 if isinstance(op, EdgeInsertion) else big + 1)
+
+
 
 def tie_weighted(graph, seed):
     """``graph`` with integer weights in 1..4, so equal values abound."""

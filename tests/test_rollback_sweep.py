@@ -14,12 +14,13 @@ three ways:
 * ``quarantine`` — one query writes and then runs away, so it is
   quarantined and recomputed inside the window, before a later query's
   recompute fails; the first recompute's ΔO must start from the
-  pre-window values.
+  pre-window values, and the rollback must lift both quarantines.
 
 After each failure every query's values, timestamps, clock and rounds
-must equal a deep copy taken before the window and no undo log may stay
-armed; the window's retry and every later window must then answer as a
-fresh batch run does.  A kernel leg arms a log by hand around
+must equal a deep copy taken before the window, every quarantine flag
+its pre-window value, and no undo log may stay armed; the window's
+retry must maintain every query incrementally (no recompute), and it and
+every later window must then answer as a fresh batch run does.  A kernel leg arms a log by hand around
 kernel-engine applies, which sessions never take, and rewinds it.
 
 The fast slice runs ``REPRO_ROLLBACK_SWEEP_SEEDS`` seeds (default 30);
@@ -178,6 +179,7 @@ def rollback_mismatches(seed: int, mode: str):
 
     failures = []
     before = capture(session)
+    was_quarantined = {name for name, r in session._queries.items() if r.quarantined}
     states = [r.state for r in session._queries.values()]
     applied = session.batches_applied
     rolled_back, baselines = fail_window(session, mode, windows[WARMUP], rng)
@@ -190,7 +192,26 @@ def rollback_mismatches(seed: int, mode: str):
         failures += [
             (name, "replica") for name, r in session._queries.items() if r.graph != session.graph
         ]
-        session.update_stream(windows[WARMUP])  # the retry commits
+        # A query quarantined inside the failed window is rolled back to
+        # its pre-window state, so the retry maintains it incrementally.
+        failures += [
+            (name, "quarantine flag")
+            for name, r in session._queries.items()
+            if r.quarantined != (name in was_quarantined)
+        ]
+        recomputed = []
+        real_recompute = session._recompute
+
+        def recording(registered, graph=None, old_values=None):
+            recomputed.append(registered.name)
+            return real_recompute(registered, graph, old_values)
+
+        session._recompute = recording
+        try:
+            session.update_stream(windows[WARMUP])  # the retry commits
+        finally:
+            del session._recompute
+        failures += [(name, "retry recomputed") for name in recomputed]
     for batch in windows[WARMUP]:
         apply_updates(work, batch)
     armed = states + [r.state for r in session._queries.values()]

@@ -6,7 +6,6 @@ from repro.algorithms.cc import CCSpec
 from repro.algorithms.sssp import SSSPSpec
 from repro.core import initial_scope, run_batch
 from repro.graph import Batch, EdgeDeletion, EdgeInsertion, apply_updates, from_edges
-from repro.graph.updates import deleted_weights, updated_copy
 
 INF = math.inf
 
@@ -14,9 +13,8 @@ INF = math.inf
 def apply_and_scope(spec, graph, query, state, delta):
     """Apply ΔG to ``graph`` and run ``h`` with the anchor-tested repair
     seeds, taken on the old state and weights as both drivers take them."""
-    weights = deleted_weights(graph, delta)
-    apply_updates(graph, delta)
-    seeds = spec.repair_seed_keys(delta, graph, query, state, weights)
+    delta = apply_updates(graph, delta, expand=True)
+    seeds = spec.repair_seed_keys(delta, graph, query, state, delta.old_weights)
     return initial_scope(spec, graph, query, state, delta, seeds)
 
 
@@ -124,8 +122,9 @@ class TestAnchorTestedSeeds:
 
     @staticmethod
     def seeds(spec, graph, state, delta, query=None):
-        weights = deleted_weights(graph, delta)
-        return set(spec.repair_seed_keys(delta, updated_copy(graph, delta), query, state, weights))
+        graph_new = graph.copy()
+        delta = apply_updates(graph_new, delta, expand=True)
+        return set(spec.repair_seed_keys(delta, graph_new, query, state, delta.old_weights))
 
     def test_cc_root_stamped_after_head_still_seeds_it(self):
         from repro.algorithms.cc import CCfp, IncCC

@@ -328,6 +328,112 @@ class TestExpandedWithoutCopy:
         assert copies == []
         assert sum(isinstance(u, VertexDeletion) for _g, b in cases for u in b) > 300
 
+    @staticmethod
+    def _weighted(case, rng):
+        """``case`` with random weights, edge labels and node labels."""
+        g, batch = case
+        for v in list(g.nodes()):
+            if rng.random() < 0.5:
+                g.set_node_label(v, rng.choice("ab"))
+        for u, v in list(g.edges()):
+            g.set_weight(u, v, float(rng.randint(1, 5)))
+            if rng.random() < 0.5:
+                g.set_edge_label(u, v, rng.choice("xy"))
+
+        def edge(e):
+            return EdgeInsertion(e.u, e.v, float(rng.randint(1, 5)), rng.choice([None, "x"]))
+
+        ops = []
+        for op in batch:
+            if isinstance(op, EdgeInsertion):
+                op = edge(op)
+            elif isinstance(op, VertexInsertion):
+                op = VertexInsertion(op.v, rng.choice([None, "b"]), tuple(map(edge, op.edges)))
+            ops.append(op)
+        return g, Batch(ops)
+
+    @staticmethod
+    def _strict_replay(graph, batch):
+        """Apply ``batch`` op by op through ``Graph`` methods; return the
+        index of the first op a strict apply rejects, or ``None``."""
+        for k, op in enumerate(batch):
+            if isinstance(op, EdgeInsertion):
+                if graph.has_edge(op.u, op.v):
+                    return k
+                graph.add_edge(op.u, op.v, op.weight, op.label)
+            elif isinstance(op, EdgeDeletion):
+                if not graph.has_edge(op.u, op.v):
+                    return k
+                graph.remove_edge(op.u, op.v)
+            elif isinstance(op, VertexInsertion):
+                if graph.has_node(op.v):
+                    return k
+                graph.add_node(op.v, op.label)
+                for e in op.edges:
+                    if graph.has_edge(e.u, e.v):
+                        return k
+                    graph.add_edge(e.u, e.v, e.weight, e.label)
+            else:
+                if not graph.has_node(op.v):
+                    return k
+                graph.remove_node(op.v)
+        return None
+
+    def test_apply_pass_expands_and_reads_old_weights_on_vertex_churn(self):
+        import random
+
+        from repro.graph import ExpandedBatch
+
+        for seed in range(600):
+            g, batch = self._weighted(_churn_case(random.Random(seed)), random.Random(seed))
+            want = _expanded_by_copy(batch, g)
+            work = g.copy()
+            record = apply_updates(work, batch, strict=False, expand=True)
+            assert isinstance(record, ExpandedBatch)
+            assert record.updates == want, seed
+            assert record.edges == [
+                (op.u, op.v, isinstance(op, EdgeInsertion))
+                for op in want
+                if isinstance(op, (EdgeInsertion, EdgeDeletion))
+            ]
+            assert record.vertices == [
+                (op.v, isinstance(op, VertexInsertion))
+                for op in want
+                if isinstance(op, (VertexInsertion, VertexDeletion))
+            ]
+            assert record.old_weights == {
+                (op.u, op.v): g.weight(op.u, op.v)
+                for op in want
+                if isinstance(op, EdgeDeletion) and g.has_edge(op.u, op.v)
+            }, seed
+            replay = g.copy()
+            for op in batch:
+                apply_updates(replay, [op], strict=False)
+            assert work == replay and work.num_edges == replay.num_edges
+
+    def test_apply_pass_matches_strict_op_by_op_apply(self):
+        import random
+
+        raised = 0
+        for seed in range(600):
+            g, batch = self._weighted(_churn_case(random.Random(seed)), random.Random(seed))
+            ref = g.copy()
+            k = self._strict_replay(ref, batch)
+            work = g.copy()
+            if k is None:
+                reported = []
+                record = apply_updates(work, batch, expand=True, on_op=reported.append)
+                assert reported == record.updates  # a strict pass applies every op
+            else:
+                raised += 1
+                with pytest.raises(UpdateError):
+                    apply_updates(g.copy(), Batch(batch.updates[: k + 1]))
+                apply_updates(work, Batch(batch.updates[:k]))
+            # Edges, weights, edge and node labels, and the edge count.
+            assert work == ref, seed
+            assert work.num_edges == ref.num_edges == sum(1 for _e in ref.edges())
+        assert 100 < raised < 600  # both outcomes are exercised
+
 
 class TestNormalizedNetEffect:
     """Property: normalization against the pre-batch graph is exact.
