@@ -546,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-size", type=int, default=256, help="admission queue bound (Overloaded beyond it)"
     )
     p_serve.add_argument(
-        "--window", type=int, default=32, help="max update batches coalesced per writer window"
+        "--window", type=int, default=32, help="max update batches committed per writer window"
     )
     p_serve.add_argument(
         "--shards",

@@ -36,13 +36,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..errors import FixpointError, IncrementalizationError
 from ..graph.graph import Graph
-from ..graph.updates import (
-    Batch,
-    Update,
-    VertexDeletion,
-    VertexInsertion,
-    apply_updates,
-)
+from ..graph.updates import Batch, Update, apply_updates
 from ..metrics.counters import AccessCounter, NullCounter
 from ..resilience.faults import inject
 from .engine import check_engine, run_batch, run_fixpoint
@@ -119,34 +113,6 @@ def compose_changes(
             changes.pop(key, None)
         else:
             changes[key] = (old, new)
-
-
-#: Coalescing window of :meth:`IncrementalAlgorithm.apply_stream`: unit
-#: ops buffered before one normalized apply.
-WINDOW = 16
-
-
-@dataclass
-class StreamResult:
-    """Outcome of one coalesced stream: the composed ``ΔO`` plus counts."""
-
-    changes: Dict[Hashable, Tuple[Any, Any]] = field(default_factory=dict)
-    ops: int = 0             #: raw updates consumed from the stream
-    applies: int = 0         #: coalesced applies actually executed
-    coalesced_away: int = 0  #: updates cancelled by normalization
-    touched: int = 0         #: realized |AFF| summed over the applies
-
-    def add(self, step: IncrementalResult) -> None:
-        """Fold one apply into the stream (see :func:`compose_changes`)."""
-        self.applies += 1
-        self.touched += step.affected_size
-        compose_changes(self.changes, step.changes)
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamResult(ops={self.ops}, applies={self.applies}, "
-            f"|ΔO|={len(self.changes)})"
-        )
 
 
 class BatchAlgorithm:
@@ -360,54 +326,25 @@ class IncrementalAlgorithm:
         stream: Iterable,
         query: Any = None,
         max_evals: Optional[int] = None,
-    ) -> StreamResult:
-        """Apply a whole update stream, coalescing it into windows.
+    ) -> IncrementalResult:
+        """Apply a whole update stream as one ``ΔG``.
 
-        ``stream`` yields :class:`Batch` or unit :class:`Update` items.
-        Consecutive edge updates are buffered up to :data:`WINDOW` ops
-        and reduced to their net effect with
-        :meth:`~repro.graph.updates.Batch.normalized` against the live
-        graph, so insert/delete churn on one edge cancels and a window of
-        unit ops becomes one generic :meth:`apply`.  A vertex update
-        flushes the window and travels alone (normalization must not
-        reorder it past edge ops on its endpoints).  ``max_evals`` is one
-        budget for the whole stream, as :meth:`apply` has for one batch.
-        Mutates ``graph`` and ``state`` like the equivalent :meth:`apply`
-        sequence and returns the composed :class:`StreamResult`.
+        ``stream`` yields :class:`Batch` or unit :class:`Update` items;
+        their ops, concatenated in order, make one batch that takes one
+        generic :meth:`apply` with ``max_evals`` as its budget.  A ``ΔG``
+        may carry vertex updates and insert/delete churn on one edge, so
+        nothing is reordered or cancelled first: A_Δ's scope function
+        already covers the whole batch.  Mutates ``graph`` and ``state``
+        like the equivalent :meth:`apply` sequence and returns that
+        apply's result (an empty one for an empty stream).
         """
-        result = StreamResult()
-        pending: List[Update] = []
-        budget = max_evals
-
-        def flush() -> None:
-            nonlocal budget
-            if not pending:
-                return
-            batch = Batch(list(pending))
-            pending.clear()
-            net = batch.normalized(directed=graph.directed, graph=graph)
-            result.coalesced_away += len(batch) - len(net)
-            if not net.updates:
-                return
-            inject("scheduler.mid-stream")
-            rounds = state.rounds
-            result.add(
-                self.apply(graph, state, net, query, engine="generic", max_evals=budget)
-            )
-            if budget is not None:
-                budget -= state.rounds - rounds  # evaluations this apply spent
-
+        ops: List[Update] = []
         for item in stream:
-            for update in item.updates if isinstance(item, Batch) else [item]:
-                result.ops += 1
-                vertex_op = isinstance(update, (VertexInsertion, VertexDeletion))
-                if vertex_op:
-                    flush()
-                pending.append(update)
-                if vertex_op or len(pending) >= WINDOW:
-                    flush()
-        flush()
-        return result
+            ops.extend(item.updates if isinstance(item, Batch) else [item])
+        if not ops:
+            return IncrementalResult()
+        inject("scheduler.mid-stream")
+        return self.apply(graph, state, Batch(ops), query, engine="generic", max_evals=max_evals)
 
 
 def incrementalize(spec: FixpointSpec) -> Tuple[BatchAlgorithm, IncrementalAlgorithm]:

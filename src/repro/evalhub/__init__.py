@@ -7,8 +7,7 @@ package is where those numbers live:
 ``registry``
     One append-only run store under ``benchmarks/results/``: each suite
     is a JSON ledger of run-tagged rows with per-run host provenance
-    (git sha + dirty bit, ``available_cpus``), migrated from the legacy
-    ``BENCH_*.json`` files.
+    (git sha + dirty bit, ``available_cpus``).
 
 ``suites``
     The suite catalog — kernels, serve, fig6/fig7/fig8, table1,

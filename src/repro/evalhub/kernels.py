@@ -4,8 +4,8 @@
 checks that the dense kernel path is selectable (no silent fallback)
 and that forced kernel runs, batch and incremental, produce exactly the
 generic engine's values and per-op ``ΔO``.  On a small random unit
-stream it also checks that the coalescing ``apply_stream`` reaches
-the generic fixpoint, and on a 129-node weighted path that the batch
+stream it also checks that ``apply_stream`` (the stream as one apply)
+reaches the generic fixpoint, and on a 129-node weighted path that the batch
 kernel does too.  A path is the deepest drain a graph of its size can
 take: every node's value hangs on a chain of writes as long as the
 graph, so a dropped push or a wrong write order shows there first.
@@ -26,8 +26,8 @@ Any failure raises :class:`SuiteError`.
   engine is already near-optimal) and a *flap* stream alternately
   deleting/re-inserting the heaviest shortest-path-tree edges (large
   repair cascades, where the dense arrays pay off).  Each stream is
-  timed under the generic engine, the kernel engine, and once more
-  coalesced through ``apply_stream``; per-op
+  timed op by op under the generic engine and the kernel engine, and
+  once more as one apply through ``apply_stream``; per-op
   touched-node counters from ``kernel_stats`` are recorded so
   |AFF|-proportionality is auditable next to the wall-clock numbers;
 * incremental SSSP and CC by |ΔG| (``inc_sssp_level``/``inc_cc_level``):
@@ -134,16 +134,16 @@ def run_stream(graph, query, stream, engine: str):
 
 
 def run_scheduled(graph, query, stream):
-    """Drive the same stream through the coalescing ``apply_stream``.
+    """Drive the same stream through ``apply_stream``: one apply.
 
-    Returns ``(seconds, final values, StreamResult)``.
+    Returns ``(seconds, final values)``.
     """
     work = graph.copy()
     state = run_batch(SSSPSpec(), work, query, engine="generic")
-    sched, seconds = time_call(
+    _, seconds = time_call(
         IncSSSP().apply_stream, work, state, [Batch([op]) for op in stream], query
     )
-    return seconds, dict(state.values), sched
+    return seconds, dict(state.values)
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +184,7 @@ def bench_incremental(results, edges: int, ops: int):
         generic_s, generic_values, generic_touched = run_stream(graph, 0, stream, "generic")
         kernel_s, kernel_values, kernel_touched = run_stream(graph, 0, stream, "kernel")
         assert kernel_values == generic_values, f"inc {shape}@{edges} [kernel]: values diverge"
-        sched_s, sched_values, sched = run_scheduled(graph, 0, stream)
+        sched_s, sched_values = run_scheduled(graph, 0, stream)
         assert sched_values == generic_values, f"inc {shape}@{edges} [sched]: values diverge"
 
         results.append(
@@ -196,12 +196,10 @@ def bench_incremental(results, edges: int, ops: int):
                 "generic_ms": round(generic_s * 1e3, 2),
                 "kernel_ms": round(kernel_s * 1e3, 2),
                 "sched_ms": round(sched_s * 1e3, 2),
-                # Headline: generic per-op baseline vs the coalesced
-                # stream (what a session runs), the intended deployment.
+                # Headline: generic per-op baseline vs the stream as one
+                # apply (what a session runs), the intended deployment.
                 "speedup": round(generic_s / sched_s, 2),
                 "kernel_speedup": round(generic_s / kernel_s, 2),
-                "applies": sched.applies,
-                "coalesced_away": sched.coalesced_away,
                 # |AFF|-proportionality audit: mean/max nodes touched per op
                 # by the kernel path, next to the generic scope and n.
                 "touched_mean": round(sum(kernel_touched) / max(len(kernel_touched), 1), 1),
@@ -344,12 +342,12 @@ def smoke() -> None:
             f"{spec.name} incremental kernel diverges",
         )
 
-        # Stream gate: coalescing reaches the same fixpoint as the
-        # op-by-op applies above.
+        # Stream gate: the stream as one apply reaches the same fixpoint
+        # as the op-by-op applies above.
         work = graph.copy()
         state = run_batch(spec, work, query, engine="generic")
         inc_cls().apply_stream(work, state, [Batch([op]) for op in stream], query)
         _require(
             dict(state.values) == outcomes["generic"][0],
-            f"{spec.name} coalesced stream diverges",
+            f"{spec.name} stream apply diverges",
         )

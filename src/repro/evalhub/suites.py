@@ -18,7 +18,7 @@ calls after a warmup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..errors import ReproError
 
@@ -279,7 +279,3 @@ def run_suite(name: str, scale: str = "small") -> List[Dict[str, Any]]:
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
     return suite.run(scale)
-
-
-def suite_for(name: str) -> Optional[Suite]:
-    return SUITES.get(name)

@@ -309,11 +309,6 @@ class Graph:
         g._num_edges = self._num_edges
         return g
 
-    def reversed_view_edges(self) -> Iterator[Edge]:
-        """Edges of the reverse graph (directed graphs only)."""
-        for u, v in self.edges():
-            yield (v, u)
-
     def __contains__(self, v: Node) -> bool:
         return v in self._succ
 

@@ -166,8 +166,8 @@ class Batch:
             inverse.append(u.inverted())
         return Batch(inverse)
 
-    def normalized(self, directed: bool = True, graph: Optional[Graph] = None) -> "Batch":
-        """Reduce the batch to its *net* effect per edge.
+    def normalized(self, directed: bool = True) -> "Batch":
+        """Reduce a strictly consistent batch to its *net* effect per edge.
 
         A batch may insert and later delete the same edge (or vice versa);
         the normalized batch keeps only what the final graph — and hence
@@ -177,15 +177,14 @@ class Batch:
         (after the edge updates), so batches mixing vertex updates with
         edge updates on the same endpoints should not be normalized.
 
-        Passing ``graph`` — the pre-batch graph ``G`` — makes the
-        reduction exact: a delete-then-reinsert that restores the original
-        weight and label cancels entirely, while one that *changes* them
-        nets to the ``[deletion, insertion]`` pair that realizes the
-        change.  Without a graph the original weight is unknowable, so a
-        delete-then-reinsert conservatively keeps that pair (cancelling
-        it, as this method once did, silently dropped weight changes), and
-        an insert-then-delete is assumed to start from an absent edge
-        (strict consistency) and cancels.
+        The first op on an edge tells its pre-batch presence (strict
+        consistency: a deletion requires the edge, an insertion forbids
+        it), so an insert-then-delete cancels.  The original weight is
+        unknowable, so a delete-then-reinsert keeps the
+        ``[deletion, insertion]`` pair: cancelling it would silently drop
+        a weight change.  A_Δ takes any valid ``ΔG`` as it is; this is
+        for a hand-written algorithm that reorders a batch (IncCoreness
+        applies its deletions ahead of its insertions).
         """
 
         def edge_key(a, b):
@@ -214,21 +213,10 @@ class Batch:
         for key in order:
             ops = ops_of[key]
             first = ops[0]
-            if graph is not None:
-                existed = graph.has_edge(first.u, first.v)
-                old_weight = graph.weight(first.u, first.v) if existed else None
-                old_label = graph.edge_label(first.u, first.v) if existed else None
-            else:
-                # Strict consistency: the first op tells us the edge's
-                # pre-batch presence (a deletion requires it, an
-                # insertion forbids it).
-                existed = isinstance(first, EdgeDeletion)
-                old_weight = old_label = None
-            # Simulate non-strict replay of the op sequence: a deletion
-            # of an absent edge and an insertion over a present edge are
-            # both skipped, exactly as ``apply_updates(strict=False)``
-            # does.  (A strictly consistent batch takes the same
-            # transitions, so the graphless case is covered too.)
+            existed = isinstance(first, EdgeDeletion)
+            # Replay the op sequence as ``apply_updates(strict=False)``
+            # would: a deletion of an absent edge and an insertion over a
+            # present edge are both skipped.
             present = existed
             effective_ins: Optional[EdgeInsertion] = None
             last_del: Optional[EdgeDeletion] = None
@@ -243,22 +231,14 @@ class Batch:
                     effective_ins = op
             if not present:
                 if existed:
-                    result.append(last_del or EdgeDeletion(first.u, first.v))
+                    result.append(last_del)
                 # else: never present before, absent after — net nothing.
             elif not existed:
                 result.append(effective_ins)
-            elif effective_ins is None:
-                pass  # every op was a skipped no-op; the edge is untouched
-            elif (
-                graph is not None
-                and old_weight == effective_ins.weight
-                and old_label == effective_ins.label
-            ):
-                pass  # delete-then-reinsert restored the edge exactly
             else:
-                # The edge survives but its weight/label may differ from
-                # the pre-batch edge (or, without a graph, we cannot rule
-                # that out): net effect is delete + reinsert.
+                # The edge survives a delete-then-reinsert whose weight or
+                # label may differ from the pre-batch edge: net effect is
+                # delete + reinsert.
                 result.append(EdgeDeletion(effective_ins.u, effective_ins.v))
                 result.append(effective_ins)
         result.extend(passthrough)

@@ -20,6 +20,14 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional
 
 
+def _quantile(data: List[float], p: float) -> float:
+    """The ``p`` quantile (0..1) of sorted ``data``, by nearest rank;
+    0.0 when empty."""
+    if not data:
+        return 0.0
+    return data[min(len(data) - 1, max(0, int(p * (len(data) - 1) + 0.5)))]
+
+
 class LatencyRecorder:
     """Bounded ring of latency samples with percentile snapshots.
 
@@ -54,10 +62,7 @@ class LatencyRecorder:
         """The ``p`` quantile (0..1) of retained samples; 0.0 when empty."""
         with self._lock:
             data = sorted(self._samples)
-        if not data:
-            return 0.0
-        index = min(len(data) - 1, max(0, int(p * (len(data) - 1) + 0.5)))
-        return data[index]
+        return _quantile(data, p)
 
     def snapshot(self, reset: bool = False) -> Dict[str, float]:
         """Percentile summary ``{count, window, p50, p90, p99, max, mean}``.
@@ -67,26 +72,12 @@ class LatencyRecorder:
         so percentiles stay warm across windows.
         """
         with self._lock:
-            data = sorted(self._samples)
+            samples = list(self._samples)
             count = self._count
             window = self._window_count
             if reset:
                 self._window_count = 0
-
-        def pct(p: float) -> float:
-            if not data:
-                return 0.0
-            return data[min(len(data) - 1, max(0, int(p * (len(data) - 1) + 0.5)))]
-
-        return {
-            "count": count,
-            "window": window,
-            "p50": pct(0.50),
-            "p90": pct(0.90),
-            "p99": pct(0.99),
-            "max": data[-1] if data else 0.0,
-            "mean": (sum(data) / len(data)) if data else 0.0,
-        }
+        return {**percentiles(samples), "count": count, "window": window}
 
 
 def percentiles(samples: Iterable[float], points: Iterable[float] = (0.5, 0.9, 0.99)) -> Dict[str, float]:
@@ -94,11 +85,7 @@ def percentiles(samples: Iterable[float], points: Iterable[float] = (0.5, 0.9, 0
     data: List[float] = sorted(samples)
     out: Dict[str, float] = {"count": len(data)}
     for p in points:
-        key = f"p{int(p * 100)}"
-        if not data:
-            out[key] = 0.0
-        else:
-            out[key] = data[min(len(data) - 1, max(0, int(p * (len(data) - 1) + 0.5)))]
+        out[f"p{int(p * 100)}"] = _quantile(data, p)
     out["max"] = data[-1] if data else 0.0
     out["mean"] = (sum(data) / len(data)) if data else 0.0
     return out

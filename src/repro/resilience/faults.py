@@ -21,7 +21,7 @@ Site                         Fires
 ``incremental.mid-apply``    after ``G ⊕ ΔG``, before the generic state repair
 ``kernel.mid-drain``         after ``G ⊕ ΔG``, before the kernel drain (one-shot
                              kernel applies only; sessions never reach it)
-``scheduler.mid-stream``     before a coalesced window is applied
+``scheduler.mid-stream``     before ``apply_stream``'s one apply of a stream
 ``engine.fixpoint``          on entry to :func:`~repro.core.engine.run_fixpoint`
 ``wal.mid-append``           between the two halves of a WAL record (torn write)
 ``checkpoint.mid-write``     after the temp file is written, before the rename

@@ -6,7 +6,7 @@ with the serving discipline a standing-query deployment needs:
 * **single writer** — all mutations (updates, registrations) flow
   through one bounded queue drained by one writer thread, so the
   session below never needs internal locking and each window commits
-  through one coalescing
+  through one
   :meth:`~repro.session.DynamicGraphSession.update_stream` call exactly
   as a sequential caller would;
 * **snapshot-isolated readers** — after every committed window the
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from time import monotonic
 from typing import Any, Dict, List, Optional, Set, Union
 
-from ..core.incremental import StreamResult, compose_changes
+from ..core.incremental import compose_changes
 from ..errors import Deadline, Overloaded, ReproError, ServiceClosed
 from ..graph.updates import Batch, Update
 from ..metrics.latency import DepthGauge, LatencyRecorder
@@ -136,7 +136,7 @@ class QueryService:
         return {
             "ops": 0,            # update ops committed
             "windows": 0,        # writer cycles that committed something
-            "applies": 0,        # coalesced applies across all queries
+            "applies": 0,        # applies across all queries (one per query per run)
             "touched": 0,        # realized |AFF| across queries/applies
             "shed_overloaded": 0,
             "shed_deadline": 0,
@@ -506,18 +506,13 @@ class QueryService:
     def _absorb(self, results: Dict[str, Any], base: int, ops: int) -> None:
         """Fold the results of one ``update_stream`` of ``ops`` batches,
         committed after ``base``, into the pending per-query ΔO and the
-        apply counters."""
+        apply counters: one apply per query per committed run."""
         if base == self._covered:
             self._covered = base + ops
-        totals = {"applies": 0, "touched": 0}
+        totals = {"applies": len(results), "touched": 0}
         for name, result in results.items():
             compose_changes(self._changes.setdefault(name, {}), result.changes)
-            if isinstance(result, StreamResult):
-                totals["applies"] += result.applies
-                totals["touched"] += result.touched
-            else:  # a quarantined query's batch recompute
-                totals["applies"] += 1
-                totals["touched"] += result.affected_size
+            totals["touched"] += result.affected_size
         with self._stats_lock:
             for counters in (self._counters, self._lifetime):
                 counters["ops"] += ops

@@ -64,7 +64,7 @@ from .algorithms import (
     Simfp,
     WidestPath,
 )
-from .core.incremental import IncrementalResult, StreamResult, compose_changes
+from .core.incremental import IncrementalResult, compose_changes
 from .core.state import FixpointState
 from .errors import (
     FixpointError,
@@ -257,13 +257,14 @@ class DynamicGraphSession:
         """Apply an update window and maintain every registered query.
 
         ``stream`` is an iterable of :class:`Batch` or unit updates; each
-        item is one batch with its own WAL seq.  Every healthy query
-        drives the window through its incremental algorithm (spec-backed
-        ones through :meth:`apply_stream`: coalesced windows on the
-        generic engine, with ``SessionConfig.step_budget`` as one budget
-        for the window); the reference graph receives the raw window, so
-        all replicas stay identical.  Returns ``{query name: result}``
-        with each query's ``ΔO`` composed across the window.
+        item is one batch with its own WAL seq.  The window's ops, in
+        order, are one ``ΔG``: every healthy query takes it in one apply
+        of its incremental algorithm (spec-backed ones through
+        :meth:`apply_stream`, on the generic engine with
+        ``SessionConfig.step_budget`` as the apply's budget), and the
+        reference graph receives the same ops, so all replicas stay
+        identical.  Returns ``{query name: result}`` with each query's
+        ``ΔO`` over the whole window.
         ``notify=True`` delivers each result to the query's listeners
         once, after the window committed; a raising listener is recorded
         as an incident and never starves the rest.
@@ -356,10 +357,11 @@ class DynamicGraphSession:
     ) -> Dict[str, Any]:
         """One maintenance step per query, then ``G ⊕ ΔG`` on the reference.
 
-        Each healthy query drives the window through its incremental
-        algorithm; hand-written ones (IncDFS, IncCoreness) have no
-        evaluation counter and go batch by batch, unbudgeted, with their
-        ``ΔO`` composed into one :class:`StreamResult`.  A runaway
+        The window's batches, concatenated in order, are one ``ΔG``, and
+        each healthy query takes it in one apply: spec-driven queries
+        through ``apply_stream`` under the step budget, hand-written ones
+        (IncDFS, IncCoreness, which have no evaluation counter) through
+        their own ``apply``, unbudgeted.  A runaway
         drain (step budget, divergence) is the query's own pathology and
         quarantines it; any other error fails the window until the query
         has faulted ``quarantine_after`` times in a row.  Quarantined
@@ -370,6 +372,7 @@ class DynamicGraphSession:
         window last, so until everything else succeeded it still is the
         pre-window graph a rollback rebuilds replicas from.
         """
+        window = Batch([op for batch in stream for op in batch.updates])
         results: Dict[str, Any] = {}
         quarantined: List[RegisteredQuery] = []
         for registered in self._queries.values():
@@ -382,17 +385,12 @@ class DynamicGraphSession:
                     result = inc.apply_stream(
                         registered.graph,
                         registered.state,
-                        stream,
+                        [window],
                         registered.query,
                         max_evals=self.config.step_budget,
                     )
                 else:
-                    result = StreamResult()
-                    for batch in stream:
-                        result.ops += len(batch)
-                        result.add(
-                            inc.apply(registered.graph, registered.state, batch, registered.query)
-                        )
+                    result = inc.apply(registered.graph, registered.state, window, registered.query)
             except InjectedFault:
                 raise
             except FixpointError as exc:
@@ -430,16 +428,13 @@ class DynamicGraphSession:
             )
         recompute = [r for r in self._queries.values() if r.quarantined]
         if recompute:
-            after = self.graph.copy()
-            for batch in stream:
-                apply_updates(after, batch)
+            after = apply_updates(self.graph.copy(), window)
             for registered in recompute:
                 results[registered.name] = self._recompute(
                     registered, after, None if txn is None else txn.values(registered.name)
                 )
-        for batch in stream:
-            apply_updates(self.graph, batch)
-            self._batches_applied += 1
+        apply_updates(self.graph, window)
+        self._batches_applied += len(stream)
         for registered in quarantined:
             self.incidents.record(
                 "self-heal",

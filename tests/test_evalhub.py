@@ -110,47 +110,10 @@ class TestRegistry:
     def test_unsupported_schema_rejected(self, tmp_path):
         registry = Registry(root=tmp_path)
         registry.path("kernels").parent.mkdir(parents=True, exist_ok=True)
-        registry.path("kernels").write_text(json.dumps({"schema": 99}))
-        with pytest.raises(RegistryError, match="schema"):
-            registry.load("kernels")
-
-
-class TestLegacyMigration:
-    def test_schema_2_inline_host(self, tmp_path):
-        legacy = {
-            "schema": 2,
-            "python": "3.11.4",
-            "machine": "x86_64",
-            "cpus": 1,
-            "git_sha": "abc1234",
-            "results": [
-                {"name": "batch_sssp", "speedup": 4.0},
-                {"name": "batch_sssp", "speedup": 4.5, "run": 5},
-            ],
-        }
-        (tmp_path / "kernels.json").write_text(json.dumps(legacy))
-        ledger = Registry(root=tmp_path).load("kernels")
-        # untagged rows land on the suite's known legacy baseline run
-        assert sorted(r.run for r in ledger.runs) == [2, 5]
-        assert all(r.migrated and r.scale == "full" for r in ledger.runs)
-        assert ledger.runs[0].host["git_sha"] == "abc1234"
-
-    def test_schema_3_grouped_host_and_append_after_migration(self, tmp_path):
-        legacy = {
-            "schema": 3,
-            "host": dict(HOST_A),
-            "results": [{"name": "read_heavy", "shards": 2, "run": 1}],
-        }
-        (tmp_path / "serve.json").write_text(json.dumps(legacy))
-        registry = Registry(root=tmp_path)
-        record = registry.append(
-            "serve", [{"name": "read_heavy", "shards": 2}], host=HOST_A, scale="full"
-        )
-        assert record.run == 2
-        payload = json.loads(registry.path("serve").read_text())
-        assert payload["schema"] == RECORD_SCHEMA
-        assert [r["run"] for r in payload["runs"]] == [1, 2]
-        assert payload["runs"][0]["migrated"] is True
+        for schema in (99, 3):  # pre-registry envelopes are not read either
+            registry.path("kernels").write_text(json.dumps({"schema": schema}))
+            with pytest.raises(RegistryError, match="schema"):
+                registry.load("kernels")
 
 
 class TestComparability:

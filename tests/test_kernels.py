@@ -669,8 +669,7 @@ class TestPerApplyStats:
         assert small.affected_size == small.kernel_stats["touched"]
 
     def test_stream_totals_sum_per_apply_stats(self):
-        from repro.core.incremental import StreamResult
-
+        """A stream is one apply: its result is that apply's, stats too."""
         edges = [(i, i + 1) for i in range(50)]
         g = from_edges(edges, directed=True, weights=[1.0] * len(edges))
         state = run_batch(SSSPSpec(), g, 0, engine="generic")
@@ -680,7 +679,7 @@ class TestPerApplyStats:
 
         def recording_apply(*args, **kwargs):
             result = apply(*args, **kwargs)
-            per_apply.append(result.affected_size)
+            per_apply.append(result)
             return result
 
         algo.apply = recording_apply
@@ -690,11 +689,10 @@ class TestPerApplyStats:
             Batch([EdgeInsertion(0, 25, weight=0.25)]),
         ]
         result = algo.apply_stream(g, state, stream, 0)
-        assert isinstance(result, StreamResult)
-        assert result.applies == len(per_apply)
-        # The sum equals the per-apply numbers, not a running global.
-        assert result.touched == sum(per_apply)
-        assert result.touched > 0
+        assert per_apply == [result]
+        assert result.affected_size == len(set(result.changes) | result.scope) > 0
+        assert algo.apply_stream(g, state, [], 0).changes == {}
+        assert len(per_apply) == 1  # an empty stream applies nothing
 
 
 class TestFlapStream:

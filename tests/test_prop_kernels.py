@@ -120,8 +120,8 @@ def test_kernel_mixed_stream_equals_generic(params):
 
 @given(scenario)
 def test_scheduler_stream_equals_generic(params):
-    """apply_stream (coalescing) reaches the same state and composes the
-    same ΔO as op-by-op generic applies."""
+    """apply_stream (the stream as one apply) reaches the same graph and
+    state as op-by-op generic applies, with their composed ΔO."""
     n, m, directed, seed, batch_sizes = params
     from oracles import random_mixed_batch
 
@@ -157,62 +157,63 @@ def test_scheduler_stream_equals_generic(params):
         name = spec_cls.__name__
         assert work_s == work_g, name
         assert dict(state_s.values) == dict(state_g.values), name
-        # Composed ΔO: every reported new side is the final value; old
-        # sides match the pre-stream fixpoint for keys that existed then
-        # (variables created mid-stream are seeded silently at their
-        # initial value — per-apply semantics — so their old side is the
-        # creation seed, not None); and no pre-existing change is lost.
+        # One apply's ΔO maps every variable whose value differs between
+        # the pre-stream and final fixpoints, and only those, from its old
+        # value (None for a created one) to its new one.
         v1 = dict(state_s.values)
-        for k, (old, new) in sched.changes.items():
-            assert new == v1.get(k), name
-            if k in v0:
-                assert old == v0[k], name
-        missing = {k for k in v0 if v0.get(k) != v1.get(k)} - set(sched.changes)
-        assert not missing, (name, missing)
-        assert sched.ops == len(stream)
+        expected = {k: (v0.get(k), v1.get(k)) for k in set(v0) | set(v1)}
+        assert sched.changes == {k: d for k, d in expected.items() if d[0] != d[1]}, name
 
 
-def test_stream_flushes_full_windows_and_vertex_ops():
-    """Two full windows, then a vertex insertion mid-window: the stream
-    equals op-by-op generic applies, and ``applies`` counts the flushes
-    (one per full window, one for the partial window the vertex op cuts,
-    one for the vertex op, one for the tail)."""
-    from repro.core.incremental import WINDOW
+def test_stream_is_one_apply():
+    """A stream with an insert-then-delete of one edge, a flapped tight
+    edge and a vertex insertion between edge ops on its endpoints takes
+    one apply, which reaches the graph, values and composed ΔO of
+    op-by-op generic applies, with None as the created vertex's old side."""
+    from repro.core.incremental import compose_changes
     from repro.graph import Batch, EdgeDeletion, EdgeInsertion, from_edges
     from repro.graph.updates import VertexInsertion
 
-    n = 24
-    edges = [(i, i + 1) for i in range(n - 1)]
-    base = from_edges(edges, directed=True, weights=[5.0] * len(edges))
-    head = [EdgeInsertion(0, 2, weight=1.0), EdgeDeletion(0, 2)]  # cancels
-    head += [EdgeInsertion(i, i + 2, weight=3.0) for i in range(WINDOW - 2)]
-    second = [EdgeInsertion(i, i + 3, weight=4.0) for i in range(WINDOW)]
-    cut = [EdgeDeletion(1, 2), EdgeDeletion(2, 3)]
-    vertex = [VertexInsertion(n, edges=(EdgeInsertion(0, n, weight=2.0),))]
-    tail = [EdgeInsertion(n, 2, weight=1.0), EdgeInsertion(n, 3, weight=1.0)]
-    stream = [Batch([op]) for op in head + second + cut + vertex + tail]
-    assert len(head) == len(second) == WINDOW
-    assert len(stream) >= 2 * WINDOW + 3
+    n = 8
+    path = [(i, i + 1) for i in range(n - 1)]
+    ops = [
+        EdgeInsertion(0, 2, weight=1.0),
+        EdgeDeletion(0, 2),  # cancels the insertion
+        EdgeDeletion(2, 3),  # tight: 3 and its descendants hang on it
+        EdgeInsertion(2, 3, weight=5.0),
+        EdgeInsertion(0, 4, weight=1.0),
+        VertexInsertion(n, edges=(EdgeInsertion(0, n, weight=2.0),)),
+        EdgeInsertion(n, 5, weight=1.0),
+        EdgeInsertion(3, n, weight=1.0),
+    ]
+    for spec_cls, inc_cls, directed, query in (
+        (SSSPSpec, IncSSSP, True, 0),
+        (CCSpec, IncCC, False, None),
+    ):
+        base = from_edges(path, directed=directed, weights=[5.0] * len(path))
+        work_s = base.copy()
+        state_s = run_batch(spec_cls(), work_s, query, engine="generic")
+        inc = inc_cls()
+        applies = []
+        apply = inc.apply
 
-    work_s = base.copy()
-    state_s = run_batch(SSSPSpec(), work_s, 0, engine="generic")
-    v0 = dict(state_s.values)
-    result = IncSSSP().apply_stream(work_s, state_s, stream, 0)
+        def counting_apply(*args, **kwargs):
+            applies.append(args[2])
+            return apply(*args, **kwargs)
 
-    work_g = base.copy()
-    state_g = run_batch(SSSPSpec(), work_g, 0, engine="generic")
-    algo_g = IncSSSP(engine="generic")
-    for batch in stream:
-        algo_g.apply(work_g, state_g, batch, 0)
+        inc.apply = counting_apply
+        result = inc.apply_stream(work_s, state_s, [Batch([op]) for op in ops], query)
+        assert [batch.updates for batch in applies] == [ops]
 
-    v1 = dict(state_s.values)
-    assert work_s == work_g
-    assert v1 == dict(state_g.values)
-    assert result.ops == len(stream)
-    assert result.applies == 5
-    assert result.coalesced_away == 2
-    assert set(result.changes) == {k for k in set(v0) | set(v1) if v0.get(k) != v1.get(k)}
-    for key, (old, new) in result.changes.items():
-        assert new == v1[key]
-        assert old == v0.get(key, old)
+        work_g = base.copy()
+        state_g = run_batch(spec_cls(), work_g, query, engine="generic")
+        algo_g = inc_cls(engine="generic")
+        composed = {}
+        for op in ops:
+            compose_changes(composed, algo_g.apply(work_g, state_g, Batch([op]), query).changes)
 
+        name = spec_cls.__name__
+        assert work_s == work_g, name
+        assert dict(state_s.values) == dict(state_g.values), name
+        assert result.changes == composed, name
+        assert result.changes[n] == (None, state_s.values[n]), name

@@ -59,18 +59,14 @@ def apply_method(inc):
     return "apply_stream" if hasattr(inc, "apply_stream") else "apply"
 
 
-def fail_after_apply(inc, calls):
-    """Make ``inc`` raise once it has run ``calls`` applies to completion."""
+def fail_after_apply(inc):
+    """Make ``inc`` raise once its window's one apply ran to completion."""
     method = apply_method(inc)
     real = getattr(inc, method)
-    done = []
 
     def wrapper(*args, **kwargs):
-        result = real(*args, **kwargs)
-        done.append(result)
-        if len(done) == calls:
-            raise RuntimeError("victim failed after writing")
-        return result
+        real(*args, **kwargs)
+        raise RuntimeError("victim failed after writing")
 
     setattr(inc, method, wrapper)
     return method
@@ -102,8 +98,7 @@ def fail_window(session, mode, window, rng):
     patches = []  # (object, attribute) pairs to delete afterwards
     if mode == "after":
         inc = session._queries[rng.choice(names)].incremental
-        calls = len(window) if apply_method(inc) == "apply" else 1
-        patches.append((inc, fail_after_apply(inc, calls)))
+        patches.append((inc, fail_after_apply(inc)))
     elif mode == "mid-drain":
         specs = [getattr(r.incremental, "spec", None) for r in session._queries.values()]
         drained = [spec for spec in specs if spec is not None and not defines_derivative(spec)]

@@ -173,27 +173,32 @@ class TestSeqAndStreamNotify:
 
 
 class TestHandWrittenWindows:
-    """IncDFS and IncCoreness have no ``apply_stream``; the session applies
-    a window to them batch by batch and composes the ΔO."""
+    """IncDFS and IncCoreness have no ``apply_stream``; the session hands
+    them a window's batches, concatenated, in one ``apply``."""
 
     @pytest.mark.parametrize("algorithm", ["DFS", "Coreness"])
     def test_two_batch_window_composes_delta_o(self, algorithm):
         session = make_session()
         session.register("q", algorithm)
-        before = dict(session._queries["q"].state.values)
+        registered = session._queries["q"]
+        before = dict(registered.state.values)
+        applied = []
+        apply = registered.incremental.apply
+
+        def recording_apply(graph, state, delta, query=None):
+            applied.append(list(delta.updates))
+            return apply(graph, state, delta, query)
+
+        registered.incremental.apply = recording_apply
         # Node 5 appears in the first batch and changes again in the second.
         stream = [Batch([EdgeInsertion(3, 5)]), Batch([EdgeInsertion(4, 5)])]
         result = session.update_stream(stream)["q"]
-        after = session._queries["q"].state.values
+        assert applied == [[EdgeInsertion(3, 5), EdgeInsertion(4, 5)]]
+        after = registered.state.values
         changed = {
             key for key in set(before) | set(after) if before.get(key) != after.get(key)
         }
         assert 5 in changed
-        assert set(result.changes) == changed
-        for key, (old, new) in result.changes.items():
-            assert new == after.get(key), key
-            # A variable created in the window may carry its creation seed
-            # as the old side, as a one-batch apply reports it.
-            if key in before:
-                assert old == before[key], key
-        assert result.applies == 2
+        assert result.changes == {key: (before.get(key), after.get(key)) for key in changed}
+        expected = registered.batch.run(session.graph.copy(), registered.query).values
+        assert dict(after) == dict(expected)
