@@ -373,9 +373,8 @@ class TestQuarantine:
         assert session.answer("sssp") == oracle_sssp(session.graph, 0)
 
     def test_step_budget_covers_the_whole_batch(self):
-        # 40 new leaves cost one evaluation each.  The scheduler splits
-        # the batch into applies of at most 16 ops, each under budget on
-        # its own; the budget is for the batch, so the drain still trips.
+        # 40 new leaves cost one evaluation each, so the batch's one
+        # apply exceeds the budget of 20 and the drain trips.
         session = make_session(SessionConfig(step_budget=20))
         session.register("sssp", "SSSP", query=0)
         self.commit(session, [EdgeInsertion(3, 100 + i, weight=1.0) for i in range(40)])
