@@ -77,6 +77,7 @@ def inserted_arcs(delta: Batch, graph_new, both_ways: bool) -> List[Tuple[Node, 
 
 def lost_anchor_heads(
     delta: Batch,
+    graph_new,
     both_ways: bool,
     old_weights: Dict[Tuple[Node, Node], float],
     supported: Callable[[Node, Node, float], bool],
@@ -87,13 +88,18 @@ def lost_anchor_heads(
     ``both_ways`` — keep ``h`` if ``supported(t, h, w)`` holds: the spec's
     local test, on the old values, that the edge of old weight ``w`` was
     one of ``h``'s anchors.  For an edge missing from
-    ``old_weights`` (``G`` lacked it) every head is kept.
+    ``old_weights`` (``G`` lacked it) every head is kept.  A deletion
+    whose edge ``G ⊕ ΔG`` holds again at its old weight (``ΔG`` deleted
+    and re-inserted it) lost no anchor and keeps no head.
     """
+    succ = graph_new._succ
     heads: Set[Node] = set()
     for u, v, inserted in edge_updates(delta):
         if inserted:
             continue
         w = old_weights.get((u, v))
+        if w is not None and u in succ and succ[u].get(v) == w:
+            continue  # flapped back to its old weight
         if w is None or supported(u, v, w):
             heads.add(v)
         if both_ways and (w is None or supported(v, u, w)):

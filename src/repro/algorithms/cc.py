@@ -118,7 +118,7 @@ class CCSpec(FixpointSpec):
                 return False  # h holds its own id (the top), or t never fed it
             return x_h == t or ts.get(t, -1) <= ts.get(h, -1)
 
-        return lost_anchor_heads(delta, True, old_weights, supported)
+        return lost_anchor_heads(delta, graph_new, True, old_weights, supported)
 
     def relaxation_pairs(self, delta: Batch, graph_new: Graph, query: Any):
         return inserted_arcs(delta, graph_new, True)

@@ -39,9 +39,10 @@ DynLCC's rule, as :meth:`LCCSpec.derivative`: with ``C = N(u) ∩ N(v) ∖
 {u, v}`` on the graph with the edge applied, an insertion (deletion)
 moves ``d_u`` and ``d_v`` by ±1, ``λ_u`` and ``λ_v`` by ±|C|, and
 ``λ_w`` by ±1 for each ``w ∈ C``.  ``IncrementalAlgorithm.apply``
-applies the expanded ``ΔG`` one op at a time and sums these increments,
-so a triangle closed by two or three new edges is counted once, by the
-last of them (see ``docs/theory.md``); no step function runs, and
+applies the expanded ``ΔG`` one op at a time and the derivative adds
+each op's increments into one dict, so a triangle closed by two or
+three new edges is counted once, by the last of them (see
+``docs/theory.md``); no step function runs, and
 ``H⁰`` is exactly the variables whose values changed, plus those of
 inserted nodes.  On a directed graph an arc whose reverse arc exists
 changes no adjacency, and a self-loop changes nothing.
@@ -54,7 +55,7 @@ changes no adjacency, and a self-loop changes nothing.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Set, Tuple
 
 from ..core.incremental import BatchAlgorithm, IncrementalAlgorithm
 from ..core.spec import FixpointSpec
@@ -148,28 +149,43 @@ class LCCSpec(FixpointSpec):
         return ()
 
     def derivative(
-        self, update: Update, graph_new: Graph, query: Any
-    ) -> List[Tuple[Key, int]]:
+        self, update: Update, graph_new: Graph, query: Any, increments: Dict[Key, int]
+    ) -> None:
         # DynLCC's rule in the underlying simple graph: only an op that
         # makes or breaks the adjacency of two distinct nodes counts.
-        if isinstance(update, EdgeInsertion):
+        kind = type(update)
+        if kind is EdgeInsertion:
             sign = 1
-        elif isinstance(update, EdgeDeletion):
+        elif kind is EdgeDeletion:
             sign = -1
         else:
-            return []  # bare vertex ops: apply seeds and retires
+            return  # bare vertex ops: apply seeds and retires
         u, v = update.u, update.v
-        if u == v or (graph_new.directed and graph_new.has_edge(v, u)):
-            return []
-        common = graph_new.neighbor_set(u) & graph_new.neighbor_set(v)
+        if u == v:
+            return
+        if graph_new.directed:
+            if graph_new.has_edge(v, u):
+                return
+            common = graph_new.neighbor_set(u) & graph_new.neighbor_set(v)
+        else:
+            succ = graph_new._succ
+            common = succ[u].keys() & succ[v].keys()
         common.discard(u)
         common.discard(v)
-        triangles = sign * len(common)
-        return [
-            ((D, u), sign), ((D, v), sign),
-            ((LAMBDA, u), triangles), ((LAMBDA, v), triangles),
-            *(((LAMBDA, w), sign) for w in common),
-        ]
+        get = increments.get
+        key = (D, u)
+        increments[key] = get(key, 0) + sign
+        key = (D, v)
+        increments[key] = get(key, 0) + sign
+        if common:
+            triangles = sign * len(common)
+            key = (LAMBDA, u)
+            increments[key] = get(key, 0) + triangles
+            key = (LAMBDA, v)
+            increments[key] = get(key, 0) + triangles
+            for w in common:
+                key = (LAMBDA, w)
+                increments[key] = get(key, 0) + sign
 
     def new_variables(self, delta: Batch, graph_new: Graph, query: Any) -> Iterable[Key]:
         for v in nodes_inserted(delta, graph_new):

@@ -116,7 +116,7 @@ class ReachSpec(FixpointSpec):
                 return False
             return t == query or ts.get(t, -1) <= ts.get(h, -1)
 
-        return lost_anchor_heads(delta, not graph_new.directed, old_weights, supported)
+        return lost_anchor_heads(delta, graph_new, not graph_new.directed, old_weights, supported)
 
     def relaxation_pairs(self, delta: Batch, graph_new: Graph, query: Node):
         return inserted_arcs(delta, graph_new, not graph_new.directed)

@@ -128,7 +128,7 @@ class SSSPSpec(FixpointSpec):
             x_v = old.get(v, INF)
             return v != query and x_v != INF and old.get(u, INF) + weight == x_v
 
-        return lost_anchor_heads(delta, not graph_new.directed, old_weights, tight)
+        return lost_anchor_heads(delta, graph_new, not graph_new.directed, old_weights, tight)
 
     def relaxation_pairs(self, delta: Batch, graph_new: Graph, query: Node):
         return inserted_arcs(delta, graph_new, not graph_new.directed)

@@ -136,7 +136,7 @@ class SSWPSpec(FixpointSpec):
             x_v = old.get(v, 0.0)
             return v != query and x_v != 0.0 and min(old.get(u, 0.0), capacity) == x_v
 
-        return lost_anchor_heads(delta, not graph_new.directed, old_weights, tight)
+        return lost_anchor_heads(delta, graph_new, not graph_new.directed, old_weights, tight)
 
     def relaxation_pairs(self, delta: Batch, graph_new: Graph, query: Node):
         return inserted_arcs(delta, graph_new, not graph_new.directed)

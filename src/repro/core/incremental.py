@@ -19,9 +19,10 @@ expanded batch with its flat edge and vertex views.
 A spec that declares a :meth:`~repro.core.spec.FixpointSpec.derivative`
 (LCC) replaces steps 1–3 by finite differencing: the same pass calls the
 derivative after each op, on the graph with exactly that op applied,
-and sums the additive increments; vertex variables are retired and
-seeded, and every non-zero net increment is written; no step function
-runs.
+and the derivative adds that op's increments into one dict; vertex
+variables are retired and seeded, and every non-zero net increment is
+written in one :meth:`~repro.core.state.FixpointState.replay`; no step
+function runs.
 
 The result records the output changes ``ΔO`` such that
 ``Q(G ⊕ ΔG) = Q(G) ⊕ ΔO`` (the correctness equation of Section 2), plus
@@ -166,7 +167,7 @@ class IncrementalAlgorithm:
         check_engine(engine)
         self.spec = spec
         self.engine = engine
-        # Dense context reused across applies (kernels.incremental); None
+        # Kernel context reused across applies (kernels.incremental); None
         # until the first kernel apply, dropped when it goes stale.
         self._kernel_ctx = None
 
@@ -242,7 +243,7 @@ class IncrementalAlgorithm:
             raise IncrementalizationError(
                 f"engine='kernel' cannot run with {cause}; use the generic engine"
             )
-        self._kernel_ctx = None  # generic apply invalidates any dense mirror
+        self._kernel_ctx = None  # generic apply invalidates any kernel context
 
         result = IncrementalResult(
             h_counter=AccessCounter(trace=trace) if counting else NullCounter(),
@@ -252,21 +253,21 @@ class IncrementalAlgorithm:
         if derivative is None:
             delta = apply_updates(graph, delta, expand=True)
             # Figure 4's repair seeds, taken while state still holds the
-            # old values and timestamps; reused for the engine scope.
-            repair_seeds = set(
-                self.spec.repair_seed_keys(delta, graph, query, state, delta.old_weights)
+            # old values and timestamps.
+            repair_seeds = self.spec.repair_seed_keys(
+                delta, graph, query, state, delta.old_weights
             )
         else:
             # Finite differencing: each op's increments are taken on the
             # graph with exactly that op applied, so a triangle closed by
             # several new edges is counted once, by the last of them.
             increments: Dict[Hashable, Any] = {}
-
-            def derive(op: Update) -> None:
-                for key, step in derivative(op, graph, query):
-                    increments[key] = increments.get(key, 0) + step
-
-            delta = apply_updates(graph, delta, expand=True, on_op=derive)
+            delta = apply_updates(
+                graph,
+                delta,
+                expand=True,
+                on_op=lambda op: derivative(op, graph, query, increments),
+            )
         inject("incremental.mid-apply")  # ΔG committed, fixpoint not yet resumed
         changelog = state.start_changelog()
 
@@ -278,10 +279,13 @@ class IncrementalAlgorithm:
                 scope = vertex_variables(self.spec, graph, query, state, delta)
                 state.counter = result.engine_counter
                 values = state.values
-                for key, step in increments.items():
-                    if step and key in values:
-                        state.set(key, values[key] + step)
-                        scope.add(key)
+                writes = {
+                    key: values[key] + step
+                    for key, step in increments.items()
+                    if step and key in values
+                }
+                state.replay(writes.items())
+                scope.update(writes)
                 if counting:
                     for key in scope:
                         result.h_counter.on_scope_push(key)
@@ -296,10 +300,11 @@ class IncrementalAlgorithm:
                     engine_scope = scope
                 else:
                     # Insertion seeds are relaxed per edge; only variables the
-                    # repair pass touched — plus the repair seeds — need a
-                    # full evaluation by the resumed step function.
-                    engine_scope = {key for key in repair_seeds if key in state.values}
-                    engine_scope.update(key for key in changelog if key in state.values)
+                    # scope function wrote need a full evaluation by the
+                    # resumed step function: an unwritten repair seed has no
+                    # input better than before (docs/theory.md,
+                    # "Anchor-tested repair seeds").
+                    engine_scope = {key for key in changelog if key in state.values}
                 run_fixpoint(
                     self.spec,
                     graph,

@@ -255,19 +255,21 @@ class FixpointSpec(ABC):
         )
 
     def derivative(
-        self, update: Update, graph_new: Graph, query: Any
-    ) -> Optional[Iterable[Tuple[Key, Value]]]:
-        """Additive changes one update makes to the fixpoint, or ``None``.
+        self, update: Update, graph_new: Graph, query: Any, increments: Dict[Key, Value]
+    ) -> None:
+        """Add the changes one update makes to the fixpoint into ``increments``.
 
         ``update`` is one op of the *expanded* ``ΔG`` and ``graph_new``
         the graph with that op, and every op before it, applied: the
         incremental apply's :func:`~repro.graph.updates.apply_updates` pass calls
         the derivative from its ``on_op`` callback right after the op
         took effect, so the whole batch is expanded and applied in one
-        walk.  Return
-        ``(key, increment)`` pairs; ``IncrementalAlgorithm.apply`` sums them over the batch
-        and adds each non-zero net increment to the stored value, instead
-        of re-evaluating the PE variables of Theorem 1 (finite
+        walk.  ``increments`` is the driver's ``{key: net increment}``
+        dict for the whole batch: add each step of this op into it
+        (``increments[key] = increments.get(key, 0) + step``) and return
+        nothing.  ``IncrementalAlgorithm.apply`` then adds each non-zero
+        net increment to the stored value in one write-back, instead of
+        re-evaluating the PE variables of Theorem 1 (finite
         differencing).  Only variables whose update functions read the
         graph alone can be derived this way: the increments must add up
         to what a full :meth:`update` would give after the op, and every
@@ -276,11 +278,10 @@ class FixpointSpec(ABC):
         batch are seeded and dropped by ``apply``, so increments to
         them need no special casing.
 
-        The default returns ``None``: the spec has no derivative, and the
+        The default adds nothing: the spec has no derivative, and the
         incremental apply runs the scope function and the resumed step
         function.
         """
-        return None
 
     def new_variables(self, delta: Batch, graph_new: Graph, query: Any) -> Iterable[Key]:
         """Variables introduced by vertex insertions in ``ΔG``.

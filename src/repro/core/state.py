@@ -107,30 +107,42 @@ class FixpointState:
         return self.timestamps.get(key, -1)
 
     def replay(self, writes) -> None:
-        """Apply an ordered iterable of ``(key, value)`` writes via :meth:`set`.
+        """Apply an ordered iterable of ``(key, value)`` writes as :meth:`set` would.
 
-        This is the mirror protocol of the dense kernel engine: its hot
-        loops work on flat arrays and log every accepted write, then
-        replay the log here so the dict state carries the same final
+        This is the write-back of the batched writers: the kernel
+        engines' hot loops work on encoded values and log every accepted
+        write, and IncLCC's derivative path sums its increments; either
+        replays its log here, so the dict state carries the same final
         values *and* a timestamp linearization consistent with the
         propagation order — which the weakly deducible specs (CC, Reach)
         read back as ``<_C`` on the next incremental apply.  Replaying
         transient writes (values later overwritten) is deliberate: their
         timestamps are provenance, not noise.
+
+        One loop performs :meth:`set`'s whole protocol — changelog, undo
+        log, counter, timestamp — without a call per write.
         """
-        if self.changelog is None and self.undo is None and isinstance(self.counter, NullCounter):
-            # Uninstrumented fast path: identical effect to per-write
-            # :meth:`set` minus the method-call and branch overhead.
-            values, timestamps = self.values, self.timestamps
-            clock = self.clock
+        values, timestamps = self.values, self.timestamps
+        changelog, undo = self.changelog, self.undo
+        on_write = None if isinstance(self.counter, NullCounter) else self.counter.on_write
+        clock = self.clock
+        if changelog is None and undo is None and on_write is None:
             for key, value in writes:
                 values[key] = value
                 timestamps[key] = clock
                 clock += 1
-            self.clock = clock
-            return
-        for key, value in writes:
-            self.set(key, value)
+        else:
+            for key, value in writes:
+                if changelog is not None and key not in changelog:
+                    changelog[key] = values.get(key)
+                if undo is not None and key not in undo:
+                    undo[key] = (values.get(key, ABSENT), timestamps.get(key, ABSENT))
+                if on_write is not None:
+                    on_write(key)
+                values[key] = value
+                timestamps[key] = clock
+                clock += 1
+        self.clock = clock
 
     def drop(self, key: Key) -> None:
         """Retire a variable (vertex deletion)."""

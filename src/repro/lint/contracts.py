@@ -440,8 +440,7 @@ def _check_derivative(spec, workload, options) -> List[LintFinding]:
         for key in spec.new_variables(unit, graph, query):
             values.setdefault(key, spec.initial_value(key, graph, query))
         net: Dict = {}
-        for key, step in spec.derivative(op, graph, query):
-            net[key] = net.get(key, 0) + step
+        spec.derivative(op, graph, query, net)
         written = {key for key, step in net.items() if step}
         stray = written - set(spec.changed_input_keys(unit, graph, query))
         if stray:

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from oracles import oracle_lcc, oracle_triangles, random_edge_batch, random_graph
+from oracles import (
+    oracle_lcc,
+    oracle_triangles,
+    random_edge_batch,
+    random_graph,
+    random_mixed_batch,
+)
 from repro import IncLCC, LCCfp, lcc
 from repro.algorithms.lcc import LCCSpec, _triangles_at
 from repro.core.incremental import IncrementalAlgorithm
@@ -17,7 +23,11 @@ from repro.graph import (
     VertexDeletion,
     VertexInsertion,
     from_edges,
+    updated_copy,
 )
+
+#: Trials of the differential sweeps (undirected and directed); CI runs 600.
+SWEEP_TRIALS = int(os.environ.get("REPRO_LCC_SWEEP_TRIALS", "60"))
 
 
 class TestBatch:
@@ -111,15 +121,28 @@ class TestIncremental:
         assert ("d", 0) not in state.values
 
     def test_mixed_batches_match_oracle(self):
+        # Undirected graphs with self-loops, vertex churn and a self-loop
+        # toggled per batch: IncLCC's derivative against the recount and
+        # the oracle, values and per-apply ΔO.
         rng = random.Random(43)
-        for trial in range(30):
+        for trial in range(SWEEP_TRIALS):
             g = random_graph(rng, rng.randint(3, 18), rng.randint(2, 40), directed=False)
+            _with_loops_and_reciprocals(rng, g)
             batch, inc, state = self.setup_pair(g.copy())
             work = g.copy()
+            recount_graph, recount_state = g.copy(), state.copy()
+            recount = IncrementalAlgorithm(_RecountLCC())
             for _step in range(4):
-                delta = random_edge_batch(rng, work, rng.randint(1, 5))
-                inc.apply(work, state, delta)
+                delta = random_mixed_batch(rng, work, rng.randint(1, 5))
+                after = updated_copy(work, delta)
+                if after.num_nodes:
+                    v = rng.choice(sorted(after.nodes()))
+                    delta.append(EdgeDeletion(v, v) if after.has_edge(v, v) else EdgeInsertion(v, v))
+                got = inc.apply(work, state, delta)
+                want = recount.apply(recount_graph, recount_state, delta)
                 assert self.answer(batch, state, work) == oracle_lcc(work), f"trial {trial}"
+                assert state.values == recount_state.values, f"trial {trial}"
+                assert got.changes == want.changes, f"trial {trial}"
 
 
 def _with_loops_and_reciprocals(rng, graph):
@@ -223,10 +246,6 @@ class TestDerivative:
         assert ("λ", 9) in inserted.scope and ("λ", 9) in inserted.changes
         assert deleted.changes[("λ", 0)] == (3, None)
         assert ("d", 0) not in state.values
-
-
-#: Trials of the directed differential sweep; CI runs 600.
-SWEEP_TRIALS = int(os.environ.get("REPRO_LCC_SWEEP_TRIALS", "60"))
 
 
 class TestDirected:

@@ -14,6 +14,8 @@ from repro.algorithms._common import lost_anchor_heads
 from repro.algorithms.cc import CCSpec
 from repro.algorithms.lcc import LCCSpec
 from repro.algorithms.sssp import SSSPSpec
+from repro.core import run_batch
+from repro.core.incremental import IncrementalAlgorithm
 from repro.core.orders import MinValueOrder
 from repro.core.spec import FixpointSpec
 from repro.graph import Batch, EdgeDeletion, from_edges
@@ -286,7 +288,7 @@ class NoRootCaseCC(CCSpec):
                 return False
             return ts.get(t, -1) <= ts.get(h, -1)
 
-        return lost_anchor_heads(delta, True, old_weights, supported)
+        return lost_anchor_heads(delta, graph_new, True, old_weights, supported)
 
 
 class WaivedMutatingSpec(_MinimalSpec):
@@ -311,18 +313,33 @@ class CrashingSpec(_MinimalSpec):
 class NoThirdVertexLCC(LCCSpec):
     """DynLCC's rule without the λ_w ± 1 term for common neighbors."""
 
-    def derivative(self, update, graph_new, query):
-        pairs = super().derivative(update, graph_new, query)
-        return [(key, step) for key, step in pairs if key[1] in (update.u, update.v)]
+    def derivative(self, update, graph_new, query, increments):
+        own: dict = {}
+        super().derivative(update, graph_new, query, own)
+        for key, step in own.items():
+            if key[1] in (update.u, update.v):
+                increments[key] = increments.get(key, 0) + step
 
 
 class StrayWriteLCC(LCCSpec):
     """Also bumps the degree of a node the edge does not touch."""
 
-    def derivative(self, update, graph_new, query):
-        pairs = super().derivative(update, graph_new, query)
+    def derivative(self, update, graph_new, query, increments):
+        before = dict(increments)
+        super().derivative(update, graph_new, query, increments)
         far = max(graph_new.nodes())
-        return pairs + [(("d", far), 1)] if pairs and far not in (update.u, update.v) else pairs
+        if increments != before and far not in (update.u, update.v):
+            increments[("d", far)] = increments.get(("d", far), 0) + 1
+
+
+class PairsDerivativeLCC(LCCSpec):
+    """Overrides derivative with its former (update, graph_new, query)
+    signature returning pairs, which the driver can no longer call."""
+
+    name = "PairsDerivativeLCC"
+
+    def derivative(self, update, graph_new, query):
+        return []
 
 
 class TestContractRules:
@@ -390,6 +407,15 @@ class TestContractRules:
         )
         crashed = [f for f in findings if f.rule.id == "C109"]
         assert crashed and all("TypeError" in f.message for f in crashed)
+
+    def test_three_arg_derivative_crashes_c109(self):
+        findings = check_spec_contracts(PairsDerivativeLCC(), default_workloads(LCCSpec()))
+        crashed = [f for f in findings if f.rule.id == "C109"]
+        assert crashed and all("TypeError" in f.message for f in crashed)
+        g = from_edges([(0, 1), (1, 2)])
+        state = run_batch(PairsDerivativeLCC(), g, None)
+        with pytest.raises(TypeError):
+            IncrementalAlgorithm(PairsDerivativeLCC()).apply(g, state, Batch([EdgeDeletion(0, 1)]))
 
     def test_correct_spec_passes_all(self):
         assert self.contract_ids(SSSPSpec()) == set()

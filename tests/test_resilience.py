@@ -263,7 +263,7 @@ class TestTransactions:
 
     def test_committed_hub_window_builds_no_kernel_mirror(self):
         # Sessions drive every window through the generic engine, so even
-        # a window that reaches many variables leaves no dense mirror to
+        # a window that reaches many variables leaves no kernel context to
         # go stale on a later rollback.
         session = make_session()
         session.register("sssp", "SSSP", query=0)

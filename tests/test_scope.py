@@ -2,9 +2,12 @@
 
 import math
 
+import pytest
+
 from repro.algorithms.cc import CCSpec
 from repro.algorithms.sssp import SSSPSpec
 from repro.core import initial_scope, run_batch
+from repro.core.incremental import IncrementalAlgorithm
 from repro.graph import Batch, EdgeDeletion, EdgeInsertion, apply_updates, from_edges
 
 INF = math.inf
@@ -194,3 +197,42 @@ class TestAnchorTestedSeeds:
         assert state.values == Simfp().run(g.copy(), pattern).values
         assert result.changes[(0, "x")] == (True, False)
         assert result.changes[(0, "z")] == (False, True)
+
+
+class TestFlappedTightEdge:
+    """A ΔG that deletes a tight edge and re-inserts it at its old weight
+    lost no anchor: no repair seed, no write, an empty ΔO.  A re-insert at
+    another weight still seeds the head."""
+
+    @staticmethod
+    def case(name):
+        from repro.algorithms.cc import CCSpec
+        from repro.algorithms.reach import ReachSpec
+        from repro.algorithms.sswp import SSWPSpec
+
+        path = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        if name == "SSSP":  # (1, 2) is tight: 1 + 1 == d(2) == 2
+            return SSSPSpec(), from_edges(path, directed=True, weights=[1.0, 1.0, 5.0, 1.0]), 0
+        if name == "SSWP":  # (1, 2) is tight: min(5, 4) == w(2) == 4
+            return SSWPSpec(), from_edges(path, directed=True, weights=[5.0, 4.0, 1.0, 3.0]), 0
+        if name == "CC":  # 1 fed label 0 to 2
+            return CCSpec(), from_edges([(0, 1), (1, 2), (2, 3)]), None
+        return ReachSpec(), from_edges([(0, 1), (1, 2), (2, 3)], directed=True), 0
+
+    @pytest.mark.parametrize("engine", ["generic", "kernel"])
+    @pytest.mark.parametrize("name", ["SSSP", "SSWP", "CC", "Reach"])
+    def test_flap_at_old_weight_seeds_nothing(self, name, engine):
+        spec, base, query = self.case(name)
+        old = base.weight(1, 2)
+        for weight, seeded in ((old, set()), (old + 1.0 if name != "SSWP" else 2.0, {2})):
+            delta = Batch([EdgeDeletion(1, 2), EdgeInsertion(1, 2, weight=weight)])
+            g = base.copy()
+            state = run_batch(spec, g, query, engine="generic")
+            assert TestAnchorTestedSeeds.seeds(spec, g, state, delta, query) == seeded
+            clock = state.clock
+            result = IncrementalAlgorithm(spec, engine=engine).apply(g, state, delta, query)
+            assert (result.kernel_stats is not None) == (engine == "kernel")
+            assert state.values == run_batch(spec, g.copy(), query, engine="generic").values
+            if not seeded:
+                assert result.changes == {}
+                assert state.clock == clock
