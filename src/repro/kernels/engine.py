@@ -5,9 +5,9 @@
 node ids densified to ``0..n-1``, values mirrored into the encoded
 minimizing domain of :mod:`repro.kernels.spec`, and the fixpoint
 computed by :func:`drain` over :func:`dense_rows` — the scalar heap/FIFO
-push loop, over the same row dicts, that
-:func:`~repro.kernels.incremental.kernel_apply` resumes after each
-update batch.  The batch run seeds it with the source alone when the
+push loop that :func:`~repro.kernels.incremental.kernel_apply` also runs
+after each update batch, over the graph's own rows keyed by node.  The
+batch run seeds it with the source alone when the
 spec has one (every other variable starts at the top, ``x^⊥``, so only
 the source can lower a neighbour) and with every node otherwise (CC,
 where each node starts at its own label).  Prioritized specs drain in
@@ -23,7 +23,7 @@ source node); callers then fall back to the generic engine, which either
 runs the spec or raises the same errors it always did.
 
 Hot-loop conventions (shared with :mod:`repro.kernels.incremental`):
-values and rows hold plain Python floats and ints, so the loops index
+values and row weights are plain Python floats, so the loops combine
 unboxed scalars; writes are appended to a log replayed into the
 :class:`~repro.core.state.FixpointState` afterwards — preserving write
 *order*, hence a valid timestamp linearization of ``<_C`` for the weakly
@@ -148,7 +148,9 @@ def try_run_batch(spec: FixpointSpec, graph: Graph, query: Any) -> Optional[Fixp
         seeds = range(len(node_of))
     val = list(init)
     if kspec.prioritized:
-        work: Union[List[Tuple[float, int]], Deque[int]] = [(val[i], i) for i in seeds]
+        work: Union[List[Tuple[float, int, int]], Deque[int]] = [
+            (val[i], tick, i) for tick, i in enumerate(seeds)
+        ]
         heapq.heapify(work)
     else:
         work = deque(seeds)
@@ -197,26 +199,31 @@ def dense_rows(
 
 def drain(
     kspec: KernelSpec,
-    rows: List[Dict[int, float]],
-    val: List[float],
-    writes: List[Tuple[int, float]],
-    work: Union[List[Tuple[float, int]], Deque[int]],
-    src: int,
+    rows: Union[List[Dict[int, float]], Dict[Node, Dict[Node, float]]],
+    val: Union[List[float], Dict[Node, float]],
+    writes: List[Tuple[Any, float]],
+    work: Union[List[Tuple[float, int, Any]], Deque[Any]],
+    src: Any,
 ) -> int:
     """Push every change in ``work`` along ``rows`` to the fixpoint.  Returns pops.
 
-    ``work`` is a heap of ``(value, id)`` entries for prioritized specs
-    and a deque of distinct ids otherwise (FIFO with in-queue dedup).
-    Each accepted relaxation lowers ``val`` in place and is appended to
-    ``writes``; none relaxes into the pinned source ``src``.
+    ``rows`` and ``val`` are indexed by id: lists over dense ids for a
+    batch run, dicts keyed by node for an incremental apply.  ``work`` is
+    a heap of ``(value, tick, id)`` entries for prioritized specs — the
+    ticks are distinct and below ``len(work)``, so value ties never
+    compare ids, which need not be mutually ordered — and a deque of
+    distinct ids otherwise (FIFO with in-queue dedup).  Each accepted
+    relaxation lowers ``val`` in place and is appended to ``writes``;
+    none relaxes into the pinned source ``src``.
     """
     combine = kspec.combine
     pops = 0
     if kspec.prioritized:
         heap = work
         heappush, heappop = heapq.heappush, heapq.heappop
+        tick = len(heap)
         while heap:
-            d, i = heappop(heap)
+            d, _, i = heappop(heap)
             if d > val[i]:
                 continue  # stale entry; a better one was processed
             pops += 1
@@ -226,7 +233,8 @@ def drain(
                     if cand < val[j] and j != src:
                         val[j] = cand
                         writes.append((j, cand))
-                        heappush(heap, (cand, j))
+                        tick += 1
+                        heappush(heap, (cand, tick, j))
             else:  # MAXNEG
                 for j, w in rows[i].items():
                     nw = -w
@@ -234,7 +242,8 @@ def drain(
                     if cand < val[j] and j != src:
                         val[j] = cand
                         writes.append((j, cand))
-                        heappush(heap, (cand, j))
+                        tick += 1
+                        heappush(heap, (cand, tick, j))
         return pops
 
     dq = work
